@@ -133,6 +133,16 @@ class TestCertify:
         assert cert.certified
         assert cert.residue.to_str() == "Z1 + 1"
 
+    def test_field_too_large_to_tabulate(self):
+        # q = 1031 > 1024: the divisor search runs on field-element
+        # objects instead of encoded tables; 1031 = 3 mod 4, so -1 is
+        # not a square and x^2 + 1 has no root
+        config = gauss_config(1031, 1)
+        cert = certify_irreducible(P("x^2 + 1", ("x",)), config)
+        assert cert.verdict == VERDICT_CERTIFIED
+        cert = certify_irreducible(P("x^2 - 1", ("x",)), config)
+        assert cert.verdict == VERDICT_RESIDUE_REDUCIBLE
+
     def test_certificate_json_is_deterministic(self):
         config = gauss_config(3, 2)
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")

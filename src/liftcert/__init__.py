@@ -1,6 +1,9 @@
 """Exact-arithmetic irreducibility certificates for multivariate
 polynomials over Q, through p-adic lifting conditions."""
 
+# set before the submodule imports: lifting and cli read it from here
+__version__ = "0.1.0"
+
 from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import INFINITY, Rational, Val, vp
 from .finitefield import (
@@ -26,8 +29,6 @@ from .valuation import (
     compute_e_h,
     compute_lambda,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",

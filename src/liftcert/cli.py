@@ -17,14 +17,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
+from . import __version__
+from .errors import ConfigError, ResourceLimitExceeded
 from .finitefield import DEFAULT_CANDIDATE_LIMIT
 from .lifting import (
-    TOOL_VERSION,
     VERDICT_CERTIFIED,
     VERDICT_NOT_A_LIFTING,
     VERDICT_RESIDUE_NOT_MONIC,
     certify_irreducible,
+    check_lifting,
     generate_lifting,
     residue_from_json,
     residue_to_json,
@@ -33,18 +34,24 @@ from .lifting import (
 from .multipoly import MultiPoly, grlex_key
 from .oracle import brute_factor
 from .parse import ParseError, parse_polynomial
-from .valuation import (
-    NotNormalized,
-    PairConfig,
-    load_pair_specs,
-    pair_specs_to_json,
-)
+from .valuation import PairConfig, load_pair_specs, pair_specs_to_json
 
 EXIT_OK = 0
 EXIT_NOT_A_LIFTING = 2
 EXIT_RESIDUE_EXCLUDED = 3
 EXIT_INPUT_ERROR = 4
 EXIT_GUARD = 5
+
+
+def _limit(text):
+    """--limit: a positive integer; anything else is an input error."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ConfigError(f"--limit must be a positive integer, got {text!r}")
+    return limit
 
 
 def _build_parser():
@@ -54,7 +61,7 @@ def _build_parser():
         "over Q by verifying p-adic lifting conditions.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"liftcert {TOOL_VERSION}"
+        "--version", action="version", version=f"liftcert {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -62,7 +69,7 @@ def _build_parser():
         p.add_argument("--vars", required=True,
                        help="comma-separated variable names, order fixes indices")
         p.add_argument("--prime", type=int, default=None)
-        p.add_argument("--limit", type=int, default=DEFAULT_CANDIDATE_LIMIT,
+        p.add_argument("--limit", type=_limit, default=DEFAULT_CANDIDATE_LIMIT,
                        help="resource guard for exhaustive searches")
         p.add_argument("--json", action="store_true", dest="as_json")
         if pairs:
@@ -162,8 +169,7 @@ def _cmd_value(args):
     names = _names(args)
     config = _config(args, names)
     f = _parse_expr(args, names)
-    w, contributing = config.w_value(f)
-    marginals = [config.w_marginal(f, i) for i in range(config.nvars)]
+    w, contributing, marginals = config.valuation(config.expansion_table(f))
     if args.as_json:
         print(
             json.dumps(
@@ -183,38 +189,18 @@ def _cmd_value(args):
     return EXIT_OK
 
 
-def _derive_t(f, config):
-    t = []
-    for i, pair in enumerate(config.pairs):
-        unit = pair.e * pair.m
-        d = f.degree_in(i)
-        if d < unit or d % unit:
-            raise NotALiftingDegrees(
-                f"deg_x{i + 1}(f) = {d} is not a positive multiple of "
-                f"e*m = {unit}"
-            )
-        t.append(d // unit)
-    return tuple(t)
-
-
-class NotALiftingDegrees(LiftcertError):
-    pass
-
-
 def _cmd_residue(args):
     names = _names(args)
     config = _config(args, names)
     f = _parse_expr(args, names)
-    try:
-        t = _derive_t(f, config)
-        residue = config.residue_normalized(f, t)
-    except (NotALiftingDegrees, NotNormalized) as exc:
-        print(f"not a lifting: {exc}", file=sys.stderr)
+    report = check_lifting(f, config)
+    if not report.ok:
+        print(f"not a lifting: {report.reason}", file=sys.stderr)
         return EXIT_NOT_A_LIFTING
     if args.as_json:
-        print(json.dumps(residue_to_json(residue), indent=2))
+        print(json.dumps(residue_to_json(report.residue), indent=2))
     else:
-        print(residue.to_str())
+        print(report.residue.to_str())
     return EXIT_OK
 
 
@@ -282,8 +268,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ResourceLimitExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

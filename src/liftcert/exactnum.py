@@ -15,15 +15,6 @@ from .errors import ConfigError
 Rational = Fraction
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "a" or "a/b" into a reduced rational."""
-    return Fraction(text.strip())
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def is_prime(n: int) -> bool:
     """Primality by trial division; p is small and user-supplied."""
     if n < 2:
@@ -73,17 +64,6 @@ class Val:
         if self._q is None or other._q is None:
             return INFINITY
         return Val(self._q + other._q)
-
-    def scale(self, c) -> "Val":
-        """Multiply by a nonnegative rational; 0 * Infinity is disallowed."""
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("scaling a valuation by a negative rational")
-        if self._q is None:
-            if c == 0:
-                raise ValueError("0 * Infinity is undefined")
-            return INFINITY
-        return Val(self._q * c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Val) and self._q == other._q

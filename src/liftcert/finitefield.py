@@ -82,6 +82,10 @@ def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
     g is monic of degree >= 1; degree-1 polynomials are irreducible.
     """
     check_prime(p)
+    return _trial_division(g, p, limit)
+
+
+def _trial_division(g, p, limit):
     g = fp_normalize(g, p)
     d = fp_deg(g)
     if d < 1 or g[-1] != 1:
@@ -124,7 +128,7 @@ class ResidueField:
                 raise ConfigError(
                     "residue-field generators must be monic of degree >= 2"
                 )
-            if not is_irreducible_univariate(g, p, limit):
+            if not _trial_division(g, p, limit):
                 raise GeneratorReducible(
                     f"generator {list(g)} is reducible over F_{p}"
                 )
@@ -309,9 +313,6 @@ class ResidueElement:
             k >>= 1
         return result
 
-    def is_constant(self):
-        return all(all(x == 0 for x in e) for e in self.coeffs)
-
     def to_str(self, names=None) -> str:
         """Polynomial in y_i with integer coefficients in 0..p-1."""
         if not self.coeffs:
@@ -357,10 +358,6 @@ class ResiduePoly:
                 if not c.is_zero:
                     clean[tuple(e)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars)
 
     @property
     def is_zero(self):
@@ -422,9 +419,6 @@ class ResiduePoly:
 
     def lex_leading(self):
         return max(self.terms)
-
-    def is_constant(self):
-        return self.degree() <= 0
 
     def is_single_variable(self, i):
         """True iff the polynomial is exactly Z_i."""
@@ -511,41 +505,45 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
             raise ResourceLimitExceeded(
                 "multivariate divisor candidates", limit, total
             )
-    zero_exp = (0,) * n
     if q <= 1024:
-        return _search_encoded(t, leads, slots, zero_exp, t_trail)
-    # object-arithmetic fallback for fields too large to tabulate
-    all_elems = list(field.elements())
+        _, index, add, mul, neg = field.encoded_ops()
+        divides = _encoded_divides(t, index, add, mul, neg)
+    else:
+        # too large to tabulate: divide with element objects
+        elems = list(field.elements())
+        index = {e._key(): i for i, e in enumerate(elems)}
+
+        def divides(g_items, lead):
+            g = ResiduePoly(field, n, {e: elems[c] for e, c in g_items})
+            return _lex_divides(t, g)
+
+    # index 0 is zero in both encodings
+    one = index[field.one._key()]
+    zero_exp = (0,) * n
     for lead in leads:
         lower = sorted(e for e in slots if e < lead) + [zero_exp]
         lower.sort()
-        for combo in itertools.product(all_elems, repeat=len(lower)):
+        for combo in itertools.product(range(q), repeat=len(lower)):
             trail = lead
             for e, c in zip(lower, combo):
-                if not c.is_zero:
+                if c:
                     trail = e
                     break
             if any(a > b for a, b in zip(trail, t_trail)):
                 continue
-            terms = {lead: field.one}
+            g_items = [(lead, one)]
             for e, c in zip(lower, combo):
-                if not c.is_zero:
-                    terms[e] = c
-            g = ResiduePoly(field, n, terms)
-            if _lex_divides(t, g):
+                if c:
+                    g_items.append((e, c))
+            if divides(g_items, lead):
                 return False
     return True
 
 
-def _search_encoded(t, leads, slots, zero_exp, t_trail):
-    """Divisor enumeration over integer-encoded field elements.
-
-    Same candidate set as the fallback above, just with table-driven
-    coefficient arithmetic so the inner division loop stays cheap.
-    """
-    field = t.field
-    elems, index, add, mul, neg = field.encoded_ops()
-    q = len(elems)
+def _encoded_divides(t, index, add, mul, neg):
+    """Exact division test of T by a candidate given as (exponent,
+    element index) pairs with lead coefficient 1, on the lookup tables
+    of the integer-encoded field, where object arithmetic would dominate."""
     tt = {e: index[c._key()] for e, c in t.terms.items()}
 
     def divides(g_items, lead):
@@ -565,22 +563,4 @@ def _search_encoded(t, leads, slots, zero_exp, t_trail):
                     r.pop(e, None)
         return True
 
-    one_idx = index[field.one._key()]
-    for lead in leads:
-        lower = sorted(e for e in slots if e < lead) + [zero_exp]
-        lower.sort()
-        for combo in itertools.product(range(q), repeat=len(lower)):
-            trail = lead
-            for e, c in zip(lower, combo):
-                if c:
-                    trail = e
-                    break
-            if any(a > b for a, b in zip(trail, t_trail)):
-                continue
-            g_items = [(lead, one_idx)]
-            for e, c in zip(lower, combo):
-                if c:
-                    g_items.append((e, c))
-            if divides(g_items, lead):
-                return False
-    return True
+    return divides

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import __version__
 from .errors import ConfigError, LiftcertError
 from .exactnum import Val, check_prime, vp
 from .finitefield import (
@@ -30,8 +31,6 @@ from .finitefield import (
 )
 from .multipoly import MultiPoly, grlex_key
 from .valuation import PairConfig, RationalCenter, pair_specs_to_json
-
-TOOL_VERSION = "0.1.0"
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_NOT_A_LIFTING = "NotALifting"
@@ -73,6 +72,16 @@ class CheckReport:
     @property
     def ok(self):
         return self.failed is None
+
+    @property
+    def reason(self):
+        """The first failed check, as printed in diagnoses."""
+        if self.failed is None:
+            return None
+        return (
+            f"condition ({self.condition}) failed: {self.failed.name}: "
+            f"{self.failed.lhs} != {self.failed.rhs}"
+        )
 
 
 def _record(checks, name, lhs, rhs, passed):
@@ -136,13 +145,12 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
     # condition (ii): total and marginal valuations
     table = config.expansion_table(f)
     target = config.lifting_target(t)
-    w, _ = config._w_from_table(table)
+    w, contributing, marginals = config.valuation(table)
     result = _record(checks, "w_total", w, target, w == Val.finite(target))
     if not result.passed:
         return CheckReport(checks, t=t, failed=result, condition="ii")
-    for i, pair in enumerate(config.pairs):
+    for i, (pair, marginal) in enumerate(zip(config.pairs, marginals)):
         marginal_target = pair.e * t[i] * pair.lam
-        marginal = config._marginal_from_table(table, i)
         result = _record(
             checks, f"w_marginal_x{i + 1}", marginal, marginal_target,
             marginal == Val.finite(marginal_target),
@@ -151,7 +159,7 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
             return CheckReport(checks, t=t, failed=result, condition="ii")
 
     # condition (iii): residue degrees and monicity
-    residue = config._residue_from_table(table, t)
+    residue = config.residue(table, t, w, contributing)
     for i in range(n):
         d = residue.degree_in(i)
         result = _record(
@@ -185,7 +193,7 @@ class LiftingCertificate:
     checks: list
     verdict: str
     reason: str = None
-    version: str = TOOL_VERSION
+    version: str = __version__
 
     @property
     def certified(self):
@@ -256,11 +264,9 @@ def certify_irreducible(
             verdict = VERDICT_RESIDUE_NOT_MONIC
         else:
             verdict = VERDICT_NOT_A_LIFTING
-        reason = (
-            f"condition ({report.condition}) failed: {report.failed.name}: "
-            f"{report.failed.lhs} != {report.failed.rhs}"
+        return LiftingCertificate(
+            verdict=verdict, reason=report.reason, **base
         )
-        return LiftingCertificate(verdict=verdict, reason=reason, **base)
 
     residue = report.residue
     for i in range(config.nvars):
@@ -420,10 +426,11 @@ def suggest_pairs(f: MultiPoly, p: int, max_configs: int = 16):
     n = f.nvars
     per_var = []
     for i in range(n):
-        u = f
-        for j in range(n):
-            if j != i:
-                u = u.substitute(j, MultiPoly.zero(n))
+        # f with every other variable set to 0
+        u = MultiPoly(n, {
+            e: c for e, c in f.terms.items()
+            if not any(k for j, k in enumerate(e) if j != i)
+        })
         deltas = [Fraction(0)]
         for slope in _newton_slopes(u, i, p):
             if slope > 0 and slope not in deltas:
@@ -482,23 +489,26 @@ def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:
     from .parse import parse_polynomial
 
     fld = config.field
-    if doc.get("p") != fld.p:
-        raise ConfigError(
-            f"residue document prime {doc.get('p')} does not match {fld.p}"
-        )
-    ynames = [f"y{k + 1}" for k in range(fld.nyvars)]
-    terms = {}
-    for entry in doc["coeffs"]:
-        exps = tuple(int(e) for e in entry["exp"])
-        if len(exps) != config.nvars:
-            raise ConfigError(f"exponent {entry['exp']} has wrong arity")
-        poly = parse_polynomial(entry["c"], ynames)
-        coeffs = {}
-        for e, c in poly.terms.items():
-            if c.denominator != 1:
-                raise ConfigError(
-                    f"residue coefficient {entry['c']} is not integral"
-                )
-            coeffs[e] = c.numerator
-        terms[exps] = fld.element(coeffs)
+    try:
+        if doc.get("p") != fld.p:
+            raise ConfigError(
+                f"residue document prime {doc.get('p')} does not match {fld.p}"
+            )
+        ynames = [f"y{k + 1}" for k in range(fld.nyvars)]
+        terms = {}
+        for entry in doc["coeffs"]:
+            exps = tuple(int(e) for e in entry["exp"])
+            if len(exps) != config.nvars:
+                raise ConfigError(f"exponent {entry['exp']} has wrong arity")
+            poly = parse_polynomial(entry["c"], ynames)
+            coeffs = {}
+            for e, c in poly.terms.items():
+                if c.denominator != 1:
+                    raise ConfigError(
+                        f"residue coefficient {entry['c']} is not integral"
+                    )
+                coeffs[e] = c.numerator
+            terms[exps] = fld.element(coeffs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed residue document: {exc}") from exc
     return ResiduePoly(fld, config.nvars, terms)

@@ -6,12 +6,14 @@ provides the canonical phi-adic expansion
 
     f = sum_I  a_I * phi_1^{i_1} * ... * phi_n^{i_n}
 
-with deg_{x_j}(a_I) < deg(phi_j), computed by iterated Euclidean
-division, and the Gauss content valuation min_coeff vp(c).
+with deg_{x_j}(a_I) < deg(phi_j): the digits in x_j come from
+repeatedly dividing the coefficient list in x_j by phi_j's scalar
+coefficients.  Also the Gauss content valuation min_coeff vp(c).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import LiftcertError
@@ -171,29 +173,20 @@ class MultiPoly:
             k >>= 1
         return result
 
-    def substitute(self, i: int, value: "MultiPoly") -> "MultiPoly":
-        """Replace variable i by a polynomial (or constant) in the same ring."""
-        self._check(value)
-        result = MultiPoly.zero(self.nvars)
-        powers = {0: MultiPoly.constant(self.nvars, 1)}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k not in powers:
-                powers[k] = value ** k
-            rest = list(exps)
-            rest[i] = 0
-            result = result + powers[k].scale(c) * MultiPoly(
-                self.nvars, {tuple(rest): Fraction(1)}
-            )
-        return result
-
     def shift(self, i: int, a) -> "MultiPoly":
-        """x_i -> x_i + a."""
+        """x_i -> x_i + a, by the binomial Taylor shift of each term."""
         a = _as_fraction(a)
         if a == 0:
             return self
-        xa = MultiPoly.variable(self.nvars, i) + MultiPoly.constant(self.nvars, a)
-        return self.substitute(i, xa)
+        terms = {}
+        for exps, c in self.terms.items():
+            k = exps[i]
+            power = c  # c * a^(k - j)
+            for j in range(k, -1, -1):
+                e = exps[:i] + (j,) + exps[i + 1:]
+                terms[e] = terms.get(e, 0) + math.comb(k, j) * power
+                power *= a
+        return MultiPoly(self.nvars, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -240,31 +233,6 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
-def divmod_in_var(f: MultiPoly, i: int, phi_coeffs):
-    """Euclidean division of f by a monic univariate phi(x_i).
-
-    Returns (q, r) with f = q*phi + r and deg_{x_i}(r) < deg(phi).
-    """
-    m = len(phi_coeffs) - 1
-    if m < 1 or phi_coeffs[-1] != 1:
-        raise ValueError("phi must be monic of degree >= 1")
-    phi = MultiPoly.from_univariate(f.nvars, i, phi_coeffs)
-    q = MultiPoly.zero(f.nvars)
-    r = f
-    while r.degree_in(i) >= m:
-        d = r.degree_in(i)
-        lead_terms = {}
-        for exps, c in r.terms.items():
-            if exps[i] == d:
-                e = list(exps)
-                e[i] = d - m
-                lead_terms[tuple(e)] = c
-        qt = MultiPoly(f.nvars, lead_terms)
-        q = q + qt
-        r = r - qt * phi
-    return q, r
-
-
 class PhiExpansion:
     """The unique representation f = sum_I a_I prod_j phi_j^{i_j}."""
 
@@ -275,12 +243,44 @@ class PhiExpansion:
         self.phis = [list(p) for p in phis]  # univariate coeffs, low-to-high
         self.terms = dict(terms)  # index vector -> MultiPoly digit
 
-    def indices(self):
-        return sorted(self.terms, key=grlex_key)
+
+def _digits(terms, i: int, phi):
+    """phi-adic digits in x_i of {exps: coeff}, lowest first.
+
+    The coefficient list in x_i (entries keyed by the exponents with x_i
+    set to 0) is divided by phi in place, from the top: afterwards the
+    first m entries are the remainder, i.e. the next digit, and the rest
+    are the quotient.  Only phi's nonzero lower coefficients do any
+    arithmetic, so for phi = x the digits are the list itself.
+    """
+    m = len(phi) - 1
+    lower = [(j, c) for j, c in enumerate(phi[:m]) if c]
+    coeffs = [{} for _ in range(max(e[i] for e in terms) + 1)]
+    for exps, c in terms.items():
+        coeffs[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
+    digits = []
+    while coeffs:
+        for d in range(len(coeffs) - 1, m - 1, -1):
+            lead = coeffs[d]
+            for j, pj in lower:
+                row = coeffs[d - m + j]
+                for e, c in lead.items():
+                    v = row.get(e, 0) - pj * c
+                    if v:
+                        row[e] = v
+                    else:
+                        row.pop(e, None)
+        digit = {}
+        for k, row in enumerate(coeffs[:m]):
+            for e, c in row.items():
+                digit[e[:i] + (k,) + e[i + 1:]] = c
+        digits.append(digit)
+        coeffs = coeffs[m:]
+    return digits
 
 
 def phi_expand(f: MultiPoly, phis) -> PhiExpansion:
-    """Expand f in base (phi_1, ..., phi_n) by iterated division.
+    """Expand f in base (phi_1, ..., phi_n), one variable at a time.
 
     phis is one monic univariate coefficient list (low-to-high) per
     variable; phi_j is a polynomial in x_j alone.
@@ -292,25 +292,17 @@ def phi_expand(f: MultiPoly, phis) -> PhiExpansion:
         if len(coeffs) < 2 or _as_fraction(coeffs[-1]) != 1:
             raise ValueError("each phi must be monic of degree >= 1")
 
-    def digits(g: MultiPoly, i: int):
-        out = []
-        while not g.is_zero:
-            g, r = divmod_in_var(g, i, phis[i])
-            out.append(r)
-        return out
-
-    def expand(g: MultiPoly, var: int):
-        if g.is_zero:
-            return {}
+    def expand(terms, var: int):
         if var == n:
-            return {(): g}
+            return {(): MultiPoly(n, terms)}
         result = {}
-        for k, digit in enumerate(digits(g, var)):
-            for idx, a in expand(digit, var + 1).items():
-                result[(k,) + idx] = a
+        for k, digit in enumerate(_digits(terms, var, phis[var])):
+            if digit:
+                for idx, a in expand(digit, var + 1).items():
+                    result[(k,) + idx] = a
         return result
 
-    return PhiExpansion(n, phis, expand(f, 0))
+    return PhiExpansion(n, phis, expand(f.terms, 0) if f.terms else {})
 
 
 def reconstruct(expansion: PhiExpansion) -> MultiPoly:

@@ -9,31 +9,27 @@ integers, irreducible mod p) with delta > 0.  From each pair we derive:
   * e_i, the denominator of lambda_i, and N_i = e_i * lambda_i,
     so the normalizer h_i is the constant p^{N_i}.
 
-The valuation of a polynomial f is computed from its phi-adic expansion:
+The valuation of a polynomial f is computed from its phi-adic expansion,
+taken after a Taylor shift to each rational center (so phi = x there):
 
     w(f) = min_I ( v(a_I at the centers) + sum_j i_j * lambda_j )
 
 where the coefficient value is the Gauss content of the (recentred)
 digit; this content rule is exact because inert extensions are
 unramified with pairwise coprime degrees, a constraint the residue
-field construction enforces.
+field construction enforces.  One walk over the expansion table gives
+w, the contributing (argmin) indices and the per-variable marginals.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, LiftcertError
-from .exactnum import INFINITY, Val, check_prime, vp, vp_int
-from .finitefield import (
-    DEFAULT_CANDIDATE_LIMIT,
-    ResidueField,
-    ResiduePoly,
-    is_irreducible_univariate,
-)
+from .exactnum import INFINITY, Val
+from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 
 
@@ -71,7 +67,7 @@ class RationalCenter:
     center: Fraction
     delta: Fraction  # >= 0; (0, 0) is the Gauss pair
 
-    def validate(self, p):
+    def validate(self):
         if self.delta < 0:
             raise ConfigError("rational-center delta must be >= 0")
 
@@ -81,7 +77,8 @@ class Inert:
     phi: tuple  # integer coefficients, low-to-high, monic
     delta: Fraction  # > 0: minimality holds only for positive delta
 
-    def validate(self, p):
+    def validate(self):
+        """Shape checks; irreducibility mod p is checked by ResidueField."""
         phi = self.phi
         if len(phi) < 3 or phi[-1] != 1:
             raise ConfigError(
@@ -91,39 +88,18 @@ class Inert:
             raise ConfigError("inert phi must have integer coefficients")
         if self.delta <= 0:
             raise ConfigError("inert delta must be > 0")
-        if not is_irreducible_univariate([c % p for c in phi], p):
-            raise ConfigError(
-                f"inert phi {list(phi)} is reducible mod {p}"
-            )
 
 
 def compute_lambda(pair, p: int) -> Fraction:
-    """lambda = w(phi) under the pair valuation.
+    """lambda = w(phi) under the pair valuation, after validating the
+    pair and p as PairConfig does.
 
     Rational center: phi = x - center has the single Taylor digit 1
-    above the root, so lambda = delta.  Inert: minimize
-    v(phi^(k)(alpha)/k!) + k*delta over k >= 1, where the Taylor
-    coefficient is the integer polynomial sum_j C(j,k) a_j alpha^(j-k)
-    and its value is its content (exact in the unramified case).
+    above the root, so lambda = delta.  Inert: lambda is the minimum of
+    v(phi^(k)(alpha)/k!) + k*delta over k >= 1, and it is delta too (see
+    PairConfig).
     """
-    check_prime(p)
-    pair.validate(p)
-    if isinstance(pair, RationalCenter):
-        return Fraction(pair.delta)
-    phi = pair.phi
-    m = len(phi) - 1
-    best = None
-    for k in range(1, m + 1):
-        coeffs = [math.comb(j, k) * phi[j] for j in range(k, m + 1)]
-        nonzero = [c for c in coeffs if c]
-        # c_m = 1, so k = m always yields a finite candidate
-        if not nonzero:
-            continue
-        content = min(vp_int(c, p).finite_value for c in nonzero)
-        candidate = content + k * Fraction(pair.delta)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    return PairConfig([pair], p).pairs[0].lam
 
 
 def compute_e_h(lam: Fraction, p: int):
@@ -153,14 +129,16 @@ class PairConfig:
     composite residue field determined by the inert generators."""
 
     def __init__(self, specs, p, limit=DEFAULT_CANDIDATE_LIMIT):
-        check_prime(p)
         self.p = p
         self.specs = list(specs)
         pairs = []
         inert_gens = []
         for spec in self.specs:
-            spec.validate(p)
-            lam = compute_lambda(spec, p)
+            spec.validate()
+            # lambda = delta for inert pairs too: the k = 1 Taylor digit
+            # sum_j j*phi_j x^(j-1) has content 0, else phi mod p would be
+            # a p-th power, and every k >= 2 term is at least k*delta
+            lam = Fraction(spec.delta)
             e, n = compute_e_h(lam, p)
             if isinstance(spec, RationalCenter):
                 phi = (Fraction(-spec.center), Fraction(1))
@@ -168,7 +146,7 @@ class PairConfig:
             else:
                 phi = tuple(Fraction(c) for c in spec.phi)
                 y_index = len(inert_gens)
-                inert_gens.append([c % p for c in spec.phi])
+                inert_gens.append(spec.phi)
             pairs.append(
                 PairData(
                     spec=spec,
@@ -181,6 +159,7 @@ class PairConfig:
                 )
             )
         self.pairs = pairs
+        # checks that p is prime and that each inert phi is irreducible mod p
         self.field = ResidueField(p, inert_gens, limit)
 
     @property
@@ -218,56 +197,32 @@ class PairConfig:
             for idx, a in expansion.terms.items()
         }
 
-    def coefficient_value(self, a: MultiPoly) -> Val:
-        """Value of a recentred expansion digit at the pair centers.
-
-        The content rule: min vp over the digit's coefficients.  Exact
-        because deg_{x_j}(a) < m_j and the inert degrees are coprime,
-        so a nonzero reduction cannot vanish at the residue generators.
-        """
-        self._check_arity(a)
-        return content_valuation(a, self.p)
-
-    def _value_of_index(self, idx, cv: Val) -> Val:
-        shift = sum(
-            (i * pair.lam for i, pair in zip(idx, self.pairs)),
-            Fraction(0),
-        )
-        return cv + Val.finite(shift)
-
-    def w_value(self, f: MultiPoly):
-        """w(f) together with the contributing (argmin) index set."""
-        table = self.expansion_table(f)
-        return self._w_from_table(table)
-
-    def _w_from_table(self, table):
-        best = INFINITY
+    def valuation(self, table):
+        """One walk over an expansion table: w(f), the contributing
+        (argmin) indices in ascending order, and the marginal of each
+        variable, where only that variable's lambda is added to the
+        coefficient value (the others are evaluated at their centers)."""
+        lams = [pair.lam for pair in self.pairs]
+        best = None
         contributing = []
+        marginals = [None] * len(lams)
         for idx in sorted(table):
-            _, cv = table[idx]
-            value = self._value_of_index(idx, cv)
-            if value < best:
+            cv = table[idx][1].finite_value  # digits are nonzero
+            value = cv
+            for k, (i, lam) in enumerate(zip(idx, lams)):
+                step = i * lam
+                value += step
+                if marginals[k] is None or cv + step < marginals[k]:
+                    marginals[k] = cv + step
+            if best is None or value < best:
                 best = value
                 contributing = [idx]
-            elif value == best and not best.is_infinite:
+            elif value == best:
                 contributing.append(idx)
-        return best, contributing
-
-    def w_marginal(self, f: MultiPoly, i: int) -> Val:
-        """Per-variable value: only variable i's lambda contributes;
-        the other variables are evaluated at their centers inside the
-        coefficient value (they are normalized to cross-value 0)."""
-        table = self.expansion_table(f)
-        return self._marginal_from_table(table, i)
-
-    def _marginal_from_table(self, table, i):
-        best = INFINITY
-        lam = self.pairs[i].lam
-        for idx, (_, cv) in table.items():
-            value = cv + Val.finite(idx[i] * lam)
-            if value < best:
-                best = value
-        return best
+        w = INFINITY if best is None else Val.finite(best)
+        return w, contributing, [
+            INFINITY if m is None else Val.finite(m) for m in marginals
+        ]
 
     # -- residue extraction ---------------------------------------------
 
@@ -277,15 +232,11 @@ class PairConfig:
             Fraction(0),
         )
 
-    def residue_normalized(self, f: MultiPoly, t) -> ResiduePoly:
+    def residue(self, table, t, w, contributing) -> ResiduePoly:
         """The w-residue of f / prod_i p^(N_i t_i), as a polynomial in
-        the Z_i, given w(f) equals the target sum of e_i t_i lambda_i."""
-        table = self.expansion_table(f)
-        return self._residue_from_table(table, t)
-
-    def _residue_from_table(self, table, t):
+        the Z_i, from f's expansion table and its w and contributing
+        indices; w must equal the target sum of e_i t_i lambda_i."""
         expected = self.lifting_target(t)
-        w, contributing = self._w_from_table(table)
         if w != Val.finite(expected):
             raise NotNormalized(w, expected)
         terms = {}
@@ -330,25 +281,6 @@ class PairConfig:
                 y_exp = tuple(y_exp)
                 coeffs[y_exp] = (coeffs.get(y_exp, 0) + r) % p
         return self.field.element(coeffs)
-
-
-# convenience module-level forms matching the operation names
-
-
-def w_value(f, config: PairConfig):
-    return config.w_value(f)
-
-
-def w_marginal(f, config: PairConfig, i: int):
-    return config.w_marginal(f, i)
-
-
-def coefficient_value(a, config: PairConfig):
-    return config.coefficient_value(a)
-
-
-def residue_normalized(f, config: PairConfig, t):
-    return config.residue_normalized(f, t)
 
 
 # ---------------------------------------------------------------------

@@ -197,6 +197,21 @@ class TestResidue:
         assert code == EXIT_NOT_A_LIFTING
         assert "not a lifting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,expr,check", [
+        (GAUSS2, "x^2*y^2+x^3*y", "total_degree"),
+        (EIS2, "3*x^2+2", "monic_leading_coefficient"),
+    ])
+    def test_rejected_like_certify(self, pairs_file, capsys, doc, expr,
+                                   check):
+        names = "x,y" if len(doc["pairs"]) == 2 else "x"
+        code = main([
+            "residue", "--vars", names, "--pairs", pairs_file(doc), expr,
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_NOT_A_LIFTING
+        assert captured.out == ""
+        assert "condition (i) failed: " + check in captured.err
+
 
 class TestGenerate:
     def test_round_trip_through_files(self, pairs_file, tmp_path, capsys):
@@ -242,6 +257,20 @@ class TestGenerate:
             "generate", "--vars", "x,y", "--pairs", pairs, str(tfile),
         ])
         assert code == EXIT_INPUT_ERROR
+
+
+    @pytest.mark.parametrize("doc", [{"p": 3}, [1, 2]],
+                             ids=["no-coeffs", "list"])
+    def test_malformed_residue_document_exit_4(self, pairs_file, tmp_path,
+                                               capsys, doc):
+        tfile = tmp_path / "T.json"
+        tfile.write_text(json.dumps(doc))
+        code = main([
+            "generate", "--vars", "x,y", "--pairs", pairs_file(GAUSS2),
+            str(tfile),
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert "malformed residue document" in capsys.readouterr().err
 
 
 class TestFactorOracle:
@@ -299,3 +328,12 @@ class TestArgumentValidation:
             "certify", "--vars", "x", "--pairs", str(path), "x",
         ])
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("limit", ["0", "-5", "abc"])
+    def test_limit_below_one(self, pairs_file, capsys, limit):
+        code = main([
+            "certify", "--vars", "x,y", "--pairs", pairs_file(GAUSS2),
+            "--limit", limit, "x^2*y^2+1",
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert "--limit must be a positive integer" in capsys.readouterr().err

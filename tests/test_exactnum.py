@@ -1,4 +1,4 @@
-"""Rational parsing, primality, and the valuation value type."""
+"""Primality, p-adic valuations, and the valuation value type."""
 
 import random
 from fractions import Fraction
@@ -9,30 +9,7 @@ from hypothesis import strategies as st
 
 from liftcert import INFINITY, Val, vp
 from liftcert.errors import ConfigError
-from liftcert.exactnum import (
-    check_prime,
-    format_rational,
-    is_prime,
-    parse_rational,
-    val_min,
-    vp_int,
-)
-
-
-class TestRationals:
-    def test_parse_integer(self):
-        assert parse_rational("7") == Fraction(7)
-
-    def test_parse_fraction_reduces(self):
-        assert parse_rational("6/4") == Fraction(3, 2)
-
-    def test_format_round_trip(self):
-        for text in ["0", "5", "-3", "2/7", "-9/4"]:
-            assert format_rational(parse_rational(text)) == text
-
-    def test_never_decimal(self):
-        assert "/" in format_rational(Fraction(1, 3))
-        assert "." not in format_rational(Fraction(1, 3))
+from liftcert.exactnum import check_prime, is_prime, val_min, vp_int
 
 
 class TestPrimes:
@@ -97,14 +74,6 @@ class TestVal:
             Fraction(3, 2)
         )
         assert INFINITY + Val.finite(5) is INFINITY
-
-    def test_scale(self):
-        assert Val.finite(Fraction(2, 3)).scale(3) == Val.finite(2)
-        assert INFINITY.scale(2) is INFINITY
-        with pytest.raises(ValueError):
-            INFINITY.scale(0)
-        with pytest.raises(ValueError):
-            Val.finite(1).scale(-1)
 
     def test_min_identity(self):
         assert val_min() is INFINITY

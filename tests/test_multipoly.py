@@ -6,7 +6,7 @@ import pytest
 
 from liftcert import MultiPoly, content_valuation, phi_expand, reconstruct
 from liftcert.exactnum import INFINITY, Val
-from liftcert.multipoly import VariableMismatch, divmod_in_var, grlex_key
+from liftcert.multipoly import VariableMismatch, grlex_key
 
 from conftest import P, random_poly
 
@@ -56,10 +56,14 @@ class TestArithmetic:
         # shifting back is the inverse
         g = random_poly(rng, 2, 4)
         assert g.shift(0, Fraction(3, 2)).shift(0, Fraction(-3, 2)) == g
-
-    def test_substitute(self):
-        f = P("x^2 + y")
-        assert f.substitute(0, P("y")) == P("y^2 + y")
+        # the digits of g in base x - a are the coefficients of g(x + a)
+        for _ in range(50):
+            g = random_poly(rng, 2, 4, allow_fractions=True)
+            a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            digits = phi_expand(g, [[-a, Fraction(1)], [0, 1]]).terms
+            assert g.shift(0, a) == MultiPoly(2, {
+                idx: digit.constant_value() for idx, digit in digits.items()
+            })
 
     def test_univariate_coeffs(self):
         f = P("x^3 + 2*x", ("x", "y"))
@@ -81,19 +85,11 @@ class TestToStr:
         assert grlex_key((2, 0)) > grlex_key((1, 1))
 
 
-class TestDivmod:
-    def test_monic_division(self):
-        f = P("x^3 + x + 1", ("x",))
-        q, r = divmod_in_var(f, 0, [Fraction(-1), Fraction(1)])  # x - 1
-        assert q * P("x - 1", ("x",)) + r == f
-        assert r.degree_in(0) < 1
-
+class TestPhiExpansion:
     def test_requires_monic(self):
         with pytest.raises(ValueError):
-            divmod_in_var(P("x", ("x",)), 0, [Fraction(0), Fraction(2)])
+            phi_expand(P("x", ("x",)), [[Fraction(0), Fraction(2)]])
 
-
-class TestPhiExpansion:
     def test_expansion_example(self):
         # [DERIVED]: x^2 + 3x + 5 in base x yields digits (5, 3, 1)
         f = P("x^2 + 3*x + 5", ("x",))

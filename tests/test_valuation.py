@@ -25,6 +25,18 @@ from liftcert.valuation import (
 from conftest import P, gauss_config, random_poly, rc_config
 
 
+def w_of(config, f):
+    """w(f) and the contributing indices, from one walk over the table."""
+    w, contributing, _ = config.valuation(config.expansion_table(f))
+    return w, contributing
+
+
+def residue_at(config, f, t):
+    table = config.expansion_table(f)
+    w, contributing, _ = config.valuation(table)
+    return config.residue(table, t, w, contributing)
+
+
 class TestLambda:
     def test_rational_center_is_delta(self):
         assert compute_lambda(RationalCenter(Fraction(0), Fraction(0)), 3) == 0
@@ -87,7 +99,7 @@ class TestWValue:
         # f = x^2y^2 + 3xy + 6x + 3y + 1 at p=3, Gauss pairs
         config = gauss_config(3, 2)
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
-        w, contributing = config.w_value(f)
+        w, contributing = w_of(config, f)
         assert w == Val.finite(0)
         assert contributing == [(0, 0), (2, 2)]
 
@@ -98,35 +110,37 @@ class TestWValue:
         config = gauss_config(5, 2)
         for _ in range(200):
             f = random_poly(rng, 2, 4, allow_fractions=True)
-            w, _ = config.w_value(f)
+            w, _ = w_of(config, f)
             assert w == content_valuation(f, 5)
 
     def test_eisenstein_value(self):
         config = rc_config(2, [Fraction(1, 2)])
         f = P("x^2 + 2", ("x",))
-        w, contributing = config.w_value(f)
+        w, contributing = w_of(config, f)
         assert w == Val.finite(1)
         assert contributing == [(0,), (2,)]
 
     def test_zero_polynomial(self):
         config = gauss_config(3, 1)
-        w, contributing = config.w_value(MultiPoly.zero(1))
+        w, contributing = w_of(config, MultiPoly.zero(1))
         assert w is INFINITY
         assert contributing == []
 
     def test_marginal(self):
         config = rc_config(3, [Fraction(1), Fraction(0)])
-        f = P("3*x + y")
-        assert config.w_marginal(f, 0) == Val.finite(0)  # the y digit wins
-        assert config.w_marginal(f, 1) == Val.finite(0)
-        g = P("3*x + 9*y")
-        assert config.w_marginal(g, 0) == Val.finite(2)
+        _, _, marginals = config.valuation(config.expansion_table(P("3*x + y")))
+        assert marginals[0] == Val.finite(0)  # the y digit wins
+        assert marginals[1] == Val.finite(0)
+        _, _, marginals = config.valuation(
+            config.expansion_table(P("3*x + 9*y"))
+        )
+        assert marginals[0] == Val.finite(2)
         # for x: min(v(3) + 1*1, v(9) + 0) = 2
 
     def test_arity_mismatch(self):
         config = gauss_config(3, 2)
         with pytest.raises(ConfigError):
-            config.w_value(P("x", ("x",)))
+            w_of(config, P("x", ("x",)))
 
 
 class TestValuationLaws:
@@ -144,9 +158,9 @@ class TestValuationLaws:
         for _ in range(300):
             g = random_poly(rng, 2, 3)
             h = random_poly(rng, 2, 3)
-            wg, _ = config.w_value(g)
-            wh, _ = config.w_value(h)
-            wgh, _ = config.w_value(g * h)
+            wg, _ = w_of(config, g)
+            wh, _ = w_of(config, h)
+            wgh, _ = w_of(config, g * h)
             assert wgh == wg + wh
 
     @pytest.mark.parametrize("label,make", CONFIGS, ids=[c[0] for c in CONFIGS])
@@ -155,9 +169,9 @@ class TestValuationLaws:
         for _ in range(300):
             g = random_poly(rng, 2, 3)
             h = random_poly(rng, 2, 3)
-            wg, _ = config.w_value(g)
-            wh, _ = config.w_value(h)
-            ws, _ = config.w_value(g + h)
+            wg, _ = w_of(config, g)
+            wh, _ = w_of(config, h)
+            ws, _ = w_of(config, g + h)
             assert ws >= min(wg, wh)
 
     @pytest.mark.parametrize("label,make", CONFIGS, ids=[c[0] for c in CONFIGS])
@@ -166,7 +180,7 @@ class TestValuationLaws:
         lcm_e = math.lcm(*(pair.e for pair in config.pairs))
         for _ in range(200):
             f = random_poly(rng, 2, 4)
-            w, _ = config.w_value(f)
+            w, _ = w_of(config, f)
             assert w.finite_value.denominator in (
                 d for d in range(1, lcm_e + 1) if lcm_e % d == 0
             )
@@ -176,20 +190,20 @@ class TestResidue:
     def test_worked_example(self):
         config = gauss_config(3, 2)
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
-        residue = config.residue_normalized(f, (2, 2))
+        residue = residue_at(config, f, (2, 2))
         assert residue.to_str() == "Z1^2*Z2^2 + 1"
 
     def test_eisenstein_residue(self):
         config = rc_config(2, [Fraction(1, 2)])
         f = P("x^2 + 2", ("x",))
-        residue = config.residue_normalized(f, (1,))
+        residue = residue_at(config, f, (1,))
         assert residue.to_str() == "Z1 + 1"
 
     def test_not_normalized(self):
         config = rc_config(2, [Fraction(1, 2)])
         f = P("2*x", ("x",))
         with pytest.raises(NotNormalized) as exc:
-            config.residue_normalized(f, (1,))
+            residue_at(config, f, (1,))
         assert exc.value.actual == Val.finite(Fraction(3, 2))
         assert exc.value.expected == 1
 
@@ -199,7 +213,7 @@ class TestResidue:
         # generator y1) in the constant slot of the residue
         config = PairConfig([Inert((1, 0, 1), Fraction(1, 2))], 3)
         f = P("x^4 + 2*x^2 + 3*x + 1", ("x",))
-        residue = config.residue_normalized(f, (1,))
+        residue = residue_at(config, f, (1,))
         assert residue.to_str() == "Z1 + y1"
 
     def test_residue_multiplicative_on_liftings(self):
@@ -208,9 +222,9 @@ class TestResidue:
         config = gauss_config(3, 2)
         f = P("x*y + 1")
         g = P("x*y + 2")
-        rf = config.residue_normalized(f, (1, 1))
-        rg = config.residue_normalized(g, (1, 1))
-        rfg = config.residue_normalized(f * g, (2, 2))
+        rf = residue_at(config, f, (1, 1))
+        rg = residue_at(config, g, (1, 1))
+        rfg = residue_at(config, f * g, (2, 2))
         assert rfg == rf * rg
 
 

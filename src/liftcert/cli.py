@@ -6,7 +6,7 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
     0  Certified, or plain subcommand success
     2  not a lifting (diagnosis printed)
     3  valid lifting, but the residue is reducible or excluded
-    4  input / parse / configuration error
+    4  input / parse / configuration error, or a usage error
     5  resource guard exceeded
 """
 
@@ -44,13 +44,14 @@ EXIT_GUARD = 5
 
 
 def _limit(text):
-    """--limit: a positive integer; anything else is an input error."""
+    """--limit: a positive integer; anything else is a usage error."""
     try:
         limit = int(text)
     except ValueError:
         limit = 0
     if limit < 1:
-        raise ConfigError(f"--limit must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"--limit must be a positive integer, got {text!r}")
     return limit
 
 
@@ -270,6 +271,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version, 2 on a usage error
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
+    try:
         return _COMMANDS[args.command](args)
     except ResourceLimitExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -11,6 +11,18 @@ Irreducibility of a residue polynomial T(Z_1..Z_n) is decided by
 exhaustive enumeration of candidate divisors, guarded by a configurable
 candidate limit.  T is tiny by construction, so auditability beats
 speed here.
+
+One division routine serves every residue field.  It works on integer
+element codes: a code is the base-p number whose digits are an
+element's coefficients on `ResidueField.monomial_basis()`, constant
+monomial lowest, so 0 encodes zero and 1 encodes one.  The search looks
+its arithmetic up in add, mul and neg tables on the codes, chosen after
+the guard has counted the candidates.  The first search whose count
+reaches q^2 builds exact lists, so building them costs no more than the
+search may, and the field keeps them for later searches.  Until then
+add and mul are lists of rows that compute each entry on lookup (on the
+residues themselves for a prime field) and store no entries, so a large
+field costs O(q) memory, not O(q^2).
 """
 
 from __future__ import annotations
@@ -45,17 +57,6 @@ def fp_normalize(coeffs, p):
 
 def fp_deg(g):
     return len(g) - 1  # -1 for the zero polynomial
-
-
-def fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return fp_normalize(out, p)
 
 
 def fp_divmod(a, b, p):
@@ -151,7 +152,7 @@ class ResidueField:
         self.nyvars = len(self.generators)
         self.zero = ResidueElement(self, {})
         self.one = ResidueElement(self, {(0,) * self.nyvars: 1})
-        self._encoded = None
+        self._encoded = None  # code tables, see _code_tables
 
     def __eq__(self, other):
         return (
@@ -210,32 +211,6 @@ class ResidueField:
         """All exponent tuples componentwise below the generator degrees."""
         ranges = [range(m) for m in self.degrees]
         return sorted(itertools.product(*ranges))
-
-    def encoded_ops(self):
-        """Integer encoding of the field with add/mul/neg lookup tables.
-
-        Index 0 is zero; used by the divisor search, where per-element
-        object arithmetic would dominate.  Only built for small q.
-        """
-        if self._encoded is None:
-            elems = [self.zero] + [
-                e for e in self.elements() if not e.is_zero
-            ]
-            index = {e._key(): i for i, e in enumerate(elems)}
-            q = len(elems)
-            add = [[0] * q for _ in range(q)]
-            mul = [[0] * q for _ in range(q)]
-            neg = [0] * q
-            for i, a in enumerate(elems):
-                neg[i] = index[(-a)._key()]
-                for j in range(i, q):
-                    b = elems[j]
-                    s = index[(a + b)._key()]
-                    add[i][j] = add[j][i] = s
-                    m = index[(a * b)._key()]
-                    mul[i][j] = mul[j][i] = m
-            self._encoded = (elems, index, add, mul, neg)
-        return self._encoded
 
     def elements(self):
         """Iterate over all q field elements (q is small by design)."""
@@ -389,22 +364,6 @@ class ResiduePoly:
             (e, c._key()) for e, c in self.terms.items()
         ))))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.field.zero) + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ResiduePoly(self.field, self.nvars, out)
-
-    def __sub__(self, other):
-        neg = ResiduePoly(
-            other.field, other.nvars, {e: -c for e, c in other.terms.items()}
-        )
-        return self + neg
-
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.terms.items():
@@ -453,22 +412,72 @@ class ResiduePoly:
         return f"ResiduePoly({self.to_str()})"
 
 
-def _lex_divides(t: ResiduePoly, g: ResiduePoly):
-    """Exact division test using lex leading-term reduction.
+class _Row:
+    """One row of a table on element codes that computes each entry on
+    lookup and stores no entries: row[b] is op(a, b)."""
 
-    g's lex-leading coefficient must be 1, so no inversions are needed.
-    """
-    lead = g.lex_leading()
-    r = t
-    while not r.is_zero:
-        rl = r.lex_leading()
-        if any(a < b for a, b in zip(rl, lead)):
-            return False
-        shift = tuple(a - b for a, b in zip(rl, lead))
-        c = r.terms[rl]
-        factor = ResiduePoly(t.field, t.nvars, {shift: c})
-        r = r - factor * g
-    return True
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        return self.op(self.a, b)
+
+
+def _code_tables(field, size):
+    """The encoder of element codes and the add, mul and neg tables on
+    them.  The first search whose candidate count reaches q^2 builds
+    exact lists and the field keeps them; until then add and mul are
+    lists of rows that compute each entry on lookup."""
+    p, q = field.p, field.q
+    weights = {e: p ** k for k, e in enumerate(field.monomial_basis())}
+
+    def encode(a):
+        return sum(c * weights[e] for e, c in a.coeffs.items())
+
+    if field._encoded is not None:
+        return (encode, *field._encoded)
+    if not field.generators:
+        # a prime field's codes are its residues
+        def add(a, b):
+            return (a + b) % p
+
+        def mul(a, b):
+            return a * b % p
+
+        def neg(a):
+            return -a % p
+    else:
+        elems = [
+            ResidueElement(field, {e: code // w % p for e, w in weights.items()
+                                   if code // w % p})
+            for code in range(q)
+        ]
+
+        def add(a, b):
+            return encode(elems[a] + elems[b])
+
+        def mul(a, b):
+            return encode(elems[a] * elems[b])
+
+        def neg(a):
+            return encode(-elems[a])
+
+    codes = list(range(q))  # entries share these q int objects
+    negs = [codes[neg(a)] for a in codes]
+    if q * q > size:
+        return (encode, [_Row(add, a) for a in codes],
+                [_Row(mul, a) for a in codes], negs)
+    adds = [[0] * q for _ in codes]
+    muls = [[0] * q for _ in codes]
+    for a in codes:
+        for b in range(a, q):
+            adds[a][b] = adds[b][a] = codes[add(a, b)]
+            muls[a][b] = muls[b][a] = codes[mul(a, b)]
+    field._encoded = (adds, muls, negs)
+    return (encode, *field._encoded)
 
 
 def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
@@ -505,48 +514,11 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
             raise ResourceLimitExceeded(
                 "multivariate divisor candidates", limit, total
             )
-    if q <= 1024:
-        _, index, add, mul, neg = field.encoded_ops()
-        divides = _encoded_divides(t, index, add, mul, neg)
-    else:
-        # too large to tabulate: divide with element objects
-        elems = list(field.elements())
-        index = {e._key(): i for i, e in enumerate(elems)}
-
-        def divides(g_items, lead):
-            g = ResiduePoly(field, n, {e: elems[c] for e, c in g_items})
-            return _lex_divides(t, g)
-
-    # index 0 is zero in both encodings
-    one = index[field.one._key()]
-    zero_exp = (0,) * n
-    for lead in leads:
-        lower = sorted(e for e in slots if e < lead) + [zero_exp]
-        lower.sort()
-        for combo in itertools.product(range(q), repeat=len(lower)):
-            trail = lead
-            for e, c in zip(lower, combo):
-                if c:
-                    trail = e
-                    break
-            if any(a > b for a, b in zip(trail, t_trail)):
-                continue
-            g_items = [(lead, one)]
-            for e, c in zip(lower, combo):
-                if c:
-                    g_items.append((e, c))
-            if divides(g_items, lead):
-                return False
-    return True
-
-
-def _encoded_divides(t, index, add, mul, neg):
-    """Exact division test of T by a candidate given as (exponent,
-    element index) pairs with lead coefficient 1, on the lookup tables
-    of the integer-encoded field, where object arithmetic would dominate."""
-    tt = {e: index[c._key()] for e, c in t.terms.items()}
+    encode, add, mul, neg = _code_tables(field, total)
+    tt = {e: encode(c) for e, c in t.terms.items()}
 
     def divides(g_items, lead):
+        # lex leading-term reduction; g's lead coefficient is 1
         r = dict(tt)
         while r:
             rl = max(r)
@@ -563,4 +535,22 @@ def _encoded_divides(t, index, add, mul, neg):
                     r.pop(e, None)
         return True
 
-    return divides
+    zero_exp = (0,) * n
+    for lead in leads:
+        lower = sorted(e for e in slots if e < lead) + [zero_exp]
+        lower.sort()
+        for combo in itertools.product(range(q), repeat=len(lower)):
+            trail = lead
+            for e, c in zip(lower, combo):
+                if c:
+                    trail = e
+                    break
+            if any(a > b for a, b in zip(trail, t_trail)):
+                continue
+            g_items = [(lead, 1)]  # code 1 encodes one
+            for e, c in zip(lower, combo):
+                if c:
+                    g_items.append((e, c))
+            if divides(g_items, lead):
+                return False
+    return True

@@ -158,7 +158,17 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
         if not result.passed:
             return CheckReport(checks, t=t, failed=result, condition="ii")
 
-    # condition (iii): residue degrees and monicity
+    # condition (iii): contributing indices divisible by e (only a failure
+    # is recorded: two ramified pairs whose e share a factor can break
+    # it), then residue degrees and monicity
+    for idx in contributing:
+        for i, (i_j, pair) in enumerate(zip(idx, config.pairs)):
+            if i_j % pair.e:
+                result = _record(
+                    checks, f"contributing_index_x{i + 1}", f"{i_j} in {idx}",
+                    f"a multiple of e_{i + 1} = {pair.e}", False,
+                )
+                return CheckReport(checks, t=t, failed=result, condition="iii")
     residue = config.residue(table, t, w, contributing)
     for i in range(n):
         d = residue.degree_in(i)

@@ -44,13 +44,6 @@ class NotNormalized(LiftcertError):
         )
 
 
-class NonDivisibleIndex(LiftcertError):
-    """A contributing expansion index i_j is not divisible by e_j.
-
-    Impossible in supported configurations; kept as a hard assertion.
-    """
-
-
 class FractionalPPower(LiftcertError):
     """Residue p-power bookkeeping did not land in the integers.
 
@@ -235,28 +228,23 @@ class PairConfig:
     def residue(self, table, t, w, contributing) -> ResiduePoly:
         """The w-residue of f / prod_i p^(N_i t_i), as a polynomial in
         the Z_i, from f's expansion table and its w and contributing
-        indices; w must equal the target sum of e_i t_i lambda_i."""
+        indices; w must equal the target sum of e_i t_i lambda_i, and
+        each contributing i_j must be a multiple of e_j (check_lifting
+        checks both first)."""
         expected = self.lifting_target(t)
         if w != Val.finite(expected):
             raise NotNormalized(w, expected)
         terms = {}
         for idx in contributing:
             a, cv = table[idx]
-            z_exp = []
-            for i_j, pair in zip(idx, self.pairs):
-                if i_j % pair.e != 0:
-                    raise NonDivisibleIndex(
-                        f"contributing index {idx} has {i_j} not divisible "
-                        f"by e = {pair.e}"
-                    )
-                z_exp.append(i_j // pair.e)
+            z_exp = tuple(i_j // pair.e for i_j, pair in zip(idx, self.pairs))
             c = cv.finite_value
             if c.denominator != 1:
                 raise FractionalPPower(
                     f"content {c} of contributing digit {idx} is fractional"
                 )
             depleted = a.scale(Fraction(1, 1) / Fraction(self.p) ** int(c))
-            terms[tuple(z_exp)] = self._residue_element(depleted)
+            terms[z_exp] = self._residue_element(depleted)
         return ResiduePoly(self.field, self.nvars, terms)
 
     def _residue_element(self, a: MultiPoly):

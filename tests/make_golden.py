@@ -10,15 +10,26 @@ Regenerate only when an output change is intended:
 
     PYTHONPATH=src python tests/make_golden.py
 
+Compare without writing, with the standard library only (no pytest);
+this exits 1 and names the corpora that differ:
+
+    PYTHONPATH=src python tests/make_golden.py --check
+
 Reachable verdicts covered: Certified, ResidueReducible,
 ResidueIsVariable, and NotALifting at condition (i) (per-variable degree,
 total degree, monic leading coefficient) and condition (ii) (w_total).
-The other checks cannot fail once the earlier ones pass: the top
-expansion index of a monic f has digit 1 and value exactly the lifting
-target, so it bounds every marginal from above and always contributes
-Z^t with coefficient 1 to the residue.
+The marginal, residue-degree and residue-monic checks cannot fail once
+the earlier ones pass: the top expansion index of a monic f has digit 1
+and value exactly the lifting target, so it bounds every marginal from
+above and always contributes Z^t with coefficient 1 to the residue.
+Condition (iii) fails when a contributing index is not a multiple of
+e, which two ramified pairs whose e share a factor allow (index (1, 1)
+of x^2*y^2 + 2*x*y + 4 with delta 1/2 twice at p = 2).  That check is
+recorded only when it fails, and no corpus reaches the failure, so the
+corpora do not show it; tests/test_lifting.py and tests/test_cli.py do.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -332,8 +343,32 @@ def golden_document():
     }
 
 
+def differing(doc, stored):
+    """Names of the corpora, and "representative", where doc and the
+    stored golden document differ."""
+    names = dict.fromkeys([*stored["corpora"], *doc["corpora"]])
+    out = [name for name in names
+           if stored["corpora"].get(name) != doc["corpora"].get(name)]
+    if stored["representative"] != doc["representative"]:
+        out.append("representative")
+    return out
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Write tests/golden.json, or compare with it.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with golden.json instead of writing it")
+    args = parser.parse_args()
     doc = golden_document()
+    if args.check:
+        differ = differing(doc, json.loads(GOLDEN_PATH.read_text()))
+        if differ:
+            print(f"differ from {GOLDEN_PATH.name}: {', '.join(differ)}",
+                  file=sys.stderr)
+            sys.exit(1)
+        print(f"all corpora match {GOLDEN_PATH.name}", file=sys.stderr)
+        sys.exit(0)
     GOLDEN_PATH.write_text(json.dumps(doc, indent=1) + "\n")
     for name, info in doc["corpora"].items():
         print(f"{name}: {info['count']} entries", file=sys.stderr)

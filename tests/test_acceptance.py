@@ -226,8 +226,8 @@ def test_criterion_5_valuation_laws():
         if reconstruct(phi_expand(f, phis)) != f:
             problems.append(("expansion", f))
 
-    # the contributing-index divisibility assertion stays silent on
-    # generated liftings (NonDivisibleIndex would surface as an error)
+    # the contributing-index divisibility check of condition (iii)
+    # passes on generated liftings
     config = classes["inert"]
     field = config.field
     y = field.element({(1,): 1})

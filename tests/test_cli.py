@@ -24,6 +24,13 @@ EIS2 = {
     "prime": 2,
     "pairs": [{"kind": "rational_center", "center": "0", "delta": "1/2"}],
 }
+SHARED_E2 = {
+    "prime": 2,
+    "pairs": [
+        {"kind": "rational_center", "center": "0", "delta": "1/2"},
+        {"kind": "rational_center", "center": "0", "delta": "1/2"},
+    ],
+}
 INERT9 = {
     "prime": 3,
     "pairs": [
@@ -197,6 +204,18 @@ class TestResidue:
         assert code == EXIT_NOT_A_LIFTING
         assert "not a lifting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify", "residue"])
+    def test_shared_ramification_exit_2(self, pairs_file, capsys, command):
+        code = main([
+            command, "--vars", "x,y", "--pairs", pairs_file(SHARED_E2),
+            "x^2*y^2 + 2*x*y + 4",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_NOT_A_LIFTING
+        assert ("condition (iii) failed: contributing_index_x1: "
+                "1 in (1, 1) != a multiple of e_1 = 2") in (
+                    captured.out + captured.err)
+
     @pytest.mark.parametrize("doc,expr,check", [
         (GAUSS2, "x^2*y^2+x^3*y", "total_degree"),
         (EIS2, "3*x^2+2", "monic_leading_coefficient"),
@@ -328,6 +347,24 @@ class TestArgumentValidation:
             "certify", "--vars", "x", "--pairs", str(path), "x",
         ])
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [
+        "certify --vars x --pairs PAIRS --prime abc x+1",
+        "certify --pairs PAIRS x+1",
+        "frobnicate --vars x x+1",
+        "",
+    ], ids=["prime-abc", "missing-vars", "unknown-subcommand",
+            "no-subcommand"])
+    def test_usage_error_exit_4(self, pairs_file, capsys, argv):
+        argv = [pairs_file(EIS2) if a == "PAIRS" else a for a in argv.split()]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["certify", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out != ""
 
     @pytest.mark.parametrize("limit", ["0", "-5", "abc"])
     def test_limit_below_one(self, pairs_file, capsys, limit):

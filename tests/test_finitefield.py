@@ -17,7 +17,6 @@ from liftcert.finitefield import (
     DegreesNotCoprime,
     GeneratorReducible,
     fp_divmod,
-    fp_mul,
     fp_normalize,
 )
 
@@ -33,7 +32,6 @@ def _count_irreducibles(p, d):
 class TestUnivariate:
     def test_fp_basics(self):
         assert fp_normalize([3, 6, 9], 3) == ()
-        assert fp_mul((1, 1), (1, 1), 2) == (1, 0, 1)  # (x+1)^2 = x^2+1
         q, r = fp_divmod((1, 0, 1), (1, 1), 2)
         assert q == (1, 1) and r == ()
 
@@ -182,6 +180,44 @@ class TestMultivariateIrreducibility:
         # z^2 - 1 factors
         t2 = ResiduePoly(f5, 1, {(2,): f5.one, (0,): f5.from_int(4)})
         assert not is_irreducible_multivariate(t2)
+
+    def test_extension_field_above_1024(self):
+        # F_1369 = F_37[y]/(y^2+2): y is not a square in F_1369 (its norm
+        # 2 is not a square mod 37), y^2 is
+        f = ResidueField(37, [(2, 0, 1)])
+        assert f.q == 1369
+        y = f.element({(1,): 1})
+        assert is_irreducible_multivariate(
+            ResiduePoly(f, 1, {(2,): f.one, (0,): -y}))
+        assert not is_irreducible_multivariate(
+            ResiduePoly(f, 1, {(2,): f.one, (0,): -(y * y)}))
+
+    @pytest.mark.parametrize("p,gens", [(5, []), (3, [(1, 0, 1)])],
+                             ids=["F_5", "F_9"])
+    def test_computed_and_stored_tables_agree(self, p, gens):
+        # a quadratic's count (q candidates) is below q^2, so its search
+        # computes each table entry on lookup; the quartic's count
+        # (q + q^2) builds the stored tables, which the field then keeps
+        field = ResidueField(p, gens)
+        q = field.q
+        elems = list(field.elements())
+        quads = [
+            ResiduePoly(field, 1, {(2,): field.one, (1,): b, (0,): c})
+            for b in elems for c in elems
+        ]
+        computed = [is_irreducible_multivariate(t) for t in quads]
+        assert field._encoded is None
+        assert sum(computed) == (q * q - q) // 2  # monic irreducibles
+        is_irreducible_multivariate(
+            ResiduePoly(field, 1, {(4,): field.one, (0,): field.one}))
+        assert field._encoded is not None
+        assert [is_irreducible_multivariate(t) for t in quads] == computed
+
+    def test_large_prime_field_builds_no_tables(self):
+        f = ResidueField(1021, [])
+        t = ResiduePoly(f, 1, {(2,): f.one, (0,): f.from_int(2)})
+        assert is_irreducible_multivariate(t)  # 2 is not a square mod 1021
+        assert f._encoded is None
 
     def test_guard(self):
         f5 = ResidueField(5, [])

@@ -80,6 +80,23 @@ class TestCheckLifting:
         assert report.failed.lhs == "1/2"
         assert report.failed.rhs == "1"
 
+    def test_index_not_divisible_by_shared_e(self):
+        # both deltas are 1/2, so e = 2 twice: the digit 2 at index (1, 1)
+        # has value 1 + 1/2 + 1/2 = w, but 1 is not a multiple of e
+        config = rc_config(2, [Fraction(1, 2), Fraction(1, 2)])
+        f = P("x^2*y^2 + 2*x*y + 4")
+        report = check_lifting(f, config)
+        assert not report.ok
+        assert report.condition == "iii"
+        assert report.failed.name == "contributing_index_x1"
+        assert report.failed.lhs == "1 in (1, 1)"
+        assert report.failed.rhs == "a multiple of e_1 = 2"
+        assert report.residue is None
+        cert = certify_irreducible(f, config)
+        assert cert.verdict == VERDICT_NOT_A_LIFTING
+        assert cert.reason.startswith(
+            "condition (iii) failed: contributing_index_x1: 1 in (1, 1)")
+
     def test_residue_monic_follows_from_monic_input(self, rng):
         # for a monic f with the right degrees, the top expansion index
         # e*t always carries the digit 1 and always contributes, so the
@@ -134,9 +151,10 @@ class TestCertify:
         assert cert.residue.to_str() == "Z1 + 1"
 
     def test_field_too_large_to_tabulate(self):
-        # q = 1031 > 1024: the divisor search runs on field-element
-        # objects instead of encoded tables; 1031 = 3 mod 4, so -1 is
-        # not a square and x^2 + 1 has no root
+        # q = 1031: q^2 exceeds the candidate count, so the divisor
+        # search computes its arithmetic on lookup instead of building
+        # tables; 1031 = 3 mod 4, so -1 is not a square and x^2 + 1 has
+        # no root
         config = gauss_config(1031, 1)
         cert = certify_irreducible(P("x^2 + 1", ("x",)), config)
         assert cert.verdict == VERDICT_CERTIFIED

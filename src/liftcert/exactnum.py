@@ -15,19 +15,46 @@ from .errors import ConfigError
 Rational = Fraction
 
 
+# Miller-Rabin on the first 13 prime bases, 2..41, is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017).  Bases 2..37 alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; p is small and user-supplied."""
+    """Deterministic Miller-Rabin test, exact for n < PRIME_BOUND; larger
+    n raise ValueError."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def check_prime(p: int) -> int:
+    if isinstance(p, int) and p >= PRIME_BOUND:
+        raise ConfigError(
+            f"p = {p} is too large: primality is decided only below "
+            f"{PRIME_BOUND}")
     if not isinstance(p, int) or not is_prime(p):
         raise ConfigError(f"p must be a prime integer, got {p!r}")
     return p

@@ -1,16 +1,32 @@
-"""Arithmetic in F_p and its composite residue fields, plus exhaustive
+"""Arithmetic in F_p and its composite residue fields, plus
 irreducibility tests for residue polynomials.
 
 The residue field is F_p[y_1..y_k]/(g_1..g_k) where the g_i are monic
 irreducible univariate polynomials over F_p of pairwise coprime degrees;
 coprimality is what makes the quotient a field, and it is enforced
 loudly at construction.  Univariate F_p polynomials are coefficient
-tuples, low-to-high, with no trailing zeros.
+tuples, low-to-high, with no trailing zeros; the routines behind Rabin's
+test take lists in the same order over F_q.
 
-Irreducibility of a residue polynomial T(Z_1..Z_n) is decided by
-exhaustive enumeration of candidate divisors, guarded by a configurable
-candidate limit.  T is tiny by construction, so auditability beats
-speed here.
+Univariate irreducibility over F_q is Rabin's test (M. O. Rabin,
+"Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980):
+a monic f of degree d is irreducible if and only if f divides
+Z^(q^d) - Z and gcd(Z^(q^(d/r)) - Z, f) = 1 for every prime r dividing d.
+
+Irreducibility of a residue polynomial T(Z_1..Z_n) is decided in three
+steps.  First a guard counts the candidate divisors of an exhaustive
+search and raises ResourceLimitExceeded above the configured limit, so
+every T that could reach the search is bounded before any work is done.
+Second, a specialisation witness: if T is primitive in a main variable
+Z_i and a point c for the other variables keeps T's Z_i-degree and makes
+T(c) irreducible by Rabin's test, then T is irreducible, because a
+factorisation of T would specialise to one of T(c) or put a non-unit in
+T's content.  The points tried, over all main variables, are at most the
+candidate count the guard admitted, and their arithmetic is on plain
+residues mod p or on ResidueElements, never on the code tables below.
+A univariate T is its own specialisation, so it has a witness exactly
+when it is irreducible.  Third, only if no witness is found, the
+exhaustive divisor search decides; it decides every reducible T.
 
 One division routine serves every residue field.  It works on integer
 element codes: a code is the base-p number whose digits are an
@@ -27,7 +43,9 @@ field costs O(q) memory, not O(q^2).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import check_prime
@@ -78,33 +96,134 @@ def fp_divmod(a, b, p):
 
 
 def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Trial division over all monic candidates of degree <= deg(g)/2.
+    """Rabin's test over F_p, after the guard has counted the monic
+    candidates of degree <= deg(g)/2 that trial division would try.
 
     g is monic of degree >= 1; degree-1 polynomials are irreducible.
     """
     check_prime(p)
-    return _trial_division(g, p, limit)
+    return _is_irreducible_fp(g, p, limit)
 
 
-def _trial_division(g, p, limit):
+def _is_irreducible_fp(g, p, limit):
     g = fp_normalize(g, p)
     d = fp_deg(g)
     if d < 1 or g[-1] != 1:
         raise ValueError("g must be monic of degree >= 1")
-    half = d // 2
-    if half == 0:
+    if d == 1:
         return True
     if p ** ((d + 1) // 2) > limit:
         raise ResourceLimitExceeded(
             "univariate trial-division candidates", limit, p ** ((d + 1) // 2)
         )
-    for r in range(1, half + 1):
-        for lower in itertools.product(range(p), repeat=r):
-            cand = lower + (1,)
-            _, rem = fp_divmod(g, cand, p)
-            if not rem:
+    return _rabin(list(g), _Arith(p))
+
+
+# ---------------------------------------------------------------------
+# univariate polynomials over F_q, as coefficient lists (low to high,
+# no trailing zeros), and Rabin's irreducibility test
+
+
+class _Arith:
+    """Field operations for the univariate routines and the witness:
+    plain residues mod p for a prime field, ResidueElements for an
+    extension field.  Zero is falsy in both.  `element` converts a
+    ResidueElement and `decode` an element code to this representation.
+    """
+
+    def __init__(self, p, field=None):
+        if field is None or not field.generators:
+            self.q, self.zero, self.one = p, 0, 1
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+            self.inv = lambda a: pow(a, -1, p)
+            self.element = lambda a: a.coeffs.get((), 0)
+            self.decode = int  # a prime field's codes are its residues
+        else:
+            self.q, self.zero, self.one = field.q, field.zero, field.one
+            self.add, self.sub = operator.add, operator.sub
+            self.mul, self.inv = operator.mul, ResidueElement.inverse
+            self.element = lambda a: a
+            self.decode = functools.lru_cache(maxsize=None)(field.from_code)
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a, ar):
+    inv = ar.inv(a[-1])
+    return [ar.mul(inv, c) for c in a]
+
+
+def _rem(a, f, ar):
+    """a mod f, for monic f."""
+    r = list(a)
+    n = len(f) - 1
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if c:
+            for j in range(n):
+                r[k - n + j] = ar.sub(r[k - n + j], ar.mul(c, f[j]))
+    return _trim(r[:n])
+
+
+def _mulmod(a, b, f, ar):
+    if not a or not b:
+        return []
+    prod = [ar.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = ar.add(prod[i + j], ar.mul(x, y))
+    return _rem(prod, f, ar)
+
+
+def _powmod(a, e, f, ar):
+    result = [ar.one]
+    while e:
+        if e & 1:
+            result = _mulmod(result, a, f, ar)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, f, ar)
+    return result
+
+
+def _gcd(a, b, ar):
+    """The monic gcd of a and b ([] when both are zero)."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        b = _monic(b, ar)
+        a, b = b, _rem(a, b, ar)
+    return _monic(a, ar) if a else a
+
+
+def _rabin(f, ar):
+    """Rabin's test: a monic f of degree d >= 1 over F_q is irreducible
+    if and only if f divides Z^(q^d) - Z and gcd(Z^(q^(d/r)) - Z, f) = 1
+    for every prime r dividing d."""
+    d = len(f) - 1
+    z = _rem([ar.zero, ar.one], f, ar)
+    checks, m, r = set(), d, 2
+    while m > 1:  # d/r for the primes r dividing d
+        if m % r == 0:
+            checks.add(d // r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    h = z
+    for k in range(1, d + 1):
+        h = _powmod(h, ar.q, f, ar)  # Z^(q^k) mod f
+        if k in checks:
+            diff = [ar.sub(a, b) for a, b in itertools.zip_longest(
+                h, z, fillvalue=ar.zero)]
+            if len(_gcd(f, diff, ar)) > 1:
                 return False
-    return True
+    return h == z
 
 
 # ---------------------------------------------------------------------
@@ -129,7 +248,7 @@ class ResidueField:
                 raise ConfigError(
                     "residue-field generators must be monic of degree >= 2"
                 )
-            if not _trial_division(g, p, limit):
+            if not _is_irreducible_fp(g, p, limit):
                 raise GeneratorReducible(
                     f"generator {list(g)} is reducible over F_{p}"
                 )
@@ -150,9 +269,20 @@ class ResidueField:
         self.extension_degree = ext
         self.q = p ** ext
         self.nyvars = len(self.generators)
-        self.zero = ResidueElement(self, {})
-        self.one = ResidueElement(self, {(0,) * self.nyvars: 1})
+        self._basis = tuple(
+            itertools.product(*(range(m) for m in self.degrees)))
         self._encoded = None  # code tables, see _code_tables
+
+    # zero and one are built on each access: a stored element would point
+    # back at the field, and the cycle would keep a dropped field and its
+    # tables alive until the cyclic collector runs
+    @property
+    def zero(self):
+        return ResidueElement(self, {})
+
+    @property
+    def one(self):
+        return ResidueElement(self, {(0,) * self.nyvars: 1})
 
     def __eq__(self, other):
         return (
@@ -209,8 +339,17 @@ class ResidueField:
 
     def monomial_basis(self):
         """All exponent tuples componentwise below the generator degrees."""
-        ranges = [range(m) for m in self.degrees]
-        return sorted(itertools.product(*ranges))
+        return list(self._basis)
+
+    def from_code(self, code) -> "ResidueElement":
+        """The element whose coefficients on monomial_basis() are the
+        base-p digits of code, constant monomial lowest."""
+        coeffs = {}
+        for e in self._basis:
+            code, c = divmod(code, self.p)
+            if c:
+                coeffs[e] = c
+        return ResidueElement(self, coeffs)
 
     def elements(self):
         """Iterate over all q field elements (q is small by design)."""
@@ -233,6 +372,9 @@ class ResidueElement:
     @property
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def _key(self):
         return tuple(sorted(self.coeffs.items()))
@@ -450,11 +592,7 @@ def _code_tables(field, size):
         def neg(a):
             return -a % p
     else:
-        elems = [
-            ResidueElement(field, {e: code // w % p for e, w in weights.items()
-                                   if code // w % p})
-            for code in range(q)
-        ]
+        elems = [field.from_code(code) for code in range(q)]
 
         def add(a, b):
             return encode(elems[a] + elems[b])
@@ -480,14 +618,108 @@ def _code_tables(field, size):
     return (encode, *field._encoded)
 
 
-def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Exhaustive divisor search.
+def _evaluate(terms, values, keep, ar):
+    """Substitute values[j] for Z_j in every variable j not in keep: the
+    result maps the exponents of the kept variables, in keep's order, to
+    coefficients (some possibly zero)."""
+    out = {}
+    for e, c in terms.items():
+        for j, x in enumerate(values):
+            if j not in keep:
+                for _ in range(e[j]):
+                    c = ar.mul(c, x)
+        key = tuple(e[j] for j in keep)
+        out[key] = ar.add(out[key], c) if key in out else c
+    return out
 
-    Candidates g are non-constant, have componentwise degree within T's
-    degree box, total degree at most deg(T)/2, and lex-leading
-    coefficient 1 (removing unit ambiguity).  Two multiplicative facts
-    prune the search: both the lex-leading and the lex-trailing monomial
-    of a divisor must divide the corresponding monomial of T.
+
+def specialisation_witness(t: ResiduePoly, budget):
+    """A pair (i, c) that proves T irreducible, or None.
+
+    T is primitive in Z_i, and the point c (one element for each other
+    variable, in index order) keeps T's Z_i-degree and makes T(c)
+    irreducible over F_q by Rabin's test.  A factorisation T = A*B then
+    cannot exist: if A and B both have positive Z_i-degree, T(c) =
+    A(c)*B(c) is a product of two polynomials of positive degree; if A
+    has Z_i-degree 0, it divides the content of T in Z_i and is a unit.
+
+    Main variables are tried in ascending order and, for each, the
+    points in lexicographic order of element codes.  Every point tried,
+    for the primitivity check or for the specialisation, counts against
+    budget.
+    """
+    field = t.field
+    ar = _Arith(field.p, field)
+    n = t.nvars
+    terms = {e: ar.element(c) for e, c in t.terms.items()}
+    left = budget
+
+    def points(k, holes):
+        # the values of the points over F_q^k, with None at the holes
+        nonlocal left
+        for codes in itertools.product(range(ar.q), repeat=k):
+            if left <= 0:
+                return
+            left -= 1
+            it = (ar.decode(x) for x in codes)
+            yield codes, [None if j in holes else next(it) for j in range(n)]
+
+    def primitive(i):
+        # The content C of T in Z_i divides every Z_i-coefficient a_k.
+        # For each other variable Y_j, take the a_s of least Y_j-degree:
+        # C has Y_j-degree 0 if that degree is 0, or if at some point b
+        # of the remaining variables a_s(b) keeps its Y_j-degree and the
+        # a_k(b) have gcd 1.  Otherwise C(b) would divide that gcd and
+        # keep a positive Y_j-degree, since C's Y_j-leading coefficient
+        # divides a_s's.
+        for j in range(n):
+            if j == i:
+                continue
+            degs = {}  # k -> Y_j-degree of a_k
+            for e in terms:
+                degs[e[i]] = max(degs.get(e[i], 0), e[j])
+            s = min(degs, key=degs.get)
+            if degs[s] == 0:
+                continue
+            for _, values in points(n - 2, (i, j)):
+                ev = _evaluate(terms, values, (i, j), ar)
+                if not ev.get((s, degs[s])):
+                    continue
+                g = []
+                for k, top in degs.items():
+                    g = _gcd(g, [ev.get((k, m), ar.zero)
+                                 for m in range(top + 1)], ar)
+                if len(g) == 1:
+                    break
+            else:
+                return False
+        return True
+
+    for i in range(n):
+        d = t.degree_in(i)
+        if d < 1 or not primitive(i):
+            continue
+        for codes, values in points(n - 1, (i,)):
+            ev = _evaluate(terms, values, (i,), ar)
+            f = [ev.get((k,), ar.zero) for k in range(d + 1)]
+            if f[d] and _rabin(_monic(f, ar), ar):
+                return i, tuple(field.from_code(x) for x in codes)
+    return None
+
+
+def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
+    """Whether T is irreducible over its residue field F_q.
+
+    The guard first counts the candidates of the exhaustive divisor
+    search and raises ResourceLimitExceeded above limit.  Then a
+    specialisation witness (see specialisation_witness), tried at no
+    more points than that count, proves T irreducible when it exists.
+    Otherwise the exhaustive search decides: candidates g are
+    non-constant, have componentwise degree within T's degree box, total
+    degree at most deg(T)/2, and lex-leading coefficient 1 (removing
+    unit ambiguity).  Two multiplicative facts prune the search: both
+    the lex-leading and the lex-trailing monomial of a divisor must
+    divide the corresponding monomial of T.
     """
     if t.is_zero or t.degree() < 1:
         raise ValueError("T must be nonzero of total degree >= 1")
@@ -514,6 +746,8 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
             raise ResourceLimitExceeded(
                 "multivariate divisor candidates", limit, total
             )
+    if specialisation_witness(t, total) is not None:
+        return True
     encode, add, mul, neg = _code_tables(field, total)
     tt = {e: encode(c) for e, c in t.terms.items()}
 

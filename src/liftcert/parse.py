@@ -9,6 +9,8 @@ Grammar (whitespace insignificant):
 
 Rationals are decimal-free: "a" or "a/b".  Variable names and their
 order are supplied by the caller; the order fixes coordinate indices.
+Parentheses nest at most MAX_NESTING deep, which keeps the descent well
+inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from fractions import Fraction
 
 from .errors import LiftcertError
 from .multipoly import MultiPoly
+
+MAX_NESTING = 100
 
 
 class ParseError(LiftcertError):
@@ -56,6 +60,7 @@ class _Parser:
     def __init__(self, tokens, variables, end):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.end = end
         self.variables = list(variables)
         self.nvars = len(self.variables)
@@ -133,8 +138,13 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos) from None
             return MultiPoly.variable(self.nvars, idx)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)

@@ -96,6 +96,15 @@ class TestCertify:
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err != ""
 
+    def test_deep_nesting_exit_4(self, pairs_file, capsys):
+        code = main([
+            "certify", "--prime", "3", "--vars", "x,y",
+            "--pairs", pairs_file(GAUSS2), "(" * 3000 + "x" + ")" * 3000,
+        ])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "nested deeper" in err and "Traceback" not in err
+
     def test_prime_mismatch_exit_4(self, pairs_file, capsys):
         code = main([
             "certify", "--prime", "5", "--vars", "x,y",

@@ -1,6 +1,7 @@
 """Primality, p-adic valuations, and the valuation value type."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from liftcert import INFINITY, Val, vp
 from liftcert.errors import ConfigError
-from liftcert.exactnum import check_prime, is_prime, val_min, vp_int
+from liftcert.exactnum import (
+    PRIME_BOUND,
+    check_prime,
+    is_prime,
+    val_min,
+    vp_int,
+)
 
 
 class TestPrimes:
@@ -27,6 +34,38 @@ class TestPrimes:
             check_prime(6)
         with pytest.raises(ConfigError):
             check_prime("3")
+
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if trial(n)]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # 3215031751 = 151*751*28351 passes bases 2, 3, 5 and 7;
+        # 3825123056546413051 passes 2..31; 318665857834031151167461 =
+        # 399165290221*798330580441 passes 2..37
+        for n in (3215031751, 3825123056546413051,
+                  318665857834031151167461):
+            assert not is_prime(n)
+        assert is_prime(10 ** 12 + 39)
+        assert is_prime(2 ** 61 - 1)
+
+    def test_above_the_bound_raises(self):
+        with pytest.raises(ValueError):
+            is_prime(PRIME_BOUND)
+        with pytest.raises(ConfigError, match="too large"):
+            check_prime(PRIME_BOUND + 2)
+        with pytest.raises(ConfigError, match="too large"):
+            vp(12, 2 ** 89 - 1)  # a Mersenne prime above the bound
+
+    def test_vp_at_a_large_prime_is_fast(self):
+        p = 10 ** 12 + 39
+        start = time.perf_counter()
+        for k in range(100):
+            assert vp(Fraction(p ** (k % 3) * 7, 11), p) == Val.finite(k % 3)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestVp:

@@ -1,11 +1,15 @@
-"""Residue fields: univariate irreducibility, the composite field, and
-the exhaustive divisor search for residue polynomials."""
+"""Residue fields: univariate irreducibility, the composite field, the
+specialisation witness and the exhaustive divisor search for residue
+polynomials."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
+from liftcert import finitefield
 from liftcert import (
     ResidueField,
     ResiduePoly,
@@ -246,3 +250,110 @@ class TestMultivariateIrreducibility:
 
             prod = rand_factor() * rand_factor()
             assert not is_irreducible_multivariate(prod)
+
+
+def _exhaustive(monkeypatch, polys):
+    """The divisor search's answers, with the witness step turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(finitefield, "specialisation_witness",
+                  lambda t, budget: None)
+        return [is_irreducible_multivariate(t) for t in polys]
+
+
+def _specialise(t, i, c):
+    """T with c substituted for every variable but Z_i, by element
+    arithmetic, as a univariate ResiduePoly."""
+    field = t.field
+    others = [j for j in range(t.nvars) if j != i]
+    out = {}
+    for e, coef in t.terms.items():
+        for j, x in zip(others, c):
+            for _ in range(e[j]):
+                coef = coef * x
+        out[(e[i],)] = out.get((e[i],), field.zero) + coef
+    return ResiduePoly(field, 1, out)
+
+
+def _corner_family(field, box):
+    """Every T on the degree box whose coefficient on the box's corner is
+    1 and whose other coefficients range over the field."""
+    monos = list(itertools.product(*(range(b + 1) for b in box)))
+    corner = tuple(box)
+    monos.remove(corner)
+    elems = list(field.elements())
+    for values in itertools.product(elems, repeat=len(monos)):
+        terms = dict(zip(monos, values))
+        terms[corner] = field.one
+        yield ResiduePoly(field, len(box), terms)
+
+
+class TestSpecialisationWitness:
+    @pytest.mark.parametrize("p,gens,box", [
+        (2, [], (2, 2)),
+        (3, [], (2, 1)),
+        (2, [], (1, 1, 1)),
+        (2, [(1, 1, 1)], (1, 1)),
+        (2, [], (3, 1)),
+        (3, [], (4,)),
+        (2, [(1, 1, 1)], (3,)),
+    ], ids=["F_2-2x2", "F_3-2x1", "F_2-1x1x1", "F_4-1x1", "F_2-3x1",
+            "F_3-4", "F_4-3"])
+    def test_agrees_with_exhaustive_search(self, monkeypatch, p, gens, box):
+        field = ResidueField(p, gens)
+        polys = list(_corner_family(field, box))
+        fast = [is_irreducible_multivariate(t) for t in polys]
+        assert fast == _exhaustive(monkeypatch, polys)
+        replays = []
+        for t in polys:
+            witness = finitefield.specialisation_witness(t, 10 ** 6)
+            if witness is None:
+                continue
+            i, c = witness
+            assert len(c) == t.nvars - 1
+            tc = _specialise(t, i, c)
+            assert tc.degree_in(0) == t.degree_in(i)
+            replays.append(tc)
+        assert replays
+        assert all(_exhaustive(monkeypatch, replays))
+
+    def test_no_witness_for_a_content_factor(self):
+        # Y*Z + Y = Y*(Z + 1) is not primitive in Z, and every
+        # specialisation in Y keeps the factor Z + 1
+        f3 = ResidueField(3, [])
+        t = _poly(f3, {(1, 1): 1, (1, 0): 1})
+        assert finitefield.specialisation_witness(t, 10 ** 6) is None
+        assert not is_irreducible_multivariate(t)
+
+    def test_budget_bounds_points_tried(self):
+        # Y^2 Z^2 + 1 over F_3: primitive in Z_1, and T(0) = 1 drops the
+        # degree, so the first witness is at the second point
+        f3 = ResidueField(3, [])
+        t = _poly(f3, {(2, 2): 1, (0, 0): 1})
+        assert finitefield.specialisation_witness(t, 1) is None
+        i, c = finitefield.specialisation_witness(t, 3)
+        assert i == 0 and c == (f3.from_int(1),)
+
+    def test_large_prime_field_without_tables(self, monkeypatch):
+        # -1 is not a square mod 100003 (100003 = 3 mod 4)
+        def no_tables(field, size):
+            raise AssertionError("code tables built")
+
+        monkeypatch.setattr(finitefield, "_code_tables", no_tables)
+        f = ResidueField(100003, [])
+        t = ResiduePoly(f, 1, {(2,): f.one, (0,): f.one})
+        assert is_irreducible_multivariate(t)
+
+    def test_dropped_field_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            f5 = ResidueField(5, [])
+            # Z^4 + 1 = (Z^2 + 2)(Z^2 + 3) over F_5; its search builds
+            # the stored tables
+            t = ResiduePoly(f5, 1, {(4,): f5.one, (0,): f5.one})
+            assert not is_irreducible_multivariate(t)
+            assert f5._encoded is not None
+            ref = weakref.ref(f5)
+            del f5, t
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liftcert import MultiPoly, ParseError, parse_polynomial
+from liftcert.parse import MAX_NESTING
 
 from conftest import random_poly
 
@@ -93,3 +94,14 @@ def test_canonical_round_trip_random(rng):
 def test_monomial_round_trip(c, e):
     f = MultiPoly(1, {(e,): Fraction(c)})
     assert parse_polynomial(f.to_str(["x"]), ["x"]) == f
+
+
+def test_nesting_limit():
+    deep = MAX_NESTING * "(" + "x" + MAX_NESTING * ")"
+    assert parse_polynomial(deep, ["x"]) == parse_polynomial("x", ["x"])
+    too_deep = "(" + deep + ")"
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(too_deep, ["x"])
+    assert exc.value.position == MAX_NESTING
+    with pytest.raises(ParseError):
+        parse_polynomial("(" * 5000 + "x" + ")" * 5000, ["x"])

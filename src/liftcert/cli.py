@@ -66,34 +66,41 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pairs=True, expr=True):
-        p.add_argument("--vars", required=True,
-                       help="comma-separated variable names, order fixes indices")
-        p.add_argument("--prime", type=int, default=None)
-        p.add_argument("--limit", type=_limit, default=DEFAULT_CANDIDATE_LIMIT,
-                       help="resource guard for exhaustive searches")
-        p.add_argument("--json", action="store_true", dest="as_json")
-        if pairs:
-            p.add_argument("--pairs", required=True,
-                           help="pair-spec JSON file")
-        if expr:
-            p.add_argument("expr", help="polynomial expression")
+    arguments = {
+        "--vars": dict(required=True, help="comma-separated variable "
+                       "names, order fixes indices"),
+        "--prime": dict(type=int, default=None),
+        "--limit": dict(type=_limit, default=DEFAULT_CANDIDATE_LIMIT,
+                        help="resource guard for exhaustive searches"),
+        "--json": dict(action="store_true", dest="as_json"),
+        "--pairs": dict(required=True, help="pair-spec JSON file"),
+        "expr": dict(help="polynomial expression"),
+    }
 
-    common(sub.add_parser("certify", help="emit an irreducibility certificate"))
-    common(sub.add_parser("expand", help="print the phi-adic expansion table"))
-    common(sub.add_parser("value", help="print w(f), marginals, contributing set"))
-    common(sub.add_parser("residue", help="print the normalized residue T"))
+    def add(p, *names):
+        # each subcommand takes only the arguments its handler reads
+        for name in ("--vars",) + names:
+            p.add_argument(name, **arguments[name])
+
+    for command, text in (
+        ("certify", "emit an irreducibility certificate"),
+        ("expand", "print the phi-adic expansion table"),
+        ("value", "print w(f), marginals, contributing set"),
+        ("residue", "print the normalized residue T"),
+    ):
+        add(sub.add_parser(command, help=text),
+            "--prime", "--limit", "--json", "--pairs", "expr")
 
     gen = sub.add_parser("generate", help="build a lifting from a residue file")
-    common(gen, expr=False)
+    add(gen, "--prime", "--limit", "--pairs")
     gen.add_argument("residue_file", help="residue polynomial JSON file")
     gen.add_argument("--seed", type=int, default=0)
 
-    fo = sub.add_parser("factor-oracle", help="brute-force factorization over Q")
-    common(fo, pairs=False)
-
-    sg = sub.add_parser("suggest", help="print candidate pair configurations")
-    common(sg, pairs=False)
+    add(sub.add_parser("factor-oracle",
+                       help="brute-force factorization over Q"),
+        "--limit", "--json", "expr")
+    add(sub.add_parser("suggest", help="print candidate pair configurations"),
+        "--prime", "expr")
 
     return parser
 

@@ -22,23 +22,21 @@ Z_i and a point c for the other variables keeps T's Z_i-degree and makes
 T(c) irreducible by Rabin's test, then T is irreducible, because a
 factorisation of T would specialise to one of T(c) or put a non-unit in
 T's content.  The points tried, over all main variables, are at most the
-candidate count the guard admitted, and their arithmetic is on plain
-residues mod p or on ResidueElements, never on the code tables below.
-A univariate T is its own specialisation, so it has a witness exactly
-when it is irreducible.  Third, only if no witness is found, the
-exhaustive divisor search decides; it decides every reducible T.
+candidate count the guard admitted.  A univariate T is its own
+specialisation, so it has a witness exactly when it is irreducible.
+Third, only if no witness is found, the exhaustive divisor search
+decides; it decides every reducible T.
 
-One division routine serves every residue field.  It works on integer
-element codes: a code is the base-p number whose digits are an
-element's coefficients on `ResidueField.monomial_basis()`, constant
-monomial lowest, so 0 encodes zero and 1 encodes one.  The search looks
-its arithmetic up in add, mul and neg tables on the codes, chosen after
-the guard has counted the candidates.  The first search whose count
-reaches q^2 builds exact lists, so building them costs no more than the
-search may, and the field keeps them for later searches.  Until then
-add and mul are lists of rows that compute each entry on lookup (on the
-residues themselves for a prime field) and store no entries, so a large
-field costs O(q) memory, not O(q^2).
+One field arithmetic, `_Arith`, serves Rabin's test, the witness and the
+divisor search: plain residues mod p for a prime field, ResidueElements
+for an extension field.  Points and candidate coefficients are drawn
+from its elements in code order, where an element's code is the base-p
+number whose digits are its coefficients on
+`ResidueField.monomial_basis()`, constant monomial lowest.  A prime
+field's elements are range(p), so a search over it holds O(1) memory
+whatever p is.  An extension field's q elements are listed on first
+use, once by the witness and once by the search, and the field does not
+keep them.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import operator
 
 from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import check_prime
-from .multipoly import grlex_key
+from .multipoly import grlex_key, monomial_factors
 
 DEFAULT_CANDIDATE_LIMIT = 10 ** 6
 
@@ -73,28 +71,6 @@ def fp_normalize(coeffs, p):
     return tuple(coeffs)
 
 
-def fp_deg(g):
-    return len(g) - 1  # -1 for the zero polynomial
-
-
-def fp_divmod(a, b, p):
-    """Division with remainder; b need not be monic."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    inv_lead = pow(b[-1], -1, p)
-    r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        c = (r[-1] * inv_lead) % p
-        d = len(r) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            r[i + d] = (r[i + d] - c * cb) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return fp_normalize(q, p), fp_normalize(r, p)
-
-
 def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
     """Rabin's test over F_p, after the guard has counted the monic
     candidates of degree <= deg(g)/2 that trial division would try.
@@ -107,7 +83,7 @@ def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
 
 def _is_irreducible_fp(g, p, limit):
     g = fp_normalize(g, p)
-    d = fp_deg(g)
+    d = len(g) - 1
     if d < 1 or g[-1] != 1:
         raise ValueError("g must be monic of degree >= 1")
     if d == 1:
@@ -125,27 +101,34 @@ def _is_irreducible_fp(g, p, limit):
 
 
 class _Arith:
-    """Field operations for the univariate routines and the witness:
-    plain residues mod p for a prime field, ResidueElements for an
-    extension field.  Zero is falsy in both.  `element` converts a
-    ResidueElement and `decode` an element code to this representation.
+    """Field operations for Rabin's test, the witness and the divisor
+    search: plain residues mod p for a prime field, ResidueElements for
+    an extension field.  Zero is falsy in both.  `element` converts a
+    ResidueElement to this representation; `elements` lists the q
+    elements in code order.
     """
 
     def __init__(self, p, field=None):
         if field is None or not field.generators:
+            self.field = None
             self.q, self.zero, self.one = p, 0, 1
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
             self.element = lambda a: a.coeffs.get((), 0)
-            self.decode = int  # a prime field's codes are its residues
         else:
+            self.field = field
             self.q, self.zero, self.one = field.q, field.zero, field.one
             self.add, self.sub = operator.add, operator.sub
             self.mul, self.inv = operator.mul, ResidueElement.inverse
             self.element = lambda a: a
-            self.decode = functools.lru_cache(maxsize=None)(field.from_code)
+
+    @functools.cached_property
+    def elements(self):
+        if self.field is None:
+            return range(self.q)  # a prime field's codes are its residues
+        return [self.field.from_code(code) for code in range(self.q)]
 
 
 def _trim(a):
@@ -243,7 +226,7 @@ class ResidueField:
         self.generators = [fp_normalize(g, p) for g in generators]
         self.degrees = []
         for g in self.generators:
-            d = fp_deg(g)
+            d = len(g) - 1
             if d < 2 or g[-1] != 1:
                 raise ConfigError(
                     "residue-field generators must be monic of degree >= 2"
@@ -271,11 +254,10 @@ class ResidueField:
         self.nyvars = len(self.generators)
         self._basis = tuple(
             itertools.product(*(range(m) for m in self.degrees)))
-        self._encoded = None  # code tables, see _code_tables
 
     # zero and one are built on each access: a stored element would point
-    # back at the field, and the cycle would keep a dropped field and its
-    # tables alive until the cyclic collector runs
+    # back at the field, and the cycle would keep a dropped field alive
+    # until the cyclic collector runs
     @property
     def zero(self):
         return ResidueElement(self, {})
@@ -439,12 +421,7 @@ class ResidueElement:
         parts = []
         for e in sorted(self.coeffs, key=grlex_key, reverse=True):
             c = self.coeffs[e]
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
+            factors = monomial_factors(names, e)
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -534,12 +511,7 @@ class ResiduePoly:
         parts = []
         for e in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[e]
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
+            factors = monomial_factors(names, e)
             cs = c.to_str()
             if not factors:
                 parts.append(f"({cs})" if ("+" in cs or "*" in cs) else cs)
@@ -552,70 +524,6 @@ class ResiduePoly:
 
     def __repr__(self):
         return f"ResiduePoly({self.to_str()})"
-
-
-class _Row:
-    """One row of a table on element codes that computes each entry on
-    lookup and stores no entries: row[b] is op(a, b)."""
-
-    __slots__ = ("op", "a")
-
-    def __init__(self, op, a):
-        self.op = op
-        self.a = a
-
-    def __getitem__(self, b):
-        return self.op(self.a, b)
-
-
-def _code_tables(field, size):
-    """The encoder of element codes and the add, mul and neg tables on
-    them.  The first search whose candidate count reaches q^2 builds
-    exact lists and the field keeps them; until then add and mul are
-    lists of rows that compute each entry on lookup."""
-    p, q = field.p, field.q
-    weights = {e: p ** k for k, e in enumerate(field.monomial_basis())}
-
-    def encode(a):
-        return sum(c * weights[e] for e, c in a.coeffs.items())
-
-    if field._encoded is not None:
-        return (encode, *field._encoded)
-    if not field.generators:
-        # a prime field's codes are its residues
-        def add(a, b):
-            return (a + b) % p
-
-        def mul(a, b):
-            return a * b % p
-
-        def neg(a):
-            return -a % p
-    else:
-        elems = [field.from_code(code) for code in range(q)]
-
-        def add(a, b):
-            return encode(elems[a] + elems[b])
-
-        def mul(a, b):
-            return encode(elems[a] * elems[b])
-
-        def neg(a):
-            return encode(-elems[a])
-
-    codes = list(range(q))  # entries share these q int objects
-    negs = [codes[neg(a)] for a in codes]
-    if q * q > size:
-        return (encode, [_Row(add, a) for a in codes],
-                [_Row(mul, a) for a in codes], negs)
-    adds = [[0] * q for _ in codes]
-    muls = [[0] * q for _ in codes]
-    for a in codes:
-        for b in range(a, q):
-            adds[a][b] = adds[b][a] = codes[add(a, b)]
-            muls[a][b] = muls[b][a] = codes[mul(a, b)]
-    field._encoded = (adds, muls, negs)
-    return (encode, *field._encoded)
 
 
 def _evaluate(terms, values, keep, ar):
@@ -661,7 +569,7 @@ def specialisation_witness(t: ResiduePoly, budget):
             if left <= 0:
                 return
             left -= 1
-            it = (ar.decode(x) for x in codes)
+            it = (ar.elements[x] for x in codes)
             yield codes, [None if j in holes else next(it) for j in range(n)]
 
     def primitive(i):
@@ -748,8 +656,9 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
             )
     if specialisation_witness(t, total) is not None:
         return True
-    encode, add, mul, neg = _code_tables(field, total)
-    tt = {e: encode(c) for e, c in t.terms.items()}
+    ar = _Arith(field.p, field)
+    sub, mul, zero = ar.sub, ar.mul, ar.zero
+    tt = {e: ar.element(c) for e, c in t.terms.items()}
 
     def divides(g_items, lead):
         # lex leading-term reduction; g's lead coefficient is 1
@@ -762,7 +671,7 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
             c = r[rl]
             for ge, gc in g_items:
                 e = tuple(a + b for a, b in zip(shift, ge))
-                v = add[r.get(e, 0)][neg[mul[c][gc]]]
+                v = sub(r.get(e, zero), mul(c, gc))
                 if v:
                     r[e] = v
                 else:
@@ -773,7 +682,7 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
     for lead in leads:
         lower = sorted(e for e in slots if e < lead) + [zero_exp]
         lower.sort()
-        for combo in itertools.product(range(q), repeat=len(lower)):
+        for combo in itertools.product(ar.elements, repeat=len(lower)):
             trail = lead
             for e, c in zip(lower, combo):
                 if c:
@@ -781,7 +690,7 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
                     break
             if any(a > b for a, b in zip(trail, t_trail)):
                 continue
-            g_items = [(lead, 1)]  # code 1 encodes one
+            g_items = [(lead, ar.one)]
             for e, c in zip(lower, combo):
                 if c:
                     g_items.append((e, c))

@@ -15,6 +15,7 @@ builds a polynomial from T whose certificate is guaranteed to close.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -305,17 +306,14 @@ def certify_irreducible(
     return LiftingCertificate(verdict=VERDICT_CERTIFIED, **base)
 
 
-_irreducibility_cache = {}
+RESIDUE_CACHE_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE)
 def _cached_irreducible(residue: ResiduePoly, limit: int) -> bool:
-    # residues recur across large corpora (they only depend on f mod p)
-    key = (residue, limit)
-    if key not in _irreducibility_cache:
-        _irreducibility_cache[key] = is_irreducible_multivariate(
-            residue, limit
-        )
-    return _irreducibility_cache[key]
+    # residues recur across large corpora (they only depend on f mod p);
+    # the bound keeps a long run's memory flat
+    return is_irreducible_multivariate(residue, limit)
 
 
 # ---------------------------------------------------------------------

@@ -33,6 +33,13 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def monomial_factors(names, exps):
+    """The printed factors of a monomial: name, or name^k for k > 1, for
+    each variable with a positive exponent."""
+    return [name if k == 1 else f"{name}^{k}"
+            for name, k in zip(names, exps) if k]
+
+
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -209,12 +216,7 @@ class MultiPoly:
         parts = []
         for exps in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[exps]
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+            factors = monomial_factors(names, exps)
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:

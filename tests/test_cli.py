@@ -362,8 +362,13 @@ class TestArgumentValidation:
         "certify --pairs PAIRS x+1",
         "frobnicate --vars x x+1",
         "",
+        "generate --json --vars x --pairs PAIRS T.json",
+        "factor-oracle --prime 2 --vars x x+1",
+        "suggest --limit 10 --prime 2 --vars x x+1",
+        "suggest --json --prime 2 --vars x x+1",
     ], ids=["prime-abc", "missing-vars", "unknown-subcommand",
-            "no-subcommand"])
+            "no-subcommand", "generate-json", "factor-oracle-prime",
+            "suggest-limit", "suggest-json"])
     def test_usage_error_exit_4(self, pairs_file, capsys, argv):
         argv = [pairs_file(EIS2) if a == "PAIRS" else a for a in argv.split()]
         assert main(argv) == EXIT_INPUT_ERROR

@@ -10,12 +10,14 @@ from liftcert import (
     Inert,
     PairConfig,
     RationalCenter,
+    ResidueField,
     ResiduePoly,
     certify_irreducible,
     check_lifting,
     generate_lifting,
     suggest_pairs,
 )
+from liftcert import lifting
 from liftcert.errors import ConfigError
 from liftcert.finitefield import is_irreducible_multivariate
 from liftcert.lifting import (
@@ -151,10 +153,9 @@ class TestCertify:
         assert cert.residue.to_str() == "Z1 + 1"
 
     def test_field_too_large_to_tabulate(self):
-        # q = 1031: q^2 exceeds the candidate count, so the divisor
-        # search computes its arithmetic on lookup instead of building
-        # tables; 1031 = 3 mod 4, so -1 is not a square and x^2 + 1 has
-        # no root
+        # q = 1031: the divisor search over a prime field draws its
+        # candidate coefficients from range(q) and builds no tables;
+        # 1031 = 3 mod 4, so -1 is not a square and x^2 + 1 has no root
         config = gauss_config(1031, 1)
         cert = certify_irreducible(P("x^2 + 1", ("x",)), config)
         assert cert.verdict == VERDICT_CERTIFIED
@@ -184,6 +185,35 @@ class TestCertify:
         assert table[0]["m"] == 2 and table[0]["e"] == 2
         assert table[1]["m"] == 1 and table[1]["e"] == 3
         assert table[0]["h"] == "3"  # p^(e*lambda)
+
+
+class TestResidueCache:
+    def test_cache_is_bounded(self, monkeypatch):
+        # more distinct residues than the cache holds: it keeps at most
+        # its size, and every miss goes through the module global
+        misses = []
+
+        def fake(residue, limit):
+            misses.append(residue)
+            return True
+
+        monkeypatch.setattr(lifting, "is_irreducible_multivariate", fake)
+        field = ResidueField(2003, [])
+        residues = [
+            ResiduePoly(field, 1, {(1,): field.one, (0,): field.from_int(c)})
+            for c in range(lifting.RESIDUE_CACHE_SIZE + 10)
+        ]
+        cached = lifting._cached_irreducible
+        cached.cache_clear()
+        try:
+            for residue in residues:
+                assert cached(residue, 10)
+            assert cached.cache_info().currsize == lifting.RESIDUE_CACHE_SIZE
+            assert cached(residues[-1], 10)  # a hit
+            assert cached(residues[0], 10)  # evicted, so a miss
+            assert misses == residues + [residues[0]]
+        finally:
+            cached.cache_clear()
 
 
 class TestGenerate:

@@ -10,7 +10,7 @@ class ConfigError(LiftcertError):
 
 
 class ResourceLimitExceeded(LiftcertError):
-    """An exhaustive search would exceed its configured candidate limit.
+    """A search or test would exceed its configured work limit.
 
     Carries the name and value of the bound so callers can decide to raise it.
     """

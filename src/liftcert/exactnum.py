@@ -78,10 +78,6 @@ class Val:
         return cls(Fraction(q))
 
     @property
-    def is_infinite(self) -> bool:
-        return self._q is None
-
-    @property
     def finite_value(self) -> Fraction:
         if self._q is None:
             raise ValueError("infinite valuation has no finite value")

@@ -12,20 +12,22 @@ Univariate irreducibility over F_q is Rabin's test (M. O. Rabin,
 "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980):
 a monic f of degree d is irreducible if and only if f divides
 Z^(q^d) - Z and gcd(Z^(q^(d/r)) - Z, f) = 1 for every prime r dividing d.
+It answers every univariate question (generators, residues with
+positive degree in one variable) behind one guard: d^3 * bitlen(q),
+Rabin's field operations up to a constant factor, against the limit.
 
-Irreducibility of a residue polynomial T(Z_1..Z_n) is decided in three
-steps.  First a guard counts the candidate divisors of an exhaustive
-search and raises ResourceLimitExceeded above the configured limit, so
-every T that could reach the search is bounded before any work is done.
-Second, a specialisation witness: if T is primitive in a main variable
-Z_i and a point c for the other variables keeps T's Z_i-degree and makes
-T(c) irreducible by Rabin's test, then T is irreducible, because a
+A residue polynomial T(Z_1..Z_n) of positive degree in two or more
+variables is decided in three steps.  First a guard counts the
+candidate divisors of an exhaustive search and raises
+ResourceLimitExceeded above the limit, so every T that could reach the
+search is bounded before any work is done.  Second, a
+specialisation witness: if T is primitive in a main variable Z_i and a
+point c for the other variables keeps T's Z_i-degree and makes T(c)
+irreducible by Rabin's test, then T is irreducible, because a
 factorisation of T would specialise to one of T(c) or put a non-unit in
 T's content.  The points tried, over all main variables, are at most the
-candidate count the guard admitted.  A univariate T is its own
-specialisation, so it has a witness exactly when it is irreducible.
-Third, only if no witness is found, the exhaustive divisor search
-decides; it decides every reducible T.
+candidate count the guard admitted.  Third, only if no witness is found,
+the exhaustive divisor search decides; it decides every reducible T.
 
 One field arithmetic, `_Arith`, serves Rabin's test, the witness and the
 divisor search: plain residues mod p for a prime field, ResidueElements
@@ -72,27 +74,13 @@ def fp_normalize(coeffs, p):
 
 
 def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Rabin's test over F_p, after the guard has counted the monic
-    candidates of degree <= deg(g)/2 that trial division would try.
-
-    g is monic of degree >= 1; degree-1 polynomials are irreducible.
-    """
+    """Rabin's test over F_p behind its work guard d^3 * bitlen(p); g is
+    monic of degree >= 1, and degree-1 polynomials are irreducible."""
     check_prime(p)
-    return _is_irreducible_fp(g, p, limit)
-
-
-def _is_irreducible_fp(g, p, limit):
     g = fp_normalize(g, p)
-    d = len(g) - 1
-    if d < 1 or g[-1] != 1:
+    if len(g) < 2 or g[-1] != 1:
         raise ValueError("g must be monic of degree >= 1")
-    if d == 1:
-        return True
-    if p ** ((d + 1) // 2) > limit:
-        raise ResourceLimitExceeded(
-            "univariate trial-division candidates", limit, p ** ((d + 1) // 2)
-        )
-    return _rabin(list(g), _Arith(p))
+    return _irreducible_univariate(list(g), _Arith(p), limit)
 
 
 # ---------------------------------------------------------------------
@@ -209,6 +197,19 @@ def _rabin(f, ar):
     return h == z
 
 
+def _irreducible_univariate(f, ar, limit):
+    """Whether a monic f of degree d >= 1 over F_q is irreducible: Rabin's
+    test once d^3 * bitlen(q), its work up to a constant factor, is
+    within limit."""
+    d = len(f) - 1
+    if d == 1:
+        return True
+    needed = d ** 3 * ar.q.bit_length()
+    if needed > limit:
+        raise ResourceLimitExceeded("univariate Rabin work", limit, needed)
+    return _rabin(f, ar)
+
+
 # ---------------------------------------------------------------------
 # the composite residue field
 
@@ -231,7 +232,7 @@ class ResidueField:
                 raise ConfigError(
                     "residue-field generators must be monic of degree >= 2"
                 )
-            if not _is_irreducible_fp(g, p, limit):
+            if not _irreducible_univariate(list(g), _Arith(p), limit):
                 raise GeneratorReducible(
                     f"generator {list(g)} is reducible over F_{p}"
                 )
@@ -616,35 +617,21 @@ def specialisation_witness(t: ResiduePoly, budget):
 
 
 def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Whether T is irreducible over its residue field F_q.
-
-    The guard first counts the candidates of the exhaustive divisor
-    search and raises ResourceLimitExceeded above limit.  Then a
-    specialisation witness (see specialisation_witness), tried at no
-    more points than that count, proves T irreducible when it exists.
-    Otherwise the exhaustive search decides: candidates g are
-    non-constant, have componentwise degree within T's degree box, total
-    degree at most deg(T)/2, and lex-leading coefficient 1 (removing
-    unit ambiguity).  Two multiplicative facts prune the search: both
-    the lex-leading and the lex-trailing monomial of a divisor must
-    divide the corresponding monomial of T.
-    """
+    """Whether T is irreducible over its residue field F_q, by the
+    routes of the module docstring.  A T with positive degree in one
+    variable is univariate: its factors cannot involve the others."""
     if t.is_zero or t.degree() < 1:
         raise ValueError("T must be nonzero of total degree >= 1")
     field = t.field
-    n = t.nvars
-    box = [t.degree_in(i) for i in range(n)]
-    half = t.degree() // 2
-    slots = sorted(
-        e
-        for e in itertools.product(*(range(b + 1) for b in box))
-        if 0 < sum(e) <= half
-    )
+    if sum(t.degree_in(i) > 0 for i in range(t.nvars)) == 1:
+        ar = _Arith(field.p, field)
+        f = [ar.zero] * (t.degree() + 1)
+        for e, c in t.terms.items():
+            f[sum(e)] = ar.element(c)
+        return _irreducible_univariate(_monic(f, ar), ar, limit)
+    slots, leads = _divisor_slots(t)
     if not slots:
         return True
-    t_lead = t.lex_leading()
-    t_trail = min(t.terms)
-    leads = [e for e in slots if all(a <= b for a, b in zip(e, t_lead))]
     q = field.q
     total = 0
     for lead in leads:
@@ -656,7 +643,34 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
             )
     if specialisation_witness(t, total) is not None:
         return True
-    ar = _Arith(field.p, field)
+    return _divisor_search(t)
+
+
+def _divisor_slots(t: ResiduePoly):
+    """The monomials a candidate divisor of T may have, in ascending lex
+    order, and those of them that may lead it: non-constant, within T's
+    degree box, of total degree at most deg(T)/2, and, for a lead,
+    dividing T's lex-leading monomial."""
+    box = [t.degree_in(i) for i in range(t.nvars)]
+    half = t.degree() // 2
+    slots = sorted(
+        e
+        for e in itertools.product(*(range(b + 1) for b in box))
+        if 0 < sum(e) <= half
+    )
+    t_lead = t.lex_leading()
+    leads = [e for e in slots if all(a <= b for a, b in zip(e, t_lead))]
+    return slots, leads
+
+
+def _divisor_search(t: ResiduePoly):
+    """Whether T is irreducible, by an unguarded exhaustive search for a
+    divisor g on _divisor_slots plus the constant, with lex-leading
+    coefficient 1 (removing unit ambiguity).  Both the lex-leading and
+    the lex-trailing monomial of g must divide those of T."""
+    slots, leads = _divisor_slots(t)
+    t_trail = min(t.terms)
+    ar = _Arith(t.field.p, t.field)
     sub, mul, zero = ar.sub, ar.mul, ar.zero
     tt = {e: ar.element(c) for e, c in t.terms.items()}
 
@@ -678,7 +692,7 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
                     r.pop(e, None)
         return True
 
-    zero_exp = (0,) * n
+    zero_exp = (0,) * t.nvars
     for lead in leads:
         lower = sorted(e for e in slots if e < lead) + [zero_exp]
         lower.sort()

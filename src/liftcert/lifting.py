@@ -170,7 +170,7 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
                     f"a multiple of e_{i + 1} = {pair.e}", False,
                 )
                 return CheckReport(checks, t=t, failed=result, condition="iii")
-    residue = config.residue(table, t, w, contributing)
+    residue = config.residue(table, contributing)
     for i in range(n):
         d = residue.degree_in(i)
         result = _record(
@@ -280,11 +280,12 @@ def certify_irreducible(
         )
 
     residue = report.residue
+    text = residue.to_str()
     for i in range(config.nvars):
         excluded = residue.is_single_variable(i)
         _record(
             report.checks, f"residue_not_Z{i + 1}",
-            residue.to_str(), f"!= Z{i + 1}", not excluded,
+            text, f"!= Z{i + 1}", not excluded,
         )
         if excluded:
             return LiftingCertificate(
@@ -295,7 +296,7 @@ def certify_irreducible(
     irreducible = _cached_irreducible(residue, limit)
     _record(
         report.checks, "residue_irreducible",
-        residue.to_str(), "irreducible", irreducible,
+        text, "irreducible", irreducible,
     )
     if not irreducible:
         return LiftingCertificate(

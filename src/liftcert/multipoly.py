@@ -250,10 +250,11 @@ def _digits(terms, i: int, phi):
     """phi-adic digits in x_i of {exps: coeff}, lowest first.
 
     The coefficient list in x_i (entries keyed by the exponents with x_i
-    set to 0) is divided by phi in place, from the top: afterwards the
-    first m entries are the remainder, i.e. the next digit, and the rest
-    are the quotient.  Only phi's nonzero lower coefficients do any
-    arithmetic, so for phi = x the digits are the list itself.
+    set to 0) is divided by phi in place, from the top: afterwards the m
+    entries from base are the remainder, i.e. the next digit, and the
+    rest are the quotient.  Only phi's nonzero lower coefficients do any
+    arithmetic, so for phi = x^m the digits are the list itself, read in
+    one pass.
     """
     m = len(phi) - 1
     lower = [(j, c) for j, c in enumerate(phi[:m]) if c]
@@ -261,8 +262,8 @@ def _digits(terms, i: int, phi):
     for exps, c in terms.items():
         coeffs[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
     digits = []
-    while coeffs:
-        for d in range(len(coeffs) - 1, m - 1, -1):
+    for base in range(0, len(coeffs), m):
+        for d in range(len(coeffs) - 1, base + m - 1, -1) if lower else ():
             lead = coeffs[d]
             for j, pj in lower:
                 row = coeffs[d - m + j]
@@ -273,11 +274,10 @@ def _digits(terms, i: int, phi):
                     else:
                         row.pop(e, None)
         digit = {}
-        for k, row in enumerate(coeffs[:m]):
+        for k, row in enumerate(coeffs[base:base + m]):
             for e, c in row.items():
                 digit[e[:i] + (k,) + e[i + 1:]] = c
         digits.append(digit)
-        coeffs = coeffs[m:]
     return digits
 
 

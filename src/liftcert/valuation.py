@@ -33,17 +33,6 @@ from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 
 
-class NotNormalized(LiftcertError):
-    """w(f) does not match the target sum of e_i * t_i * lambda_i."""
-
-    def __init__(self, actual: Val, expected: Fraction):
-        self.actual = actual
-        self.expected = expected
-        super().__init__(
-            f"w(f) = {actual} but the declared t requires {expected}"
-        )
-
-
 class FractionalPPower(LiftcertError):
     """Residue p-power bookkeeping did not land in the integers.
 
@@ -225,15 +214,12 @@ class PairConfig:
             Fraction(0),
         )
 
-    def residue(self, table, t, w, contributing) -> ResiduePoly:
+    def residue(self, table, contributing) -> ResiduePoly:
         """The w-residue of f / prod_i p^(N_i t_i), as a polynomial in
-        the Z_i, from f's expansion table and its w and contributing
-        indices; w must equal the target sum of e_i t_i lambda_i, and
-        each contributing i_j must be a multiple of e_j (check_lifting
-        checks both first)."""
-        expected = self.lifting_target(t)
-        if w != Val.finite(expected):
-            raise NotNormalized(w, expected)
+        the Z_i, from f's expansion table and its contributing indices;
+        w must equal the target sum of e_i t_i lambda_i, and each
+        contributing i_j must be a multiple of e_j (check_lifting checks
+        both first)."""
         terms = {}
         for idx in contributing:
             a, cv = table[idx]

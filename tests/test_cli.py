@@ -127,6 +127,23 @@ class TestCertify:
         assert code == EXIT_GUARD
         assert "limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr,expected", [
+        ("x^30+x+2", EXIT_OK),
+        ("x^26+2*x+1", EXIT_RESIDUE_EXCLUDED),  # 2 is a root mod 3
+        ("x^1000+3", EXIT_GUARD),
+    ])
+    def test_univariate_residue_decided_by_rabin(
+            self, pairs_file, capsys, expr, expected):
+        # beyond the divisor-candidate count from degree 26 at p = 3
+        gauss1 = {"prime": 3, "pairs": GAUSS2["pairs"][:1]}
+        code = main([
+            "certify", "--vars", "x", "--pairs", pairs_file(gauss1), expr,
+        ])
+        assert code == expected
+        err = capsys.readouterr().err
+        assert ("univariate Rabin work limit exceeded" in err) == (
+            expected == EXIT_GUARD)
+
     def test_json_certificate_round_trip(self, pairs_file, capsys):
         args = [
             "certify", "--json", "--vars", "x,y",

@@ -60,9 +60,12 @@ class TestUnivariate:
             is_irreducible_univariate((1, 2), 3)
 
     def test_guard(self):
+        # the guard counts Rabin's work d^3 * bitlen(q) before any of it
         g = tuple([1] * 20 + [1])
-        with pytest.raises(ResourceLimitExceeded):
+        with pytest.raises(ResourceLimitExceeded) as exc:
             is_irreducible_univariate(g, 5, limit=100)
+        assert exc.value.bound_name == "univariate Rabin work"
+        assert exc.value.needed == 20 ** 3 * 3
 
 
 class TestResidueField:
@@ -183,6 +186,49 @@ class TestMultivariateIrreducibility:
         t2 = ResiduePoly(f5, 1, {(2,): f5.one, (0,): f5.from_int(4)})
         assert not is_irreducible_multivariate(t2)
 
+    @pytest.mark.parametrize("p,gens,nvars,counts", [
+        (2, [(1, 1, 1)], 1, {1: 4, 2: 6, 3: 20, 4: 60}),
+        (3, [(1, 0, 1)], 2, {1: 9, 2: 36, 3: 240}),
+    ], ids=["F_4", "F_9-in-Z2"])
+    def test_one_variable_counts_match_necklace_formula(
+            self, p, gens, nvars, counts):
+        # (1/d) sum_{k|d} mu(k) q^(d/k) monic irreducibles of degree d
+        # over F_q, with T in the last of nvars variables
+        field = ResidueField(p, gens)
+        elems = list(field.elements())
+        for d, n in counts.items():
+            found = 0
+            for lower in itertools.product(elems, repeat=d):
+                terms = {(0,) * (nvars - 1) + (k,): c
+                         for k, c in enumerate(lower)}
+                terms[(0,) * (nvars - 1) + (d,)] = field.one
+                found += is_irreducible_multivariate(
+                    ResiduePoly(field, nvars, terms))
+            assert found == n, d
+
+    def test_one_variable_never_reaches_the_search(self, monkeypatch):
+        # Rabin's test decides a T with positive degree in one variable:
+        # no candidate count, witness or divisor search runs, so Z^30 +
+        # Z + 2 over F_3, whose count is 3 + ... + 3^15, is decided too
+        def refuse(*args):
+            raise AssertionError("the multivariate decision ran")
+
+        for name in ("_divisor_slots", "_divisor_search",
+                     "specialisation_witness"):
+            monkeypatch.setattr(finitefield, name, refuse)
+        f3 = ResidueField(3, [])
+        two = f3.from_int(2)
+        t = ResiduePoly(f3, 1, {(30,): f3.one, (1,): f3.one, (0,): two})
+        assert is_irreducible_multivariate(t)
+        t = ResiduePoly(f3, 2, {(0, 2): two, (0, 0): two})  # 2(Z2^2 + 1)
+        assert is_irreducible_multivariate(t)
+        t = ResiduePoly(f3, 2, {(2, 0): f3.one, (0, 0): two})  # Z1^2 - 1
+        assert not is_irreducible_multivariate(t)
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            is_irreducible_multivariate(
+                ResiduePoly(f3, 1, {(1000,): f3.one, (0,): f3.one}))
+        assert exc.value.bound_name == "univariate Rabin work"
+
     def test_extension_field_above_1024(self):
         # F_1369 = F_37[y]/(y^2+2): y is not a square in F_1369 (its norm
         # 2 is not a square mod 37), y^2 is
@@ -204,7 +250,7 @@ class TestMultivariateIrreducibility:
         t = ResiduePoly(f, 1, {(4,): f.one, (0,): f.from_int(-9)})
         tracemalloc.start()
         try:
-            assert not is_irreducible_multivariate(t)
+            assert not finitefield._divisor_search(t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,12 +309,10 @@ class TestMultivariateIrreducibility:
             assert not is_irreducible_multivariate(prod)
 
 
-def _exhaustive(monkeypatch, polys):
-    """The divisor search's answers, with the witness step turned off."""
-    with monkeypatch.context() as m:
-        m.setattr(finitefield, "specialisation_witness",
-                  lambda t, budget: None)
-        return [is_irreducible_multivariate(t) for t in polys]
+def _exhaustive(polys):
+    """The exhaustive divisor search's answers, the reference for every
+    faster decision."""
+    return [finitefield._divisor_search(t) for t in polys]
 
 
 def _specialise(t, i, c):
@@ -309,11 +353,11 @@ class TestSpecialisationWitness:
         (2, [(1, 1, 1)], (3,)),
     ], ids=["F_2-2x2", "F_3-2x1", "F_2-1x1x1", "F_4-1x1", "F_2-3x1",
             "F_3-4", "F_4-3"])
-    def test_agrees_with_exhaustive_search(self, monkeypatch, p, gens, box):
+    def test_agrees_with_exhaustive_search(self, p, gens, box):
         field = ResidueField(p, gens)
         polys = list(_corner_family(field, box))
         fast = [is_irreducible_multivariate(t) for t in polys]
-        assert fast == _exhaustive(monkeypatch, polys)
+        assert fast == _exhaustive(polys)
         replays = []
         for t in polys:
             witness = finitefield.specialisation_witness(t, 10 ** 6)
@@ -325,7 +369,7 @@ class TestSpecialisationWitness:
             assert tc.degree_in(0) == t.degree_in(i)
             replays.append(tc)
         assert replays
-        assert all(_exhaustive(monkeypatch, replays))
+        assert all(_exhaustive(replays))
 
     def test_no_witness_for_a_content_factor(self):
         # Y*Z + Y = Y*(Z + 1) is not primitive in Z, and every
@@ -356,7 +400,7 @@ class TestSpecialisationWitness:
             f5 = ResidueField(5, [])
             # Z^4 + 1 = (Z^2 + 2)(Z^2 + 3) over F_5, found by the search
             t = ResiduePoly(f5, 1, {(4,): f5.one, (0,): f5.one})
-            assert not is_irreducible_multivariate(t)
+            assert not finitefield._divisor_search(t)
             ref = weakref.ref(f5)
             del f5, t
             assert ref() is None

@@ -8,10 +8,12 @@ import pytest
 
 from liftcert import (
     Inert,
+    MultiPoly,
     PairConfig,
     RationalCenter,
     ResidueField,
     ResiduePoly,
+    brute_factor,
     certify_irreducible,
     check_lifting,
     generate_lifting,
@@ -153,9 +155,9 @@ class TestCertify:
         assert cert.residue.to_str() == "Z1 + 1"
 
     def test_field_too_large_to_tabulate(self):
-        # q = 1031: the divisor search over a prime field draws its
-        # candidate coefficients from range(q) and builds no tables;
-        # 1031 = 3 mod 4, so -1 is not a square and x^2 + 1 has no root
+        # q = 1031: Rabin's test over a prime field works on residues
+        # mod q and builds no tables; 1031 = 3 mod 4, so -1 is not a
+        # square and x^2 + 1 has no root
         config = gauss_config(1031, 1)
         cert = certify_irreducible(P("x^2 + 1", ("x",)), config)
         assert cert.verdict == VERDICT_CERTIFIED
@@ -318,11 +320,45 @@ class TestEisensteinSubsumption:
             coeffs.append(1)
             # ensure v_p(constant) is exactly 1
             assert coeffs[0] % (p * p) != 0
-            from liftcert import MultiPoly
-
             f = MultiPoly.from_univariate(1, 0, coeffs)
             cert = certify_irreducible(f, eisenstein_config(p, d))
             assert cert.certified, (coeffs, cert.verdict)
+
+
+def _desk_cases(rng, p, per_kind):
+    """(kind, f, config) triples in one variable: Gauss pairs on small
+    monic f of degree <= 8, and ramified centres c in {0, 1} with delta
+    = 1/e on f = g(x - c), where g meets the lifting valuations
+    v(g_k) >= t - k/e with small units, so its residue is random."""
+    gauss = gauss_config(p, 1)
+    for _ in range(per_kind):
+        d = rng.randint(2, 8)
+        coeffs = [rng.randint(-p, p) for _ in range(d)] + [1]
+        yield "gauss", MultiPoly.from_univariate(1, 0, coeffs), gauss
+    for _ in range(per_kind):
+        d = rng.randint(2, 8)
+        e = rng.choice([k for k in (d, d // 2) if d % k == 0 and d // k <= 2])
+        t = d // e
+        c = rng.choice([0, 1])
+        coeffs = [p ** -(-(t * e - k) // e) * rng.randint(-2, 2)
+                  for k in range(d)] + [1]
+        g = MultiPoly.from_univariate(1, 0, coeffs)
+        config = PairConfig([RationalCenter(Fraction(c), Fraction(1, e))], p)
+        yield "ramified", g.shift(0, -c), config
+
+
+class TestDeskScaleSoundness:
+    def test_certified_univariate_is_oracle_irreducible(self):
+        # Rabin's test decides every one-variable residue here; each
+        # Certified verdict must meet an oracle that finds no factor
+        rng = random.Random(20261018)
+        certified = set()
+        for p in (2, 3, 5, 7):
+            for kind, f, config in _desk_cases(rng, p, 50):
+                if certify_irreducible(f, config).certified:
+                    assert brute_factor(f).irreducible, (f, config.specs)
+                    certified.add((p, kind))
+        assert len(certified) == 8
 
 
 class TestMonotoneDiagnosis:

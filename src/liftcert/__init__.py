@@ -5,7 +5,6 @@ polynomials over Q, through p-adic lifting conditions."""
 __version__ = "0.1.0"
 
 from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
-from .exactnum import INFINITY, Rational, Val, vp
 from .finitefield import (
     ResidueField,
     ResiduePoly,
@@ -19,7 +18,7 @@ from .lifting import (
     generate_lifting,
     suggest_pairs,
 )
-from .multipoly import MultiPoly, content_valuation, phi_expand, reconstruct
+from .multipoly import MultiPoly, phi_expand, reconstruct
 from .oracle import FactorizationResult, brute_factor
 from .parse import ParseError, parse_polynomial
 from .valuation import (
@@ -34,10 +33,6 @@ __all__ = [
     "ConfigError",
     "LiftcertError",
     "ResourceLimitExceeded",
-    "INFINITY",
-    "Rational",
-    "Val",
-    "vp",
     "ResidueField",
     "ResiduePoly",
     "is_irreducible_multivariate",
@@ -48,7 +43,6 @@ __all__ = [
     "generate_lifting",
     "suggest_pairs",
     "MultiPoly",
-    "content_valuation",
     "phi_expand",
     "reconstruct",
     "FactorizationResult",

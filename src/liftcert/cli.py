@@ -178,12 +178,14 @@ def _cmd_value(args):
     config = _config(args, names)
     f = _parse_expr(args, names)
     w, contributing, marginals = config.valuation(config.expansion_table(f))
+    # None is the +infinity of f = 0
+    w, *marginals = ["inf" if v is None else str(v) for v in [w, *marginals]]
     if args.as_json:
         print(
             json.dumps(
                 {
-                    "w": str(w),
-                    "marginals": [str(m) for m in marginals],
+                    "w": w,
+                    "marginals": marginals,
                     "contributing": [list(i) for i in contributing],
                 },
                 indent=2,

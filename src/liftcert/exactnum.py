@@ -1,18 +1,15 @@
-"""Exact rational arithmetic and p-adic valuation values.
+"""Primality and the p-adic valuation of rationals.
 
 Rationals are Python fractions: always reduced, denominator positive,
 zero stored as 0/1.  They serialize as "a/b" or "a" (never decimals).
-Valuation values (:class:`Val`) adjoin a single +infinity element so
-that the valuation of zero has a home and min/+ behave ultrametrically.
+Valuations are plain numbers too: vp gives an int, w and its marginals
+are Fractions, and None stands for +infinity, the valuation of 0 and of
+the zero polynomial, which every certify path rejects.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ConfigError
-
-Rational = Fraction
 
 
 # Miller-Rabin on the first 13 prime bases, 2..41, is exact below this
@@ -60,94 +57,21 @@ def check_prime(p: int) -> int:
     return p
 
 
-class Val:
-    """A valuation value: a rational or +infinity.
+def vp(r, p: int) -> int | None:
+    """The exponent of p in the int or Fraction r; None, the +infinity
+    of the zero polynomial's content, for 0.
 
-    Infinity + x = Infinity, min(Infinity, x) = x, and Infinity compares
-    greater than every finite value.
+    p must be prime and is not checked here: the public entry points
+    check it once, through check_prime.  Additive: vp(r*s) = vp(r) +
+    vp(s).
     """
-
-    __slots__ = ("_q",)
-
-    def __init__(self, q):
-        # q is a Fraction, or None for infinity; use finite()/INFINITY.
-        self._q = q
-
-    @classmethod
-    def finite(cls, q) -> "Val":
-        return cls(Fraction(q))
-
-    @property
-    def finite_value(self) -> Fraction:
-        if self._q is None:
-            raise ValueError("infinite valuation has no finite value")
-        return self._q
-
-    def __add__(self, other: "Val") -> "Val":
-        if self._q is None or other._q is None:
-            return INFINITY
-        return Val(self._q + other._q)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Val) and self._q == other._q
-
-    def __hash__(self):
-        return hash(("Val", self._q))
-
-    def __lt__(self, other: "Val") -> bool:
-        if self._q is None:
-            return False
-        if other._q is None:
-            return True
-        return self._q < other._q
-
-    def __le__(self, other: "Val") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Val") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Val") -> bool:
-        return not self < other
-
-    def __repr__(self):
-        return f"Val({self})"
-
-    def __str__(self):
-        return "inf" if self._q is None else str(self._q)
-
-
-INFINITY = Val(None)
-
-
-def val_min(*vals: Val) -> Val:
-    best = INFINITY
-    for v in vals:
-        if v < best:
-            best = v
-    return best
-
-
-def vp_int(n: int, p: int) -> Val:
-    if n == 0:
-        return INFINITY
-    n = abs(n)
-    k = 0
-    while n % p == 0:
-        n //= p
+    if not r:
+        return None
+    num, den, k = abs(r.numerator), r.denominator, 0
+    while num % p == 0:
+        num //= p
         k += 1
-    return Val.finite(k)
-
-
-def vp(r, p: int) -> Val:
-    """The exponent of the prime p in the rational r; Infinity for 0.
-
-    Additive: vp(r*s) = vp(r) + vp(s).
-    """
-    check_prime(p)
-    r = Fraction(r)
-    if r == 0:
-        return INFINITY
-    num = vp_int(r.numerator, p).finite_value
-    den = vp_int(r.denominator, p).finite_value
-    return Val.finite(num - den)
+    while den % p == 0:
+        den //= p
+        k -= 1
+    return k

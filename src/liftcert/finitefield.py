@@ -32,13 +32,10 @@ the exhaustive divisor search decides; it decides every reducible T.
 One field arithmetic, `_Arith`, serves Rabin's test, the witness and the
 divisor search: plain residues mod p for a prime field, ResidueElements
 for an extension field.  Points and candidate coefficients are drawn
-from its elements in code order, where an element's code is the base-p
-number whose digits are its coefficients on
-`ResidueField.monomial_basis()`, constant monomial lowest.  A prime
-field's elements are range(p), so a search over it holds O(1) memory
-whatever p is.  An extension field's q elements are listed on first
-use, once by the witness and once by the search, and the field does not
-keep them.
+from its elements in the order of `ResidueField.elements()`; a prime
+field's are range(p).  An extension field's q elements are listed on
+first use, once by the witness and once by the search, and the field
+does not keep them.
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ class _Arith:
     search: plain residues mod p for a prime field, ResidueElements for
     an extension field.  Zero is falsy in both.  `element` converts a
     ResidueElement to this representation; `elements` lists the q
-    elements in code order.
+    elements in the order of `ResidueField.elements()`.
     """
 
     def __init__(self, p, field=None):
@@ -115,8 +112,8 @@ class _Arith:
     @functools.cached_property
     def elements(self):
         if self.field is None:
-            return range(self.q)  # a prime field's codes are its residues
-        return [self.field.from_code(code) for code in range(self.q)]
+            return range(self.q)
+        return list(self.field.elements())
 
 
 def _trim(a):
@@ -253,8 +250,6 @@ class ResidueField:
         self.extension_degree = ext
         self.q = p ** ext
         self.nyvars = len(self.generators)
-        self._basis = tuple(
-            itertools.product(*(range(m) for m in self.degrees)))
 
     # zero and one are built on each access: a stored element would point
     # back at the field, and the cycle would keep a dropped field alive
@@ -320,23 +315,11 @@ class ResidueField:
                 done[e] = (done.get(e, 0) + c) % p
         return {e: c for e, c in done.items() if c}
 
-    def monomial_basis(self):
-        """All exponent tuples componentwise below the generator degrees."""
-        return list(self._basis)
-
-    def from_code(self, code) -> "ResidueElement":
-        """The element whose coefficients on monomial_basis() are the
-        base-p digits of code, constant monomial lowest."""
-        coeffs = {}
-        for e in self._basis:
-            code, c = divmod(code, self.p)
-            if c:
-                coeffs[e] = c
-        return ResidueElement(self, coeffs)
-
     def elements(self):
-        """Iterate over all q field elements (q is small by design)."""
-        basis = self.monomial_basis()
+        """Iterate over all q field elements (q is small by design): the
+        coefficient vectors on the monomials below the generator degrees,
+        in lexicographic order."""
+        basis = list(itertools.product(*(range(m) for m in self.degrees)))
         for digits in itertools.product(range(self.p), repeat=len(basis)):
             yield ResidueElement(
                 self, {e: d for e, d in zip(basis, digits) if d}
@@ -553,9 +536,9 @@ def specialisation_witness(t: ResiduePoly, budget):
     has Z_i-degree 0, it divides the content of T in Z_i and is a unit.
 
     Main variables are tried in ascending order and, for each, the
-    points in lexicographic order of element codes.  Every point tried,
-    for the primitivity check or for the specialisation, counts against
-    budget.
+    points in lexicographic order of `ResidueField.elements()`.  Every
+    point tried, for the primitivity check or for the specialisation,
+    counts against budget.
     """
     field = t.field
     ar = _Arith(field.p, field)
@@ -564,14 +547,15 @@ def specialisation_witness(t: ResiduePoly, budget):
     left = budget
 
     def points(k, holes):
-        # the values of the points over F_q^k, with None at the holes
+        # the points of F_q^k, spread over the variables with None at the
+        # holes
         nonlocal left
-        for codes in itertools.product(range(ar.q), repeat=k):
+        for point in itertools.product(ar.elements, repeat=k):
             if left <= 0:
                 return
             left -= 1
-            it = (ar.elements[x] for x in codes)
-            yield codes, [None if j in holes else next(it) for j in range(n)]
+            it = iter(point)
+            yield point, [None if j in holes else next(it) for j in range(n)]
 
     def primitive(i):
         # The content C of T in Z_i divides every Z_i-coefficient a_k.
@@ -608,11 +592,12 @@ def specialisation_witness(t: ResiduePoly, budget):
         d = t.degree_in(i)
         if d < 1 or not primitive(i):
             continue
-        for codes, values in points(n - 1, (i,)):
+        for point, values in points(n - 1, (i,)):
             ev = _evaluate(terms, values, (i,), ar)
             f = [ev.get((k,), ar.zero) for k in range(d + 1)]
             if f[d] and _rabin(_monic(f, ar), ar):
-                return i, tuple(field.from_code(x) for x in codes)
+                return i, tuple(x if ar.field else field.from_int(x)
+                                for x in point)
     return None
 
 

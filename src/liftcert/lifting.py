@@ -24,14 +24,19 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ConfigError, LiftcertError
-from .exactnum import Val, check_prime, vp
+from .exactnum import check_prime, vp
 from .finitefield import (
     DEFAULT_CANDIDATE_LIMIT,
     ResiduePoly,
     is_irreducible_multivariate,
 )
 from .multipoly import MultiPoly, grlex_key
-from .valuation import PairConfig, RationalCenter, pair_specs_to_json
+from .valuation import (
+    PairConfig,
+    RationalCenter,
+    _json_exact,
+    pair_specs_to_json,
+)
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_NOT_A_LIFTING = "NotALifting"
@@ -147,14 +152,14 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
     table = config.expansion_table(f)
     target = config.lifting_target(t)
     w, contributing, marginals = config.valuation(table)
-    result = _record(checks, "w_total", w, target, w == Val.finite(target))
+    result = _record(checks, "w_total", w, target, w == target)
     if not result.passed:
         return CheckReport(checks, t=t, failed=result, condition="ii")
     for i, (pair, marginal) in enumerate(zip(config.pairs, marginals)):
         marginal_target = pair.e * t[i] * pair.lam
         result = _record(
             checks, f"w_marginal_x{i + 1}", marginal, marginal_target,
-            marginal == Val.finite(marginal_target),
+            marginal == marginal_target,
         )
         if not result.passed:
             return CheckReport(checks, t=t, failed=result, condition="ii")
@@ -458,11 +463,7 @@ def suggest_pairs(f: MultiPoly, p: int, max_configs: int = 16):
 def _newton_slopes(u: MultiPoly, i: int, p: int):
     """Negated slopes of the lower Newton polygon of a univariate
     restriction; these are the candidate valuations of roots."""
-    points = []
-    for exps, c in u.terms.items():
-        v = vp(c, p)
-        points.append((exps[i], v.finite_value))
-    points.sort()
+    points = sorted((exps[i], vp(c, p)) for exps, c in u.terms.items())
     if len(points) < 2:
         return []
     hull = []
@@ -499,14 +500,16 @@ def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:
 
     fld = config.field
     try:
-        if doc.get("p") != fld.p:
+        if _json_exact(doc.get("p"), "p") != fld.p:
             raise ConfigError(
                 f"residue document prime {doc.get('p')} does not match {fld.p}"
             )
         ynames = [f"y{k + 1}" for k in range(fld.nyvars)]
         terms = {}
         for entry in doc["coeffs"]:
-            exps = tuple(int(e) for e in entry["exp"])
+            exps = tuple(int(_json_exact(e, "exponent")) for e in entry["exp"])
+            if any(e < 0 for e in exps):
+                raise ValueError(f"exponent {entry['exp']} is negative")
             if len(exps) != config.nvars:
                 raise ConfigError(f"exponent {entry['exp']} has wrong arity")
             poly = parse_polynomial(entry["c"], ynames)

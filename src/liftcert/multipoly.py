@@ -8,7 +8,8 @@ provides the canonical phi-adic expansion
 
 with deg_{x_j}(a_I) < deg(phi_j): the digits in x_j come from
 repeatedly dividing the coefficient list in x_j by phi_j's scalar
-coefficients.  Also the Gauss content valuation min_coeff vp(c).
+coefficients.  Also the Gauss content valuation min_coeff vp(c), an
+int, or None for the zero polynomial.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import LiftcertError
-from .exactnum import INFINITY, Val, val_min, vp
+from .exactnum import vp
 
 
 class VariableMismatch(LiftcertError):
@@ -114,15 +115,6 @@ class MultiPoly:
         if self.degree() > 0:
             raise ValueError("polynomial is not constant")
         return self.coeff((0,) * self.nvars)
-
-    def univariate_coeffs(self, i: int):
-        """Coefficient list (low-to-high) in x_i; requires all other vars absent."""
-        coeffs = [Fraction(0)] * (max(self.degree_in(i), 0) + 1)
-        for exps, c in self.terms.items():
-            if any(e != 0 for j, e in enumerate(exps) if j != i):
-                raise ValueError(f"polynomial is not univariate in variable {i}")
-            coeffs[exps[i]] = c
-        return coeffs
 
     # -- arithmetic ----------------------------------------------------
 
@@ -321,8 +313,6 @@ def reconstruct(expansion: PhiExpansion) -> MultiPoly:
     return f
 
 
-def content_valuation(f: MultiPoly, p: int) -> Val:
-    """Gauss content: min vp over coefficients; Infinity for zero."""
-    if f.is_zero:
-        return INFINITY
-    return val_min(*(vp(c, p) for c in f.terms.values()))
+def content_valuation(f: MultiPoly, p: int):
+    """Gauss content: min vp over coefficients, an int; None for zero."""
+    return min((vp(c, p) for c in f.terms.values()), default=None)

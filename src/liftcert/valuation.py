@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, LiftcertError
-from .exactnum import INFINITY, Val
 from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 
@@ -158,7 +157,8 @@ class PairConfig:
     # -- phi-adic machinery -------------------------------------------
 
     def expansion_table(self, f: MultiPoly):
-        """Map from expansion index I to (digit a_I, content value of a_I).
+        """Map from expansion index I to (digit a_I, the int content
+        valuation of a_I).
 
         Rational-center variables are recentred first and expanded with
         phi = x, so the digit's degree-0 part in those variables is the
@@ -183,13 +183,15 @@ class PairConfig:
         """One walk over an expansion table: w(f), the contributing
         (argmin) indices in ascending order, and the marginal of each
         variable, where only that variable's lambda is added to the
-        coefficient value (the others are evaluated at their centers)."""
+        coefficient value (the others are evaluated at their centers).
+        The values are Fractions, None for the zero polynomial's empty
+        table."""
         lams = [pair.lam for pair in self.pairs]
         best = None
         contributing = []
         marginals = [None] * len(lams)
         for idx in sorted(table):
-            cv = table[idx][1].finite_value  # digits are nonzero
+            cv = table[idx][1]  # an int: digits are nonzero
             value = cv
             for k, (i, lam) in enumerate(zip(idx, lams)):
                 step = i * lam
@@ -201,10 +203,7 @@ class PairConfig:
                 contributing = [idx]
             elif value == best:
                 contributing.append(idx)
-        w = INFINITY if best is None else Val.finite(best)
-        return w, contributing, [
-            INFINITY if m is None else Val.finite(m) for m in marginals
-        ]
+        return best, contributing, marginals
 
     # -- residue extraction ---------------------------------------------
 
@@ -222,14 +221,9 @@ class PairConfig:
         both first)."""
         terms = {}
         for idx in contributing:
-            a, cv = table[idx]
+            a, c = table[idx]
             z_exp = tuple(i_j // pair.e for i_j, pair in zip(idx, self.pairs))
-            c = cv.finite_value
-            if c.denominator != 1:
-                raise FractionalPPower(
-                    f"content {c} of contributing digit {idx} is fractional"
-                )
-            depleted = a.scale(Fraction(1, 1) / Fraction(self.p) ** int(c))
+            depleted = a.scale(Fraction(self.p) ** -c)
             terms[z_exp] = self._residue_element(depleted)
         return ResiduePoly(self.field, self.nvars, terms)
 
@@ -283,25 +277,38 @@ def pair_specs_to_json(specs, p) -> dict:
     return {"prime": p, "pairs": pairs}
 
 
+def _json_exact(value, name):
+    """A number from a pair or residue file, which must be a JSON integer
+    or string: a float or a bool would be truncated, so it raises
+    ValueError naming the field."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(
+            f"{name} must be a JSON integer or string, got {json.dumps(value)}"
+        )
+    return value
+
+
 def pair_specs_from_json(doc: dict):
     """Returns (specs, prime). phi is listed low-to-high degree."""
     try:
-        p = doc["prime"]
+        p = _json_exact(doc["prime"], "prime")
         specs = []
         for entry in doc["pairs"]:
             kind = entry["kind"]
             if kind == "rational_center":
                 specs.append(
                     RationalCenter(
-                        center=Fraction(entry["center"]),
-                        delta=Fraction(entry["delta"]),
+                        center=Fraction(
+                            _json_exact(entry["center"], "center")),
+                        delta=Fraction(_json_exact(entry["delta"], "delta")),
                     )
                 )
             elif kind == "inert":
                 specs.append(
                     Inert(
-                        phi=tuple(int(c) for c in entry["phi"]),
-                        delta=Fraction(entry["delta"]),
+                        phi=tuple(int(_json_exact(c, "phi entry"))
+                                  for c in entry["phi"]),
+                        delta=Fraction(_json_exact(entry["delta"], "delta")),
                     )
                 )
             else:

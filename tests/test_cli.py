@@ -200,6 +200,18 @@ class TestValue:
         assert doc["w"] == "1"
         assert doc["contributing"] == [[1, 1]]
 
+    def test_zero_is_infinite(self, pairs_file, capsys):
+        # f = 0 is the only input whose w is +infinity
+        argv = ["value", "--vars", "x,y", "--pairs", pairs_file(GAUSS2), "0"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "w(f) = inf" in out
+        assert "w_x(f) = inf" in out
+        assert main(["value", "--json"] + argv[1:]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"w": "inf", "marginals": ["inf", "inf"],
+                       "contributing": []}
+
 
 class TestResidue:
     def test_prints_residue(self, pairs_file, capsys):
@@ -304,10 +316,17 @@ class TestGenerate:
         assert code == EXIT_INPUT_ERROR
 
 
-    @pytest.mark.parametrize("doc", [{"p": 3}, [1, 2]],
-                             ids=["no-coeffs", "list"])
+    @pytest.mark.parametrize("doc,named", [
+        ({"p": 3}, "'coeffs'"),
+        ([1, 2], "'list'"),
+        ({"p": 3, "coeffs": [{"exp": [1.9, 1], "c": "1"}]}, "exponent"),
+        ({"p": 3, "coeffs": [{"exp": [True, 1], "c": "1"}]}, "exponent"),
+        ({"p": 3, "coeffs": [{"exp": [1, 1], "c": "1"},
+                             {"exp": [-1, 0], "c": "1"}]}, "exponent"),
+    ], ids=["no-coeffs", "list", "float-exponent", "bool-exponent",
+            "negative-exponent"])
     def test_malformed_residue_document_exit_4(self, pairs_file, tmp_path,
-                                               capsys, doc):
+                                               capsys, doc, named):
         tfile = tmp_path / "T.json"
         tfile.write_text(json.dumps(doc))
         code = main([
@@ -315,7 +334,9 @@ class TestGenerate:
             str(tfile),
         ])
         assert code == EXIT_INPUT_ERROR
-        assert "malformed residue document" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed residue document" in err and named in err
+        assert "Traceback" not in err
 
 
 class TestFactorOracle:
@@ -366,13 +387,29 @@ class TestArgumentValidation:
         ])
         assert code == EXIT_INPUT_ERROR
 
-    def test_malformed_pairs_json(self, tmp_path):
+    def test_malformed_pairs_json(self, pairs_file, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         code = main([
             "certify", "--vars", "x", "--pairs", str(path), "x",
         ])
         assert code == EXIT_INPUT_ERROR
+        # a float or bool would be truncated into a different pair
+        for pair, named in [
+            ({"kind": "inert", "phi": [1, 0.5, 1], "delta": "1"}, "phi"),
+            ({"kind": "inert", "phi": [1, False, 1], "delta": "1"}, "phi"),
+            ({"kind": "rational_center", "center": 0.1, "delta": "0"},
+             "center"),
+            ({"kind": "rational_center", "center": "0", "delta": True},
+             "delta"),
+            ({"kind": "rational_center", "center": "0", "delta": 0.5},
+             "delta"),
+        ]:
+            path = pairs_file({"prime": 3, "pairs": [pair]})
+            code = main(["certify", "--vars", "x", "--pairs", path, "x^2+4"])
+            assert code == EXIT_INPUT_ERROR, pair
+            err = capsys.readouterr().err
+            assert "malformed pair-spec document: " + named in err
 
     @pytest.mark.parametrize("argv", [
         "certify --vars x --pairs PAIRS --prime abc x+1",

@@ -19,7 +19,7 @@ from liftcert import (
     generate_lifting,
     suggest_pairs,
 )
-from liftcert import lifting
+from liftcert import exactnum, lifting
 from liftcert.errors import ConfigError
 from liftcert.finitefield import is_irreducible_multivariate
 from liftcert.lifting import (
@@ -119,6 +119,22 @@ class TestCheckLifting:
 
         with pytest.raises(ConfigError):
             check_lifting(MultiPoly.zero(1), config)
+
+    def test_prime_checked_once_per_configuration(self, monkeypatch):
+        # PairConfig checks p; the valuations behind the checks and the
+        # residue decision take it as given
+        config = gauss_config(3, 2)
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return True
+
+        monkeypatch.setattr(exactnum, "is_prime", counting)
+        f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+        assert check_lifting(f, config).ok
+        assert certify_irreducible(f, config).certified
+        assert calls == []
 
 
 class TestCertify:

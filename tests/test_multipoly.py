@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from liftcert import MultiPoly, content_valuation, phi_expand, reconstruct
-from liftcert.exactnum import INFINITY, Val
-from liftcert.multipoly import VariableMismatch, grlex_key
+from liftcert import MultiPoly, phi_expand, reconstruct
+from liftcert.multipoly import VariableMismatch, content_valuation, grlex_key
 
 from conftest import P, random_poly
 
@@ -64,12 +63,6 @@ class TestArithmetic:
             assert g.shift(0, a) == MultiPoly(2, {
                 idx: digit.constant_value() for idx, digit in digits.items()
             })
-
-    def test_univariate_coeffs(self):
-        f = P("x^3 + 2*x", ("x", "y"))
-        assert f.univariate_coeffs(0) == [0, 2, 0, 1]
-        with pytest.raises(ValueError):
-            P("x*y").univariate_coeffs(0)
 
 
 class TestToStr:
@@ -138,10 +131,10 @@ class TestPhiExpansion:
 
 class TestContent:
     def test_examples(self):
-        assert content_valuation(P("3*x*y + 6*x"), 3) == Val.finite(1)
-        assert content_valuation(P("x + 3"), 3) == Val.finite(0)
-        assert content_valuation(P("9/2", ("x",)), 3) == Val.finite(2)
-        assert content_valuation(MultiPoly.zero(2), 3) is INFINITY
+        assert content_valuation(P("3*x*y + 6*x"), 3) == 1
+        assert content_valuation(P("x + 3"), 3) == 0
+        assert content_valuation(P("9/2", ("x",)), 3) == 2
+        assert content_valuation(MultiPoly.zero(2), 3) is None
 
     def test_gauss_multiplicativity(self, rng):
         # Gauss's lemma: content of a product is the sum of contents

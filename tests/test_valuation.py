@@ -15,7 +15,6 @@ from liftcert import (
     compute_lambda,
 )
 from liftcert.errors import ConfigError
-from liftcert.exactnum import INFINITY, Val
 from liftcert.valuation import (
     load_pair_specs,
     pair_specs_from_json,
@@ -110,12 +109,12 @@ class TestWValue:
         config = gauss_config(3, 2)
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
         w, contributing = w_of(config, f)
-        assert w == Val.finite(0)
+        assert w == 0
         assert contributing == [(0, 0), (2, 2)]
 
     def test_gauss_specializes_to_content(self, rng):
         # with all-Gauss pairs, w is exactly the Gauss content
-        from liftcert import content_valuation
+        from liftcert.multipoly import content_valuation
 
         config = gauss_config(5, 2)
         for _ in range(200):
@@ -127,7 +126,7 @@ class TestWValue:
         config = rc_config(2, [Fraction(1, 2)])
         f = P("x^2 + 2", ("x",))
         w, contributing = w_of(config, f)
-        assert w == Val.finite(1)
+        assert w == 1
         assert contributing == [(0,), (2,)]
 
     def test_expansion_linear_in_degree(self):
@@ -142,18 +141,18 @@ class TestWValue:
     def test_zero_polynomial(self):
         config = gauss_config(3, 1)
         w, contributing = w_of(config, MultiPoly.zero(1))
-        assert w is INFINITY
+        assert w is None
         assert contributing == []
 
     def test_marginal(self):
         config = rc_config(3, [Fraction(1), Fraction(0)])
         _, _, marginals = config.valuation(config.expansion_table(P("3*x + y")))
-        assert marginals[0] == Val.finite(0)  # the y digit wins
-        assert marginals[1] == Val.finite(0)
+        assert marginals[0] == 0  # the y digit wins
+        assert marginals[1] == 0
         _, _, marginals = config.valuation(
             config.expansion_table(P("3*x + 9*y"))
         )
-        assert marginals[0] == Val.finite(2)
+        assert marginals[0] == 2
         # for x: min(v(3) + 1*1, v(9) + 0) = 2
 
     def test_arity_mismatch(self):
@@ -200,7 +199,7 @@ class TestValuationLaws:
         for _ in range(200):
             f = random_poly(rng, 2, 4)
             w, _ = w_of(config, f)
-            assert w.finite_value.denominator in (
+            assert w.denominator in (
                 d for d in range(1, lcm_e + 1) if lcm_e % d == 0
             )
 
@@ -266,6 +265,11 @@ class TestPairJson:
             pair_specs_from_json({"prime": 3, "pairs": [{"kind": "nope"}]})
         with pytest.raises(ConfigError):
             pair_specs_from_json({"pairs": []})
+
+    @pytest.mark.parametrize("prime", [3.0, True], ids=["float", "bool"])
+    def test_inexact_prime(self, prime):
+        with pytest.raises(ConfigError, match="prime must be a JSON integer"):
+            pair_specs_from_json({"prime": prime, "pairs": []})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "pairs.json"

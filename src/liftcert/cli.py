@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitExceeded
@@ -31,7 +30,7 @@ from .lifting import (
     residue_to_json,
     suggest_pairs,
 )
-from .multipoly import MultiPoly, grlex_key
+from .multipoly import grlex_key
 from .oracle import brute_factor
 from .parse import ParseError, parse_polynomial
 from .valuation import PairConfig, load_pair_specs, pair_specs_to_json
@@ -126,14 +125,10 @@ def _config(args, names):
     return PairConfig(specs, file_prime, args.limit)
 
 
-def _parse_expr(args, names):
-    return parse_polynomial(args.expr, names)
-
-
 def _cmd_certify(args):
     names = _names(args)
     config = _config(args, names)
-    f = _parse_expr(args, names)
+    f = parse_polynomial(args.expr, names)
     cert = certify_irreducible(f, config, args.limit, names)
     if args.as_json:
         print(cert.to_json())
@@ -154,7 +149,7 @@ def _cmd_certify(args):
 def _cmd_expand(args):
     names = _names(args)
     config = _config(args, names)
-    f = _parse_expr(args, names)
+    f = parse_polynomial(args.expr, names)
     table = config.expansion_table(f)
     if args.as_json:
         doc = [
@@ -176,7 +171,7 @@ def _cmd_expand(args):
 def _cmd_value(args):
     names = _names(args)
     config = _config(args, names)
-    f = _parse_expr(args, names)
+    f = parse_polynomial(args.expr, names)
     w, contributing, marginals = config.valuation(config.expansion_table(f))
     # None is the +infinity of f = 0
     w, *marginals = ["inf" if v is None else str(v) for v in [w, *marginals]]
@@ -202,7 +197,7 @@ def _cmd_value(args):
 def _cmd_residue(args):
     names = _names(args)
     config = _config(args, names)
-    f = _parse_expr(args, names)
+    f = parse_polynomial(args.expr, names)
     report = check_lifting(f, config)
     if not report.ok:
         print(f"not a lifting: {report.reason}", file=sys.stderr)

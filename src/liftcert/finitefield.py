@@ -44,7 +44,7 @@ import functools
 import itertools
 import operator
 
-from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
+from .errors import ConfigError, ResourceLimitExceeded
 from .exactnum import check_prime
 from .multipoly import grlex_key, monomial_factors
 

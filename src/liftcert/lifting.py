@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import ConfigError, LiftcertError
@@ -35,6 +35,7 @@ from .valuation import (
     PairConfig,
     RationalCenter,
     _json_exact,
+    _json_list,
     pair_specs_to_json,
 )
 
@@ -156,7 +157,7 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
     if not result.passed:
         return CheckReport(checks, t=t, failed=result, condition="ii")
     for i, (pair, marginal) in enumerate(zip(config.pairs, marginals)):
-        marginal_target = pair.e * t[i] * pair.lam
+        marginal_target = t[i] * pair.N  # e_i t_i lambda_i
         result = _record(
             checks, f"w_marginal_x{i + 1}", marginal, marginal_target,
             marginal == marginal_target,
@@ -234,7 +235,37 @@ class LiftingCertificate:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text(self.to_json_dict(), "\n")
+
+
+def _json_text(value, newline):
+    """json.dumps(value, indent=2) for str, int, bool, None, list and
+    dict with str keys; CPython runs its pure-Python encoder whenever
+    indent is set.  newline is "\n" plus the enclosing indentation.  Any
+    other type raises TypeError."""
+    encode = encode_basestring_ascii  # raises TypeError on a non-str
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [encode(k) + ": " + (encode(v) if type(v) is str
+                                     else _json_text(v, inner))
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [encode(v) if type(v) is str else _json_text(v, inner)
+                 for v in value]
+        brackets = "[]"
+    elif isinstance(value, str):
+        return encode(value)
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"{type(value).__name__} is not rendered as JSON")
+    if not items:
+        return brackets
+    return (brackets[0] + inner + ("," + inner).join(items) + newline
+            + brackets[1])
 
 
 def _variable_table(config: PairConfig, names=None):
@@ -507,7 +538,8 @@ def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:
         ynames = [f"y{k + 1}" for k in range(fld.nyvars)]
         terms = {}
         for entry in doc["coeffs"]:
-            exps = tuple(int(_json_exact(e, "exponent")) for e in entry["exp"])
+            exps = tuple(int(_json_exact(e, "exponent"))
+                         for e in _json_list(entry["exp"], "exponent list"))
             if any(e < 0 for e in exps):
                 raise ValueError(f"exponent {entry['exp']} is negative")
             if len(exps) != config.nvars:

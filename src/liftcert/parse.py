@@ -11,6 +11,15 @@ Rationals are decimal-free: "a" or "a/b".  Variable names and their
 order are supplied by the caller; the order fixes coordinate indices.
 Parentheses nest at most MAX_NESTING deep, which keeps the descent well
 inside Python's recursion limit.
+
+A term made of numbers and powers of variables is built directly as an
+exponent tuple and a coefficient (an int, or a Fraction once an "a/b"
+literal appears), and the terms of an expression are summed into one
+dict; MultiPoly arithmetic runs only for parenthesised factors and their
+powers.  Size is checked before any arithmetic: an exponent, a term's
+degree or a product's degree above MAX_DEGREE, or a multiplication that
+would form more than MAX_TERMS term products, raises
+ResourceLimitExceeded.
 """
 
 from __future__ import annotations
@@ -18,10 +27,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import LiftcertError
+from .errors import LiftcertError, ResourceLimitExceeded
 from .multipoly import MultiPoly
 
 MAX_NESTING = 100
+MAX_DEGREE = 100_000  # of any exponent, term or product
+MAX_TERMS = 100_000  # term products formed by one multiplication
 
 
 class ParseError(LiftcertError):
@@ -33,27 +44,28 @@ class ParseError(LiftcertError):
 
 
 _TOKEN = re.compile(
-    r"(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()])"
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^()])|(?P<bad>.))?", re.DOTALL
 )
 
 
 def _tokenize(text):
     tokens = []
     pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
+    while True:
         m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        for kind in ("number", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind), pos))
-                break
+        kind = m.lastgroup
+        if kind is None:  # only whitespace is left
+            return tokens
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
         pos = m.end()
-    return tokens
+
+
+def _check_size(name, bound, needed):
+    if needed > bound:
+        raise ResourceLimitExceeded(name, bound, needed)
 
 
 class _Parser:
@@ -68,86 +80,120 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def advance(self):
+    def accept(self, ops):
+        """Consume the next token and return its op if it is in ops."""
         tok = self.peek()
-        self.i += 1
-        return tok
+        if tok and tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok[1]
+        return None
 
     def expect_op(self, op):
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            raise ParseError(
-                f"expected {op!r}", tok[2] if tok else self.end
-            )
-        return self.advance()
+        if not self.accept(op):
+            tok = self.peek()
+            raise ParseError(f"expected {op!r}", tok[2] if tok else self.end)
 
     def parse_expr(self):
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.advance()
-            sign = -1
-        result = self.parse_term().scale(sign)
+        terms = {}
+        op = self.accept("-")
         while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.advance()
-                term = self.parse_term()
-                result = result + term if tok[1] == "+" else result - term
-            else:
-                return result
+            self.parse_term(terms, -1 if op == "-" else 1)
+            op = self.accept("+-")
+            if op is None:
+                return MultiPoly(self.nvars, terms)
 
-    def parse_term(self):
-        result = self.parse_factor()
+    def parse_term(self, terms, sign):
+        """Add sign times the next term into terms, {exponents:
+        coefficient}; only parenthesised factors run MultiPoly
+        arithmetic."""
+        exps = [0] * self.nvars
+        coeff = sign
+        poly = None
         while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.advance()
-                result = result * self.parse_factor()
+            factor = self.parse_factor(exps)
+            if isinstance(factor, MultiPoly):
+                poly = factor if poly is None else self.multiply(poly, factor)
             else:
-                return result
+                coeff *= factor
+            if not self.accept("*"):
+                break
+        _check_size("degree", MAX_DEGREE, sum(exps))
+        if poly is None:
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, 0) + coeff
+            return
+        poly = self.multiply(poly, MultiPoly(self.nvars, {tuple(exps): coeff}))
+        for e, c in poly.terms.items():
+            terms[e] = terms.get(e, 0) + c
 
-    def parse_factor(self):
-        base = self.parse_base()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.advance()
-            exp = self.peek()
-            if exp is None or exp[0] != "number" or "/" in exp[1]:
-                raise ParseError(
-                    "exponent must be a nonnegative integer",
-                    exp[2] if exp else self.end,
-                )
-            self.advance()
-            return base ** int(exp[1])
-        return base
-
-    def parse_base(self):
+    def parse_factor(self, exps):
+        """The next factor with its exponent: a number, a MultiPoly, or,
+        for a power of a variable, 1 once the power is added to exps."""
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.end)
         kind, value, pos = tok
         if kind == "number":
-            self.advance()
-            return MultiPoly.constant(self.nvars, Fraction(value))
+            self.i += 1
+            try:
+                number = Fraction(value) if "/" in value else int(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad number: {exc}", pos) from None
+            return number ** self.parse_exponent()
         if kind == "name":
-            self.advance()
+            self.i += 1
             try:
                 idx = self.variables.index(value)
             except ValueError:
                 raise ParseError(f"unknown variable {value!r}", pos) from None
-            return MultiPoly.variable(self.nvars, idx)
+            exps[idx] += self.parse_exponent()
+            return 1
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.advance()
+            self.i += 1
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
             self.expect_op(")")
-            return inner
+            k = self.parse_exponent()
+            return inner if k == 1 else self.power(inner, k)
         raise ParseError(f"unexpected token {value!r}", pos)
+
+    def parse_exponent(self):
+        """The exponent after '^', at most MAX_DEGREE; 1 without '^'."""
+        if not self.accept("^"):
+            return 1
+        exp = self.peek()
+        if exp is None or exp[0] != "number" or "/" in exp[1]:
+            raise ParseError(
+                "exponent must be a nonnegative integer",
+                exp[2] if exp else self.end,
+            )
+        self.i += 1
+        digits = exp[1].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+            raise ResourceLimitExceeded("degree", MAX_DEGREE, digits)
+        return int(digits)
+
+    def multiply(self, a, b):
+        """a * b, after checking the degree and the number of term
+        products against the size limits."""
+        _check_size("degree", MAX_DEGREE, a.degree() + b.degree())
+        _check_size("term products", MAX_TERMS, len(a.terms) * len(b.terms))
+        return a * b
+
+    def power(self, base, k):
+        """base ** k by repeated squaring, each product checked."""
+        result = MultiPoly.constant(self.nvars, 1)
+        while k:
+            if k & 1:
+                result = self.multiply(result, base)
+            k >>= 1
+            if k:
+                base = self.multiply(base, base)
+        return result
 
 
 def parse_polynomial(text: str, variables) -> MultiPoly:

@@ -24,6 +24,7 @@ w, the contributing (argmin) indices and the per-variable marginals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,6 +141,9 @@ class PairConfig:
                 )
             )
         self.pairs = pairs
+        # the valuation walk's ints: E = lcm(e_i) and lambda_i * E
+        self.scale = math.lcm(*(pair.e for pair in pairs))
+        self.steps = [pair.N * (self.scale // pair.e) for pair in pairs]
         # checks that p is prime and that each inert phi is irreducible mod p
         self.field = ResidueField(p, inert_gens, limit)
 
@@ -184,34 +188,35 @@ class PairConfig:
         (argmin) indices in ascending order, and the marginal of each
         variable, where only that variable's lambda is added to the
         coefficient value (the others are evaluated at their centers).
-        The values are Fractions, None for the zero polynomial's empty
-        table."""
-        lams = [pair.lam for pair in self.pairs]
+        The walk adds ints scaled by E = lcm(e_i), since lambda_i * E =
+        N_i * E / e_i; the values returned are Fractions, None for the
+        zero polynomial's empty table."""
+        scale, steps = self.scale, self.steps
         best = None
         contributing = []
-        marginals = [None] * len(lams)
+        marginals = [None] * len(steps)
         for idx in sorted(table):
-            cv = table[idx][1]  # an int: digits are nonzero
+            cv = table[idx][1] * scale  # an int: digits are nonzero
             value = cv
-            for k, (i, lam) in enumerate(zip(idx, lams)):
-                step = i * lam
-                value += step
-                if marginals[k] is None or cv + step < marginals[k]:
-                    marginals[k] = cv + step
+            for k, (i, step) in enumerate(zip(idx, steps)):
+                value += i * step
+                if marginals[k] is None or cv + i * step < marginals[k]:
+                    marginals[k] = cv + i * step
             if best is None or value < best:
                 best = value
                 contributing = [idx]
             elif value == best:
                 contributing.append(idx)
-        return best, contributing, marginals
+        if best is None:
+            return None, contributing, marginals
+        return (Fraction(best, scale), contributing,
+                [Fraction(m, scale) for m in marginals])
 
     # -- residue extraction ---------------------------------------------
 
     def lifting_target(self, t) -> Fraction:
-        return sum(
-            (pair.e * ti * pair.lam for pair, ti in zip(self.pairs, t)),
-            Fraction(0),
-        )
+        """The sum of e_i t_i lambda_i, that is of t_i N_i."""
+        return Fraction(sum(pair.N * ti for pair, ti in zip(self.pairs, t)))
 
     def residue(self, table, contributing) -> ResiduePoly:
         """The w-residue of f / prod_i p^(N_i t_i), as a polynomial in
@@ -223,16 +228,18 @@ class PairConfig:
         for idx in contributing:
             a, c = table[idx]
             z_exp = tuple(i_j // pair.e for i_j, pair in zip(idx, self.pairs))
-            depleted = a.scale(Fraction(self.p) ** -c)
-            terms[z_exp] = self._residue_element(depleted)
+            terms[z_exp] = self._residue_element(a, c)
         return ResiduePoly(self.field, self.nvars, terms)
 
-    def _residue_element(self, a: MultiPoly):
-        """Image of a content-0 digit in the residue field: reduce the
-        coefficients mod p and send each inert x_j to its generator y_j."""
+    def _residue_element(self, a: MultiPoly, c: int):
+        """Image of the content-0 digit p^(-c) * a in the residue field:
+        reduce the coefficients mod p and send each inert x_j to its
+        generator y_j.  p^(-c) is folded into each coefficient's integer
+        numerator and denominator."""
         p = self.p
+        num_scale, den_scale = (1, p ** c) if c >= 0 else (p ** -c, 1)
         coeffs = {}
-        for exps, c in a.terms.items():
+        for exps, q in a.terms.items():
             y_exp = [0] * self.field.nyvars
             for e, pair in zip(exps, self.pairs):
                 if pair.y_index is None:
@@ -240,11 +247,13 @@ class PairConfig:
                     assert e == 0
                 else:
                     y_exp[pair.y_index] = e
-            num = c.numerator % p
-            den = c.denominator % p
-            if den == 0:
-                raise FractionalPPower(f"coefficient {c} not p-integral")
-            r = (num * pow(den, -1, p)) % p
+            num = q.numerator * num_scale
+            den = q.denominator * den_scale
+            g = math.gcd(num, den)
+            if den // g % p == 0:
+                raise FractionalPPower(
+                    f"coefficient {Fraction(num, den)} not p-integral")
+            r = num // g * pow(den // g, -1, p) % p
             if r:
                 y_exp = tuple(y_exp)
                 coeffs[y_exp] = (coeffs.get(y_exp, 0) + r) % p
@@ -288,6 +297,14 @@ def _json_exact(value, name):
     return value
 
 
+def _json_list(value, name):
+    """A list from a pair or residue file: a JSON string would be read
+    character by character, so anything else raises ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {json.dumps(value)}")
+    return value
+
+
 def pair_specs_from_json(doc: dict):
     """Returns (specs, prime). phi is listed low-to-high degree."""
     try:
@@ -307,7 +324,7 @@ def pair_specs_from_json(doc: dict):
                 specs.append(
                     Inert(
                         phi=tuple(int(_json_exact(c, "phi entry"))
-                                  for c in entry["phi"]),
+                                  for c in _json_list(entry["phi"], "phi")),
                         delta=Fraction(_json_exact(entry["delta"], "delta")),
                     )
                 )

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, every exit code."""
 
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,19 @@ class TestCertify:
         ])
         assert code == EXIT_GUARD
         assert "limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", [
+        "2^1000000000000", "x^1000000000000 + 1", "(x+y+1)^100000",
+    ])
+    def test_oversized_input_exit_5(self, pairs_file, capsys, expr):
+        start = time.perf_counter()
+        code = main([
+            "certify", "--vars", "x,y", "--pairs", pairs_file(GAUSS2), expr,
+        ])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "resource guard" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("expr,expected", [
         ("x^30+x+2", EXIT_OK),
@@ -323,8 +337,10 @@ class TestGenerate:
         ({"p": 3, "coeffs": [{"exp": [True, 1], "c": "1"}]}, "exponent"),
         ({"p": 3, "coeffs": [{"exp": [1, 1], "c": "1"},
                              {"exp": [-1, 0], "c": "1"}]}, "exponent"),
+        # a string would be read as the exponents [1, 1]
+        ({"p": 3, "coeffs": [{"exp": "11", "c": "1"}]}, "exponent list"),
     ], ids=["no-coeffs", "list", "float-exponent", "bool-exponent",
-            "negative-exponent"])
+            "negative-exponent", "string-exponent-list"])
     def test_malformed_residue_document_exit_4(self, pairs_file, tmp_path,
                                                capsys, doc, named):
         tfile = tmp_path / "T.json"
@@ -410,6 +426,15 @@ class TestArgumentValidation:
             assert code == EXIT_INPUT_ERROR, pair
             err = capsys.readouterr().err
             assert "malformed pair-spec document: " + named in err
+
+    def test_string_phi_exit_4(self, pairs_file, capsys):
+        # "101" would be read as phi = x^2 + 1, which certifies x^2 + 4
+        path = pairs_file({"prime": 3, "pairs": [
+            {"kind": "inert", "phi": "101", "delta": "1"}]})
+        code = main(["certify", "--vars", "x", "--pairs", path, "x^2+4"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "malformed pair-spec document: phi must be a JSON list" in err
 
     @pytest.mark.parametrize("argv", [
         "certify --vars x --pairs PAIRS --prime abc x+1",

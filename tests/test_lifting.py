@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liftcert import (
     Inert,
@@ -438,3 +440,27 @@ class TestResidueJson:
             residue_from_json(
                 {"p": 3, "coeffs": [{"exp": [1], "c": "1"}]}, config
             )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(-10 ** 40, 10 ** 40) | st.integers(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@example("\x00\x1f\"\\/\u00e9\u2028\U0001f600\ud800")
+@example({"": [], "a": {}, "b": [[], {}], "c": [None, True, False, -1]})
+@given(JSON_VALUES)
+def test_json_writer_matches_indent_2(value):
+    assert lifting._json_text(value, "\n") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), Fraction(1, 2), {1: 2}, [{"a": {3}}],
+], ids=["float", "tuple", "Fraction", "int-key", "nested-set"])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        lifting._json_text(value, "\n")

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liftcert import MultiPoly, ParseError, parse_polynomial
-from liftcert.parse import MAX_NESTING
+from liftcert.errors import ResourceLimitExceeded
+from liftcert.parse import MAX_DEGREE, MAX_NESTING
 
 from conftest import random_poly
 
@@ -105,3 +106,114 @@ def test_nesting_limit():
     assert exc.value.position == MAX_NESTING
     with pytest.raises(ParseError):
         parse_polynomial("(" * 5000 + "x" + ")" * 5000, ["x"])
+
+
+# ---------------------------------------------------------------------
+# the parser against a reference evaluator that runs MultiPoly
+# arithmetic for every factor, as one that builds no monomials directly
+
+NAMES = ["x", "y"]
+
+
+def _number():
+    return st.one_of(
+        st.integers(0, 30).map(str),
+        st.tuples(st.integers(0, 30), st.integers(1, 9)).map(
+            lambda ab: f"{ab[0]}/{ab[1]}"),
+    )
+
+
+def _expression(depth):
+    """(leading minus, first term, [(sign, term), ...]); a term is a list
+    of (base, exponent or None).  Sizes stay far below the parser's
+    limits."""
+    factor = st.tuples(st.one_of(
+        _number().map(lambda t: ("number", t)),
+        st.sampled_from(NAMES).map(lambda t: ("name", t))),
+        st.none() | st.integers(0, 3))
+    if depth:
+        factor = factor | st.tuples(_expression(depth - 1).map(
+            lambda e: ("paren", e)), st.none() | st.integers(0, 2))
+    term = st.lists(factor, min_size=1, max_size=3)
+    return st.tuples(st.booleans(), term, st.lists(
+        st.tuples(st.sampled_from("+-"), term), max_size=3))
+
+
+def _render(expr):
+    lead, first, rest = expr
+
+    def term(factors):
+        out = []
+        for (kind, value), k in factors:
+            text = f"({_render(value)})" if kind == "paren" else value
+            out.append(text if k is None else f"{text}^{k}")
+        return "*".join(out)
+
+    return ("-" if lead else "") + term(first) + "".join(
+        f" {op} {term(t)}" for op, t in rest)
+
+
+def _reference(expr):
+    n = len(NAMES)
+    lead, first, rest = expr
+
+    def term(factors):
+        result = MultiPoly.constant(n, 1)
+        for (kind, value), k in factors:
+            if kind == "number":
+                f = MultiPoly.constant(n, Fraction(value))
+            elif kind == "name":
+                f = MultiPoly.variable(n, NAMES.index(value))
+            else:
+                f = _reference(value)
+            result = result * (f if k is None else f ** k)
+        return result
+
+    total = term(first).scale(-1 if lead else 1)
+    for op, t in rest:
+        total = total + term(t) if op == "+" else total - term(t)
+    return total
+
+
+@example((True, [(("name", "x"), None)], [("+", [(("number", "1"), None)])]))
+@example((False, [(("name", "x"), None), (("number", "2"), None),
+                  (("name", "x"), 2)], []))
+@example((False, [(("number", "3/4"), 2), (("name", "y"), None)],
+          [("-", [(("number", "1/2"), 3)])]))
+@example((False, [(("number", "0"), None), (("name", "x"), None)],
+          [("+", [(("name", "y"), None)])]))
+@example((False, [(("name", "x"), None)], [("-", [(("name", "x"), None)])]))
+@example((True, [(("number", "2"), None),
+                 (("paren", (False, [(("name", "x"), None)],
+                             [("+", [(("name", "y"), 1)])])), 2),
+                 (("name", "x"), 3)],
+          [("+", [(("name", "x"), None), (("name", "y"), None)])]))
+@example((False, [(("paren", (True, [(("paren", (
+    False, [(("name", "y"), 2)], [("-", [(("number", "1/3"), None)])])),
+    2)], [])), 3)], []))
+@settings(deadline=None)
+@given(_expression(1))
+def test_parser_matches_reference_evaluator(expr):
+    assert parse_polynomial(_render(expr), NAMES) == _reference(expr)
+
+
+@pytest.mark.parametrize("text", [
+    "2^1000000000000", "x^1000000000000 + 1", "x^60000*y^60000",
+    "(x^60000 + 1)*(x^60000 + 1)", "(x+y+1)^100000",
+])
+def test_size_guard(text):
+    with pytest.raises(ResourceLimitExceeded):
+        parse_polynomial(text, NAMES)
+
+
+def test_size_guard_admits():
+    assert len(parse_polynomial("x^50000 + 3", ["x"]).terms) == 2
+    assert len(parse_polynomial(f"x^{MAX_DEGREE}", ["x"]).terms) == 1
+    assert len(parse_polynomial("(x+y+1)^40", NAMES).terms) == 861
+
+
+@pytest.mark.parametrize("text", ["3/0*x", "9" * 5000 + "*x"])
+def test_bad_number_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, ["x"])
+    assert exc.value.position == 0

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftcert import (
     Inert,
@@ -159,6 +161,42 @@ class TestWValue:
         config = gauss_config(3, 2)
         with pytest.raises(ConfigError):
             w_of(config, P("x", ("x",)))
+
+
+def _fraction_walk(config, table):
+    """The table walk on Fractions, each lambda_i added as it is."""
+    lams = [pair.lam for pair in config.pairs]
+    best, contributing, marginals = None, [], [None] * len(lams)
+    for idx in sorted(table):
+        cv = table[idx][1]
+        value = cv + sum(i * lam for i, lam in zip(idx, lams))
+        for k, (i, lam) in enumerate(zip(idx, lams)):
+            if marginals[k] is None or cv + i * lam < marginals[k]:
+                marginals[k] = cv + i * lam
+        if best is None or value < best:
+            best, contributing = value, [idx]
+        elif value == best:
+            contributing.append(idx)
+    return best, contributing, marginals
+
+
+# ramified configurations whose e differ, so the walk scales by lcm(e_i)
+RAMIFIED = [
+    rc_config(3, [Fraction(1, 2), Fraction(1, 3)]),
+    PairConfig([RationalCenter(Fraction(1), Fraction(1, 2)),
+                RationalCenter(Fraction(-1, 2), Fraction(2, 3))], 2),
+    PairConfig([Inert((1, 0, 1), Fraction(1, 2)),
+                RationalCenter(Fraction(0), Fraction(1, 3))], 3),
+]
+
+
+@given(st.sampled_from(RAMIFIED), st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-60, 60) | st.fractions(-20, 20, max_denominator=12),
+    max_size=8))
+def test_integer_walk_matches_fraction_walk(config, terms):
+    table = config.expansion_table(MultiPoly(2, terms))
+    assert config.valuation(table) == _fraction_walk(config, table)
 
 
 class TestValuationLaws:

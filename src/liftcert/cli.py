@@ -129,7 +129,7 @@ def _cmd_certify(args):
     names = _names(args)
     config = _config(args, names)
     f = parse_polynomial(args.expr, names)
-    cert = certify_irreducible(f, config, args.limit, names)
+    cert = certify_irreducible(f, config, names=names)
     if args.as_json:
         print(cert.to_json())
     else:

@@ -25,11 +25,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .errors import ConfigError, LiftcertError
 from .exactnum import check_prime, vp
-from .finitefield import (
-    DEFAULT_CANDIDATE_LIMIT,
-    ResiduePoly,
-    is_irreducible_multivariate,
-)
+from .finitefield import ResiduePoly, is_irreducible_multivariate
 from .multipoly import MultiPoly, grlex_key
 from .valuation import (
     PairConfig,
@@ -199,12 +195,14 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
 
 @dataclass
 class LiftingCertificate:
-    """Full audit record of the lifting checks and the final verdict."""
+    """Full audit record of the lifting checks and the final verdict.
 
-    input_text: str
-    prime: int
-    pair_specs_json: dict
-    variable_table: list
+    It holds what certify compared, not text: to_json_dict prints the
+    input, the pairs and the per-variable table when asked."""
+
+    f: MultiPoly
+    config: PairConfig
+    names: tuple  # variable names, or None for x1, x2, ...
     t: tuple
     residue: ResiduePoly
     checks: list
@@ -217,11 +215,24 @@ class LiftingCertificate:
         return self.verdict == VERDICT_CERTIFIED
 
     def to_json_dict(self):
+        config, names = self.config, self.names
         doc = {
-            "input": self.input_text,
-            "prime": self.prime,
-            "pairs": self.pair_specs_json["pairs"],
-            "variables": self.variable_table,
+            "input": self.f.to_str(names),
+            "prime": config.p,
+            "pairs": pair_specs_to_json(config.specs, config.p)["pairs"],
+            "variables": [
+                {
+                    "variable": names[i] if names else f"x{i + 1}",
+                    "phi": MultiPoly.from_univariate(
+                        config.nvars, i, pair.phi).to_str(names),
+                    "m": pair.m,
+                    "lambda": str(pair.lam),
+                    "e": pair.e,
+                    "N": pair.N,
+                    "h": str(pair.h_of(config.p)),
+                }
+                for i, pair in enumerate(config.pairs)
+            ],
             "t": list(self.t) if self.t is not None else None,
             "T": residue_to_json(self.residue)
             if self.residue is not None
@@ -268,79 +279,44 @@ def _json_text(value, newline):
             + brackets[1])
 
 
-def _variable_table(config: PairConfig, names=None):
-    table = []
-    for i, pair in enumerate(config.pairs):
-        name = names[i] if names else f"x{i + 1}"
-        phi = MultiPoly.from_univariate(config.nvars, i, pair.phi)
-        table.append(
-            {
-                "variable": name,
-                "phi": phi.to_str(names),
-                "m": pair.m,
-                "lambda": str(pair.lam),
-                "e": pair.e,
-                "N": pair.N,
-                "h": str(pair.h_of(config.p)),
-            }
-        )
-    return table
-
-
 def certify_irreducible(
-    f: MultiPoly,
-    config: PairConfig,
-    limit: int = DEFAULT_CANDIDATE_LIMIT,
-    names=None,
+    f: MultiPoly, config: PairConfig, *, names=None
 ) -> LiftingCertificate:
     """Run the lifting checks and, on a lifting, decide irreducibility
-    of the residue; a Certified verdict means f is irreducible over the
-    p-adics and hence over the rationals."""
+    of the residue within config.limit; a Certified verdict means f is
+    irreducible over the p-adics and hence over the rationals."""
     report = check_lifting(f, config)
-    base = dict(
-        input_text=f.to_str(names),
-        prime=config.p,
-        pair_specs_json=pair_specs_to_json(config.specs, config.p),
-        variable_table=_variable_table(config, names),
-        t=report.t,
-        residue=report.residue,
-        checks=report.checks,
-    )
+    verdict, reason = VERDICT_CERTIFIED, None
     if not report.ok:
-        if report.failed.name == "residue_monic":
-            verdict = VERDICT_RESIDUE_NOT_MONIC
-        else:
-            verdict = VERDICT_NOT_A_LIFTING
-        return LiftingCertificate(
-            verdict=verdict, reason=report.reason, **base
-        )
-
-    residue = report.residue
-    text = residue.to_str()
-    for i in range(config.nvars):
-        excluded = residue.is_single_variable(i)
-        _record(
-            report.checks, f"residue_not_Z{i + 1}",
-            text, f"!= Z{i + 1}", not excluded,
-        )
-        if excluded:
-            return LiftingCertificate(
-                verdict=VERDICT_RESIDUE_IS_VARIABLE,
-                reason=f"residue is the excluded coordinate Z{i + 1}",
-                **base,
+        monic = report.failed.name == "residue_monic"
+        verdict = VERDICT_RESIDUE_NOT_MONIC if monic else VERDICT_NOT_A_LIFTING
+        reason = report.reason
+    else:
+        residue = report.residue
+        text = residue.to_str()
+        for i in range(config.nvars):
+            excluded = residue.is_single_variable(i)
+            _record(
+                report.checks, f"residue_not_Z{i + 1}",
+                text, f"!= Z{i + 1}", not excluded,
             )
-    irreducible = _cached_irreducible(residue, limit)
-    _record(
-        report.checks, "residue_irreducible",
-        text, "irreducible", irreducible,
+            if excluded:
+                verdict = VERDICT_RESIDUE_IS_VARIABLE
+                reason = f"residue is the excluded coordinate Z{i + 1}"
+                break
+        else:
+            irreducible = _cached_irreducible(residue, config.limit)
+            _record(
+                report.checks, "residue_irreducible",
+                text, "irreducible", irreducible,
+            )
+            if not irreducible:
+                verdict = VERDICT_RESIDUE_REDUCIBLE
+                reason = "residue polynomial factors over the residue field"
+    return LiftingCertificate(
+        f, config, None if names is None else tuple(names),
+        report.t, report.residue, report.checks, verdict, reason,
     )
-    if not irreducible:
-        return LiftingCertificate(
-            verdict=VERDICT_RESIDUE_REDUCIBLE,
-            reason="residue polynomial factors over the residue field",
-            **base,
-        )
-    return LiftingCertificate(verdict=VERDICT_CERTIFIED, **base)
 
 
 RESIDUE_CACHE_SIZE = 1024

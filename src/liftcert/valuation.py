@@ -112,6 +112,7 @@ class PairConfig:
 
     def __init__(self, specs, p, limit=DEFAULT_CANDIDATE_LIMIT):
         self.p = p
+        self.limit = limit  # the guard of every residue search
         self.specs = list(specs)
         pairs = []
         inert_gens = []

@@ -22,7 +22,7 @@ from liftcert import (
     suggest_pairs,
 )
 from liftcert import exactnum, lifting
-from liftcert.errors import ConfigError
+from liftcert.errors import ConfigError, ResourceLimitExceeded
 from liftcert.finitefield import is_irreducible_multivariate
 from liftcert.lifting import (
     VERDICT_CERTIFIED,
@@ -195,6 +195,33 @@ class TestCertify:
         ]
         assert doc["verdict"] == "Certified"
         assert doc["input"] == "x^2*y^2 + 3*x*y + 6*x + 3*y + 1"
+
+    def test_certify_renders_nothing(self, monkeypatch):
+        # the certificate is printed by to_json, not while deciding
+        config = gauss_config(3, 2)
+        f, g = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"), P("x + y")
+
+        def refuse(*args):
+            raise AssertionError("printed while certifying")
+
+        monkeypatch.setattr(MultiPoly, "to_str", refuse)
+        monkeypatch.setattr(lifting, "residue_to_json", refuse)
+        monkeypatch.setattr(lifting, "pair_specs_to_json", refuse)
+        cert = certify_irreducible(f, config, names=["x", "y"])
+        assert cert.certified
+        assert certify_irreducible(g, config).verdict == VERDICT_NOT_A_LIFTING
+        monkeypatch.undo()
+        assert json.loads(cert.to_json())["input"] == (
+            "x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+
+    def test_limit_comes_from_config(self):
+        f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+        specs = [RationalCenter(Fraction(0), Fraction(0))] * 2
+        assert certify_irreducible(f, PairConfig(specs, 3)).certified
+        with pytest.raises(ResourceLimitExceeded):
+            certify_irreducible(f, PairConfig(specs, 3, limit=1))
+        with pytest.raises(TypeError):  # names is keyword-only
+            certify_irreducible(f, PairConfig(specs, 3), 1)
 
     def test_variable_table_invariants(self):
         config = PairConfig(

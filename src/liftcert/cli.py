@@ -223,6 +223,8 @@ def _cmd_generate(args):
 def _cmd_factor_oracle(args):
     names = _names(args)
     f = parse_polynomial(args.expr, names)
+    if f.is_zero:
+        raise ConfigError("f must be nonzero")
     result = brute_factor(f, args.limit)
     if args.as_json:
         print(

@@ -15,6 +15,7 @@ certificates are cross-checked against, at desk scale only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,23 +84,13 @@ def brute_factor(f: MultiPoly, guard: int = DEFAULT_GUARD) -> FactorizationResul
 def _primitive_part(f: MultiPoly):
     """Integer-primitive form with positive graded-lex leading
     coefficient; returns (primitive, scalar) with f = scalar * primitive."""
-    denom = 1
-    for c in f.terms.values():
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    nums = [c.numerator * (denom // c.denominator) for c in f.terms.values()]
-    content = 0
-    for n in nums:
-        content = _gcd(content, abs(n))
+    denom = math.lcm(*(c.denominator for c in f.terms.values()))
+    content = math.gcd(*(c.numerator * (denom // c.denominator)
+                         for c in f.terms.values()))
     lead_exps = max(f.terms, key=grlex_key)
     sign = -1 if f.terms[lead_exps] < 0 else 1
     scalar = Fraction(sign * content, denom)
     return f.scale(1 / scalar), scalar
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly):
@@ -224,10 +215,7 @@ def _int_eval(a, x):
 
 
 def _int_content(a):
-    c = 0
-    for k in a:
-        c = _gcd(c, abs(k))
-    return c or 1
+    return math.gcd(*a) or 1
 
 
 def _int_primitive(a):
@@ -261,16 +249,19 @@ def _int_exact_divide(a, b):
     return _int_normalize(q)
 
 
-def _divisors(n):
+def _divisors(n, guard):
+    """Positive divisors of n, ascending, by trial division up to
+    isqrt(|n|), which must not exceed guard."""
     n = abs(n)
+    trials = math.isqrt(n)
+    if trials > guard:
+        raise ResourceLimitExceeded("divisor trials", guard, trials)
     small, large = [], []
-    d = 1
-    while d * d <= n:
+    for d in range(1, trials + 1):
         if n % d == 0:
             small.append(d)
             if d != n // d:
                 large.append(n // d)
-        d += 1
     return small + large[::-1]
 
 
@@ -298,10 +289,10 @@ def _factor_univariate_int(u, guard: int):
     changed = True
     while changed and len(u) > 2:
         changed = False
-        for b in _divisors(u[-1]):
-            for a0 in _divisors(u[0]):
+        for b in _divisors(u[-1], guard):
+            for a0 in _divisors(u[0], guard):
                 for a in (a0, -a0):
-                    if _gcd(abs(a), b) != 1:
+                    if math.gcd(a, b) != 1:
                         continue
                     if _int_eval(u, Fraction(a, b)) == 0:
                         lin = _int_primitive([-a, b])
@@ -358,7 +349,7 @@ def _has_degree_factor(u, r, guard, nodes):
     columns = []  # columns[j] = divided differences ending at point j
 
     def candidates(j):
-        base = _divisors(vals[j])
+        base = _divisors(vals[j], guard)
         if j == 0:
             return base  # fix the sign at the first point
         return [s * d for d in base for s in (1, -1)]

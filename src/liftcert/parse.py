@@ -19,7 +19,11 @@ dict; MultiPoly arithmetic runs only for parenthesised factors and their
 powers.  Size is checked before any arithmetic: an exponent, a term's
 degree or a product's degree above MAX_DEGREE, or a multiplication that
 would form more than MAX_TERMS term products, raises
-ResourceLimitExceeded.
+ResourceLimitExceeded.  So does a coefficient above MAX_COEFF_BITS bits
+(of its numerator or denominator): a number's power is checked before it
+is taken, and every coefficient product, sum and multiplication after
+it, so every coefficient returned prints within Python's default
+4,300-digit limit on int-to-string conversion.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .multipoly import MultiPoly
 MAX_NESTING = 100
 MAX_DEGREE = 100_000  # of any exponent, term or product
 MAX_TERMS = 100_000  # term products formed by one multiplication
+MAX_COEFF_BITS = 14_000  # at most 4,215 decimal digits
 
 
 class ParseError(LiftcertError):
@@ -66,6 +71,24 @@ def _tokenize(text):
 def _check_size(name, bound, needed):
     if needed > bound:
         raise ResourceLimitExceeded(name, bound, needed)
+
+
+def _bits(c):
+    """Bit length of an int's or a Fraction's larger part."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _check_coeff(c):
+    _check_size("coefficient bits", MAX_COEFF_BITS, _bits(c))
+    return c
+
+
+def _size(poly):
+    """Bits of poly's largest numerator and of its denominators above 1,
+    which bound the coefficients of its products."""
+    cs = poly.terms.values()
+    return max((c.numerator.bit_length() for c in cs), default=0) + sum(
+        c.denominator.bit_length() for c in cs if c.denominator > 1)
 
 
 class _Parser:
@@ -113,18 +136,18 @@ class _Parser:
             factor = self.parse_factor(exps)
             if isinstance(factor, MultiPoly):
                 poly = factor if poly is None else self.multiply(poly, factor)
-            else:
-                coeff *= factor
+            elif factor != 1:
+                coeff = _check_coeff(coeff * factor)
             if not self.accept("*"):
                 break
         _check_size("degree", MAX_DEGREE, sum(exps))
         if poly is None:
             exps = tuple(exps)
-            terms[exps] = terms.get(exps, 0) + coeff
+            terms[exps] = _check_coeff(terms.get(exps, 0) + coeff)
             return
         poly = self.multiply(poly, MultiPoly(self.nvars, {tuple(exps): coeff}))
         for e, c in poly.terms.items():
-            terms[e] = terms.get(e, 0) + c
+            terms[e] = _check_coeff(terms.get(e, 0) + c)
 
     def parse_factor(self, exps):
         """The next factor with its exponent: a number, a MultiPoly, or,
@@ -139,7 +162,11 @@ class _Parser:
                 number = Fraction(value) if "/" in value else int(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad number: {exc}", pos) from None
-            return number ** self.parse_exponent()
+            k = self.parse_exponent()
+            if k > 1:  # number ** k has at least k * (bits - 1) bits
+                _check_size("coefficient bits", MAX_COEFF_BITS,
+                            k * (_bits(number) - 1))
+            return number ** k
         if kind == "name":
             self.i += 1
             try:
@@ -178,10 +205,12 @@ class _Parser:
         return int(digits)
 
     def multiply(self, a, b):
-        """a * b, after checking the degree and the number of term
-        products against the size limits."""
+        """a * b, after checking the degree, the number of term products
+        and the coefficient sizes against the size limits; a product's
+        own coefficients are checked where they are used."""
         _check_size("degree", MAX_DEGREE, a.degree() + b.degree())
         _check_size("term products", MAX_TERMS, len(a.terms) * len(b.terms))
+        _check_size("coefficient bits", MAX_COEFF_BITS, _size(a) + _size(b))
         return a * b
 
     def power(self, base, k):

@@ -332,7 +332,7 @@ def pair_specs_from_json(doc: dict):
             else:
                 raise ConfigError(f"unknown pair kind {kind!r}")
         return specs, p
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed pair-spec document: {exc}") from exc
 
 

@@ -141,6 +141,23 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "resource guard" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("expr", [
+        "x^2 + 3^10000", "(3^5000*x + 1)^2", "9" * 100 + "^100000*x",
+    ])
+    def test_oversized_coefficient_exit_5(
+            self, pairs_file, capsys, expr, as_json):
+        # a coefficient past Python's int-to-string digit limit, or one
+        # that takes seconds to build, is refused while parsing
+        start = time.perf_counter()
+        code = main([
+            "certify", "--vars", "x,y", "--pairs", pairs_file(GAUSS2), expr,
+        ] + ["--json"] * as_json)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "coefficient bits limit exceeded" in err
+
     @pytest.mark.parametrize("expr,expected", [
         ("x^30+x+2", EXIT_OK),
         ("x^26+2*x+1", EXIT_RESIDUE_EXCLUDED),  # 2 is a root mod 3
@@ -375,6 +392,20 @@ class TestFactorOracle:
         code = main(["factor-oracle", "--vars", "x,y,z", "x*y*z"])
         assert code == EXIT_GUARD
 
+    def test_divisor_trials_guarded(self, capsys):
+        # the rational-root pass would trial-divide 3^40 up to 3^20
+        start = time.perf_counter()
+        code = main(["factor-oracle", "--vars", "x", "x^2 + 3^40"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        assert "divisor trials limit exceeded" in capsys.readouterr().err
+
+    def test_zero_exit_4(self, capsys):
+        code = main(["factor-oracle", "--vars", "x", "0"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "f must be nonzero" in err and "Traceback" not in err
+
 
 class TestSuggest:
     def test_suggestions_include_slope(self, capsys):
@@ -426,6 +457,15 @@ class TestArgumentValidation:
             assert code == EXIT_INPUT_ERROR, pair
             err = capsys.readouterr().err
             assert "malformed pair-spec document: " + named in err
+        # a zero denominator is malformed too, not a ZeroDivisionError
+        for pair in [
+            {"kind": "rational_center", "center": "1/0", "delta": "0"},
+            {"kind": "rational_center", "center": "0", "delta": "1/0"},
+        ]:
+            path = pairs_file({"prime": 3, "pairs": [pair]})
+            code = main(["certify", "--vars", "x", "--pairs", path, "x^2+4"])
+            assert code == EXIT_INPUT_ERROR, pair
+            assert "malformed pair-spec document" in capsys.readouterr().err
 
     def test_string_phi_exit_4(self, pairs_file, capsys):
         # "101" would be read as phi = x^2 + 1, which certifies x^2 + 4

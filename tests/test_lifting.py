@@ -1,5 +1,6 @@
 """Lifting verification, certificates, generation, and suggestions."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -404,6 +405,69 @@ class TestDeskScaleSoundness:
                     assert brute_factor(f).irreducible, (f, config.specs)
                     certified.add((p, kind))
         assert len(certified) == 8
+
+    def test_certified_bivariate_is_oracle_irreducible(self):
+        # n = 2: seeded liftings of random monic T, their noise variants
+        # and mutants; a Certified verdict must meet an oracle that finds
+        # no factor.  A few such inputs with two-digit coefficients need
+        # more than the oracle's default 10^6 divisor tuples.
+        rng = random.Random(20261019)
+        certified = set()
+        for p in (2, 3, 5, 7):
+            for kind, f, config in _bivariate_desk_cases(rng, p, 12):
+                if certify_irreducible(f, config).certified:
+                    assert brute_factor(f, 10 ** 7).irreducible, (
+                        f, config.specs)
+                    certified.add((p, kind))
+        assert len(certified) == 8
+
+
+INERT_PHI = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1), 7: (1, 0, 1)}
+
+
+def _bivariate_desk_cases(rng, p, per_kind):
+    """(kind, f, config) triples in two variables, of degree <= 2 in
+    each: a ramified rational centre c in {0, 1} with delta = 1/2, or an
+    inert phi (irreducible mod p) with delta = 1, beside a Gauss pair at
+    0 or 1.  Each random monic T yields its lifting, a noise variant of
+    it, and the lifting plus one random monomial.  The oracle's Kronecker
+    search grows steeply with the degrees and with the coefficients,
+    which the pair deltas scale by powers of p, so both stay small."""
+    for kind in ("ramified", "inert"):
+        made = 0
+        while made < per_kind:
+            if kind == "inert":
+                first = Inert(INERT_PHI[p], Fraction(1))
+            else:
+                first = RationalCenter(Fraction(rng.choice([0, 1])),
+                                       Fraction(1, 2))
+            config = PairConfig([first, RationalCenter(
+                Fraction(rng.choice([0, 1])), Fraction(0))], p)
+            T = _random_monic(rng, config.field, (1, rng.randint(1, 2)))
+            try:
+                f = generate_lifting(T, config)
+                noisy = generate_lifting(T, config, rng.randint(1, 99))
+            except GenerationError:
+                continue  # T puts the inert generator on a top coefficient
+            exps = tuple(rng.randint(0, f.degree_in(i)) for i in range(2))
+            mutant = f + MultiPoly(2, {
+                exps: rng.choice([-1, 1]) * rng.choice([1, p])})
+            for g in (f, noisy, mutant):
+                if not g.is_zero:
+                    yield kind, g, config
+            made += 1
+
+
+def _random_monic(rng, field, t):
+    """A random T of degree t_i in Z_i with coefficient 1 at Z^t."""
+    gens = field.nyvars
+    terms = {t: field.one}
+    for exps in itertools.product(range(t[0] + 1), range(t[1] + 1)):
+        if exps != t and rng.random() < 0.6:
+            terms[exps] = field.element({
+                y: rng.randrange(field.p)
+                for y in itertools.product(range(2), repeat=gens)})
+    return ResiduePoly(field, 2, terms)
 
 
 class TestMonotoneDiagnosis:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from liftcert import MultiPoly, ParseError, parse_polynomial
 from liftcert.errors import ResourceLimitExceeded
-from liftcert.parse import MAX_DEGREE, MAX_NESTING
+from liftcert.parse import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING
 
 from conftest import random_poly
 
@@ -200,6 +200,10 @@ def test_parser_matches_reference_evaluator(expr):
 @pytest.mark.parametrize("text", [
     "2^1000000000000", "x^1000000000000 + 1", "x^60000*y^60000",
     "(x^60000 + 1)*(x^60000 + 1)", "(x+y+1)^100000",
+    # coefficients: a power, a product, a sum, and two multiplications
+    "x^2 + 3^10000", "(3^5000*x + 1)^2", "9" * 100 + "^100000*x",
+    "3^7000*3^7000*x", "1/2^7000*x + 1/3^7000*x",
+    "(3^7000*x + 1)*(2^7000*x + 1)", "(1/3^7000*x + 1/5^4000)*(x + 1)",
 ])
 def test_size_guard(text):
     with pytest.raises(ResourceLimitExceeded):
@@ -207,6 +211,9 @@ def test_size_guard(text):
 
 
 def test_size_guard_admits():
+    assert parse_polynomial("x^2 + 3^2000", ["x"]).coeff((0,)) == 3 ** 2000
+    widest = parse_polynomial("1^100000*x + 2^13999", ["x"]).coeff((0,))
+    assert widest.numerator.bit_length() == MAX_COEFF_BITS
     assert len(parse_polynomial("x^50000 + 3", ["x"]).terms) == 2
     assert len(parse_polynomial(f"x^{MAX_DEGREE}", ["x"]).terms) == 1
     assert len(parse_polynomial("(x+y+1)^40", NAMES).terms) == 861

@@ -197,8 +197,8 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
 class LiftingCertificate:
     """Full audit record of the lifting checks and the final verdict.
 
-    It holds what certify compared, not text: to_json_dict prints the
-    input, the pairs and the per-variable table when asked."""
+    It keeps f, the configuration and the names unprinted: to_json_dict
+    prints the input, the pairs and the per-variable table."""
 
     f: MultiPoly
     config: PairConfig

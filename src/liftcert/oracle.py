@@ -7,6 +7,15 @@ the univariate polynomial is factored by the classical evaluation /
 divisor-tuple / interpolation search; factor combinations are mapped
 back through the substitution and verified by exact division.
 
+The univariate search uses the standard Kronecker heuristics.  Rational
+roots a/b are found first, by the integer test b^d * u(a/b) = 0.  A
+degree-r factor is then sought on the r+1 points, out of a window of
+r+1+WINDOW_EXTRA, whose values have the fewest divisors, which keeps the
+divisor tuples few.  Each factorization lists the divisors of a value
+once, in a dict that lives for that call only.  Every candidate is
+checked by exact division, and two guards bound the work: divisor
+trials per value and divisor-tuple nodes per factorization.
+
 Exponential but exact, and deliberately independent of every
 valuation-theoretic code path in this package: this is the oracle the
 certificates are cross-checked against, at desk scale only.
@@ -23,6 +32,7 @@ from .errors import ResourceLimitExceeded
 from .multipoly import MultiPoly, grlex_key
 
 DEFAULT_GUARD = 10 ** 6
+WINDOW_EXTRA = 6  # points evaluated beyond the r+1 a degree-r search needs
 MAX_VARS = 2
 MAX_TOTAL_DEGREE = 8
 
@@ -65,7 +75,7 @@ def brute_factor(f: MultiPoly, guard: int = DEFAULT_GUARD) -> FactorizationResul
         return FactorizationResult(scalar * primitive.constant_value(), [])
 
     raw = _factor_primitive(primitive, guard)
-    raw.sort(key=lambda g: (g.degree(), sorted(g.terms, key=grlex_key)))
+    raw.sort(key=_factor_key)
     grouped = []
     for g in raw:
         if grouped and grouped[-1][0] == g:
@@ -75,6 +85,14 @@ def brute_factor(f: MultiPoly, guard: int = DEFAULT_GUARD) -> FactorizationResul
     result = FactorizationResult(scalar, [(g, m) for g, m in grouped])
     assert result.reconstruct(f.nvars) == f
     return result
+
+
+def _factor_key(g):
+    """Degree, exponents in graded-lex order, then their coefficients: a
+    total order, so the output does not depend on the search order and
+    equal factors sit side by side."""
+    exps = sorted(g.terms, key=grlex_key)
+    return g.degree(), exps, [g.terms[e] for e in exps]
 
 
 # ---------------------------------------------------------------------
@@ -214,6 +232,16 @@ def _int_eval(a, x):
     return v
 
 
+def _int_eval_homogeneous(a, num, den):
+    """den^deg(a) * a(num/den), on integers."""
+    v = 0
+    scale = 1
+    for c in reversed(a):
+        v = v * num + c * scale
+        scale *= den
+    return v
+
+
 def _int_content(a):
     return math.gcd(*a) or 1
 
@@ -249,10 +277,13 @@ def _int_exact_divide(a, b):
     return _int_normalize(q)
 
 
-def _divisors(n, guard):
+def _divisors(n, guard, memo):
     """Positive divisors of n, ascending, by trial division up to
-    isqrt(|n|), which must not exceed guard."""
+    isqrt(|n|), which must not exceed guard.  memo maps |n| to its list
+    for the duration of one univariate factorization."""
     n = abs(n)
+    if n in memo:
+        return memo[n]
     trials = math.isqrt(n)
     if trials > guard:
         raise ResourceLimitExceeded("divisor trials", guard, trials)
@@ -262,7 +293,8 @@ def _divisors(n, guard):
             small.append(d)
             if d != n // d:
                 large.append(n // d)
-    return small + large[::-1]
+    memo[n] = small + large[::-1]
+    return memo[n]
 
 
 def _eval_points():
@@ -279,6 +311,7 @@ def _factor_univariate_int(u, guard: int):
     positive leading coefficient into primitive irreducibles."""
     u = _int_primitive(u)
     factors = []
+    memo = {}  # |n| -> divisors, shared by every search below
 
     # monomial part
     while len(u) > 1 and u[0] == 0:
@@ -289,12 +322,12 @@ def _factor_univariate_int(u, guard: int):
     changed = True
     while changed and len(u) > 2:
         changed = False
-        for b in _divisors(u[-1], guard):
-            for a0 in _divisors(u[0], guard):
+        for b in _divisors(u[-1], guard, memo):
+            for a0 in _divisors(u[0], guard, memo):
                 for a in (a0, -a0):
                     if math.gcd(a, b) != 1:
                         continue
-                    if _int_eval(u, Fraction(a, b)) == 0:
+                    if _int_eval_homogeneous(u, a, b) == 0:
                         lin = _int_primitive([-a, b])
                         quotient = _int_exact_divide(u, lin)
                         assert quotient is not None
@@ -320,7 +353,7 @@ def _factor_univariate_int(u, guard: int):
         d = len(u) - 1
         found = None
         for r in range(2, d // 2 + 1):
-            found = _has_degree_factor(u, r, guard, nodes)
+            found = _has_degree_factor(u, r, guard, nodes, memo)
             if found:
                 break
         if not found:
@@ -332,27 +365,47 @@ def _factor_univariate_int(u, guard: int):
     return factors
 
 
-def _has_degree_factor(u, r, guard, nodes):
+def _has_degree_factor(u, r, guard, nodes, memo):
     """First primitive degree-r factor of u in canonical search order,
-    or None.  Newton divided differences prune the divisor tuples."""
-    pts = []
-    vals = []
+    or None.
+
+    A factor g takes at each point m a divisor of u(m), so the search
+    interpolates g through one divisor tuple of r+1 values.  It searches
+    on the r+1 points of the window (the first r+1+WINDOW_EXTRA nonzero
+    values of u) whose values have the fewest divisors, ties going to
+    the earlier point; a value too large to list its divisors within the
+    guard is left out of the ranking, and with fewer than r+1 points
+    left the search takes the first r+1 of the window.  Newton divided
+    differences prune the tuples: for an integer g they are integers at
+    any distinct integer points."""
+    window = []
     for m in _eval_points():
         v = _int_eval(u, m)
         if v == 0:
             continue  # roots were extracted already; be safe anyway
-        pts.append(m)
-        vals.append(v)
-        if len(pts) == r + 1:
+        window.append((m, v))
+        if len(window) == r + 1 + WINDOW_EXTRA:
             break
-
+    ranked = sorted(
+        (len(_divisors(v, guard, memo)), pos)
+        for pos, (_, v) in enumerate(window)
+        if math.isqrt(abs(v)) <= guard
+    )
+    if len(ranked) >= r + 1:
+        chosen = [window[pos] for _, pos in ranked[:r + 1]]
+    else:
+        chosen = window[:r + 1]
+    pts = [m for m, _ in chosen]
+    signed = [None] * (r + 1)  # listed when the search first reaches j
     columns = []  # columns[j] = divided differences ending at point j
 
     def candidates(j):
-        base = _divisors(vals[j], guard)
-        if j == 0:
-            return base  # fix the sign at the first point
-        return [s * d for d in base for s in (1, -1)]
+        if signed[j] is None:
+            base = _divisors(chosen[j][1], guard, memo)
+            # fix the sign at the first point
+            signed[j] = base if j == 0 else [
+                s * d for d in base for s in (1, -1)]
+        return signed[j]
 
     def rec(j):
         if j == r + 1:

@@ -1,6 +1,7 @@
 """The brute-force factorization oracle over the rationals."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,13 @@ class TestExamples:
     def test_primitive_factor_demap(self):
         result = brute_factor(P("(x + y)*(x*y + 2)"))
         assert _factor_strs(result) == ["x + y", "x*y + 2"]
+
+    def test_factor_order_is_canonical(self):
+        # factors of one degree and support are ordered by coefficients,
+        # not by the order the search happens to find them in
+        result = brute_factor(P("(x + 2)*(3*x - 4)*(x^2 + 1)", ("x",)))
+        assert [g.to_str(["x"]) for g, _ in result.factors] == [
+            "3*x - 4", "x + 2", "x^2 + 1"]
 
     def test_eisenstein_is_irreducible(self):
         assert brute_factor(P("x^5 + 2", ("x",))).irreducible
@@ -120,3 +128,21 @@ class TestGuards:
         # a tiny candidate budget trips on the degree-2 factor search
         with pytest.raises(ResourceLimitExceeded):
             brute_factor(P("x^4 + 3*x^2 + 2", ("x",)), guard=2)
+
+    def test_point_choice_decides_within_default_guard(self):
+        # interpolating at 0, 1, -1, ... takes more than 10^6 divisor
+        # tuples here; the points whose values have the fewest divisors
+        # decide it quickly
+        start = time.perf_counter()
+        result = brute_factor(P(
+            "x^2*y^2 - 2*x^2*y + x^2 + 43*y^2 + 7*x - 86*y + 78"))
+        assert time.perf_counter() - start < 2
+        assert result.irreducible
+
+    def test_point_choice_skips_values_past_the_guard(self):
+        # some window values need more than 10^6 divisor trials; ranking
+        # them would trip the guard on an input it otherwise decides
+        assert brute_factor(P(
+            "x^3*y^3 + 2*x^3*y^2 - 2*x^2*y^3 - 6*x^2*y^2 + 4*x*y^3"
+            " + 12*x^2*y + 7*x*y^2 - 2*y^3 + 2*x^2 - 4*x*y + 4*x + 2*y - 1"
+        )).irreducible

@@ -32,7 +32,7 @@ from .lifting import (
 )
 from .multipoly import grlex_key
 from .oracle import brute_factor
-from .parse import ParseError, parse_polynomial
+from .parse import ParseError, check_coeffs, parse_polynomial
 from .valuation import PairConfig, load_pair_specs, pair_specs_to_json
 
 EXIT_OK = 0
@@ -151,6 +151,8 @@ def _cmd_expand(args):
     config = _config(args, names)
     f = parse_polynomial(args.expr, names)
     table = config.expansion_table(f)
+    for digit, _ in table.values():
+        check_coeffs(digit)
     if args.as_json:
         doc = [
             {
@@ -216,7 +218,7 @@ def _cmd_generate(args):
         doc = json.load(fh)
     residue = residue_from_json(doc, config)
     f = generate_lifting(residue, config, args.seed)
-    print(f.to_str(names))
+    print(check_coeffs(f).to_str(names))
     return EXIT_OK
 
 

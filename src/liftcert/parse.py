@@ -83,6 +83,16 @@ def _check_coeff(c):
     return c
 
 
+def check_coeffs(poly):
+    """Return poly after checking each coefficient against MAX_COEFF_BITS
+    (ResourceLimitExceeded above it), so that it prints within the
+    int-to-string limit; for polynomials the parser never saw, such as
+    recentred digits and generated liftings."""
+    for c in poly.terms.values():
+        _check_coeff(c)
+    return poly
+
+
 def _size(poly):
     """Bits of poly's largest numerator and of its denominators above 1,
     which bound the coefficients of its products."""

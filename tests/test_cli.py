@@ -209,6 +209,22 @@ class TestExpand:
         doc = json.loads(capsys.readouterr().out)
         assert {"index": [0], "digit": "2", "content": "1"} in doc
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_oversized_coefficient_exit_5(self, pairs_file, capsys, as_json):
+        # recentring at 1/1000 gives digits with denominators 1000^k,
+        # past Python's int-to-string digit limit from k = 1,405
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "1/1000", "delta": "0"}]})
+        start = time.perf_counter()
+        code = main(["expand", "--vars", "x", "--pairs", pairs, "x^1500"]
+                    + ["--json"] * as_json)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coefficient bits limit exceeded" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestValue:
     def test_text(self, pairs_file, capsys):
@@ -334,6 +350,26 @@ class TestGenerate:
             "certify", "--vars", "x,y", "--pairs", pairs, generated,
         ])
         assert code == EXIT_OK
+
+    def test_oversized_coefficient_exit_5(self, pairs_file, tmp_path,
+                                          capsys):
+        # the lifting of Z^40 at the centre 2^-400 has a coefficient with
+        # denominator 2^16000, past Python's int-to-string digit limit
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": f"1/{2 ** 400}",
+             "delta": "0"}]})
+        tfile = tmp_path / "T.json"
+        tfile.write_text(json.dumps({
+            "p": 3, "coeffs": [{"exp": [40], "c": "1"}],
+        }))
+        start = time.perf_counter()
+        code = main(["generate", "--vars", "x", "--pairs", pairs, str(tfile)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coefficient bits limit exceeded" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unliftable_exit_4(self, pairs_file, tmp_path, capsys):
         pairs = pairs_file(GAUSS2)

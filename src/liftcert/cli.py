@@ -27,7 +27,7 @@ from .lifting import (
     check_lifting,
     generate_lifting,
     residue_from_json,
-    residue_to_json,
+    residue_json,
     suggest_pairs,
 )
 from .multipoly import grlex_key
@@ -205,7 +205,7 @@ def _cmd_residue(args):
         print(f"not a lifting: {report.reason}", file=sys.stderr)
         return EXIT_NOT_A_LIFTING
     if args.as_json:
-        print(json.dumps(residue_to_json(report.residue), indent=2))
+        print(residue_json(report.residue))
     else:
         print(report.residue.to_str())
     return EXIT_OK

@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import ConfigError, LiftcertError
+from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import check_prime, vp
 from .finitefield import ResiduePoly, is_irreducible_multivariate
 from .multipoly import MultiPoly, grlex_key
+from .parse import MAX_COEFF_BITS
 from .valuation import (
     PairConfig,
     RationalCenter,
@@ -52,14 +55,6 @@ class CheckResult:
     lhs: str
     rhs: str
     passed: bool
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-        }
 
 
 @dataclass
@@ -197,7 +192,7 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
 class LiftingCertificate:
     """Full audit record of the lifting checks and the final verdict.
 
-    It keeps f, the configuration and the names unprinted: to_json_dict
+    It keeps f, the configuration and the names unprinted: to_json
     prints the input, the pairs and the per-variable table."""
 
     f: MultiPoly
@@ -209,44 +204,88 @@ class LiftingCertificate:
     verdict: str
     reason: str = None
     version: str = __version__
+    residue_text: str = None  # residue.to_str(), when certify printed it
 
     @property
     def certified(self):
         return self.verdict == VERDICT_CERTIFIED
 
     def to_json_dict(self):
-        config, names = self.config, self.names
-        doc = {
-            "input": self.f.to_str(names),
-            "prime": config.p,
-            "pairs": pair_specs_to_json(config.specs, config.p)["pairs"],
-            "variables": [
-                {
-                    "variable": names[i] if names else f"x{i + 1}",
-                    "phi": MultiPoly.from_univariate(
-                        config.nvars, i, pair.phi).to_str(names),
-                    "m": pair.m,
-                    "lambda": str(pair.lam),
-                    "e": pair.e,
-                    "N": pair.N,
-                    "h": str(pair.h_of(config.p)),
-                }
-                for i, pair in enumerate(config.pairs)
-            ],
-            "t": list(self.t) if self.t is not None else None,
-            "T": residue_to_json(self.residue)
-            if self.residue is not None
-            else None,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "verdict": self.verdict,
-        }
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        doc["version"] = self.version
-        return doc
+        """The certificate document, read back from to_json."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return _json_text(self.to_json_dict(), "\n")
+        """The certificate as json.dumps(indent=2) prints it, written in
+        one pass.  The "prime", "pairs" and "variables" members depend
+        only on the configuration and the names: their text is kept on
+        the configuration for the names last rendered.  The check rows
+        and T's coefficient rows are filled into fixed templates, and
+        T's text is the one certify printed for the residue checks."""
+        config, names = self.config, self.names
+        header = config.rendered_header
+        if header is None or header[0] != names:
+            header = names, _header_text(config, names)
+            config.rendered_header = header
+        encode = encode_basestring_ascii
+        residue = self.residue
+        t_json = "null" if residue is None else residue_json(
+            residue, self.residue_text, "\n  ")
+        checks = ",\n    ".join([
+            _CHECK_ROW % (encode(c.name), encode(c.lhs), encode(c.rhs),
+                          "true" if c.passed else "false")
+            for c in self.checks
+        ])
+        reason = self.reason
+        return "".join([
+            '{\n  "input": ', encode(self.f.to_str(names)), ",", header[1],
+            ',\n  "t": ',
+            "null" if self.t is None else _int_list(self.t, "\n  "),
+            ',\n  "T": ', t_json,
+            ',\n  "checks": ',
+            "[\n    " + checks + "\n  ]" if checks else "[]",
+            ',\n  "verdict": ', encode(self.verdict),
+            "" if reason is None else ',\n  "reason": ' + encode(reason),
+            ',\n  "version": ', encode(self.version), "\n}",
+        ])
+
+
+_CHECK_ROW = """{
+      "name": %s,
+      "lhs": %s,
+      "rhs": %s,
+      "pass": %s
+    }"""
+
+
+def _header_text(config, names):
+    """The "prime", "pairs" and "variables" members of a certificate,
+    each after a newline and two spaces, separated by commas."""
+    members = {
+        "prime": config.p,
+        "pairs": pair_specs_to_json(config.specs, config.p)["pairs"],
+        "variables": [
+            {
+                "variable": names[i] if names else f"x{i + 1}",
+                "phi": MultiPoly.from_univariate(
+                    config.nvars, i, pair.phi).to_str(names),
+                "m": pair.m,
+                "lambda": str(pair.lam),
+                "e": pair.e,
+                "N": pair.N,
+                "h": str(pair.h_of(config.p)),
+            }
+            for i, pair in enumerate(config.pairs)
+        ],
+    }
+    return _json_text(members, "\n")[1:-2]
+
+
+def _int_list(values, newline):
+    """json.dumps(list(values), indent=2) for ints, nested at newline."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
 
 
 def _json_text(value, newline):
@@ -286,7 +325,7 @@ def certify_irreducible(
     of the residue within config.limit; a Certified verdict means f is
     irreducible over the p-adics and hence over the rationals."""
     report = check_lifting(f, config)
-    verdict, reason = VERDICT_CERTIFIED, None
+    verdict, reason, text = VERDICT_CERTIFIED, None, None
     if not report.ok:
         monic = report.failed.name == "residue_monic"
         verdict = VERDICT_RESIDUE_NOT_MONIC if monic else VERDICT_NOT_A_LIFTING
@@ -316,6 +355,7 @@ def certify_irreducible(
     return LiftingCertificate(
         f, config, None if names is None else tuple(names),
         report.t, report.residue, report.checks, verdict, reason,
+        residue_text=text,
     )
 
 
@@ -371,6 +411,10 @@ def generate_lifting(
                 )
 
     p = config.p
+    powers = {exps: sum(pair.N * (ti - ji)
+                        for pair, ti, ji in zip(config.pairs, t, exps))
+              for exps in T.terms}
+    _check_lifting_bits(config, powers)
     phis = [
         MultiPoly.from_univariate(n, i, pair.phi)
         for i, pair in enumerate(config.pairs)
@@ -378,10 +422,7 @@ def generate_lifting(
     f = MultiPoly.zero(n)
     for exps, c in T.terms.items():
         coeff_poly = _lift_element(c, config)
-        s = sum(
-            pair.N * (ti - ji)
-            for pair, ti, ji in zip(config.pairs, t, exps)
-        )
+        s = powers[exps]
         term = coeff_poly.scale(Fraction(p) ** s)
         for i, ji in enumerate(exps):
             if ji:
@@ -417,6 +458,41 @@ def generate_lifting(
             return g
         level += 1
     raise LiftcertError("could not place noise terms above the lifting level")
+
+
+def _check_lifting_bits(config: PairConfig, powers):
+    """Raise ResourceLimitExceeded, before any phi power is formed, when
+    a term p^s * prod_i phi_i^(e_i j_i) of the lifting has an estimated
+    coefficient above MAX_COEFF_BITS bits; powers maps each exponent
+    vector j of T to its s.  For phi = x - u/v, phi^k's denominators
+    reach v^k, and its numerators sum to (|u| + 1)^k over k + 1
+    coefficients, so the largest has at least k*log2(|u| + 1) -
+    log2(k + 1) bits: the binomial growth.  An inert phi's coefficients
+    sum in absolute value to at least H^k over k*m + 1 of them, with H
+    the larger of |phi(1)| and |phi(-1)|.  The estimate is the larger
+    of the numerator's bits, s*log2(p) plus each variable's growth, and
+    the denominator's."""
+    growth = []  # per variable: (numerator bits, denominator bits) per unit of k
+    for pair in config.pairs:
+        if pair.y_index is None:
+            center = pair.spec.center
+            growth.append((math.log2(abs(center.numerator) + 1),
+                           math.log2(center.denominator)))
+        else:
+            height = max(abs(sum(pair.phi)),
+                         abs(sum(c * (-1) ** j for j, c in enumerate(pair.phi))))
+            growth.append((math.log2(height), 0.0))
+    log_p = math.log2(config.p)
+    for exps, s in powers.items():
+        num, den = s * log_p, 0.0
+        for (num_rate, den_rate), pair, j in zip(growth, config.pairs, exps):
+            k = pair.e * j
+            num += max(0.0, k * num_rate - math.log2(k * pair.m + 1))
+            den += k * den_rate
+        needed = math.ceil(max(num, den))
+        if needed > MAX_COEFF_BITS:
+            raise ResourceLimitExceeded(
+                "estimated lifting coefficient bits", MAX_COEFF_BITS, needed)
 
 
 def _lift_element(c, config: PairConfig):
@@ -493,13 +569,27 @@ def _newton_slopes(u: MultiPoly, i: int, p: int):
 # residue polynomial serialization (wire format)
 
 
+def residue_json(T: ResiduePoly, text=None, newline="\n") -> str:
+    """T's wire document as json.dumps(indent=2) prints it, nested at
+    newline: the prime, one row per term in descending graded-lex order,
+    and text, T's printed form (T.to_str() when None)."""
+    encode = encode_basestring_ascii
+    i1, i2, i3 = newline + "  ", newline + "    ", newline + "      "
+    rows = ",".join([
+        i2 + "{" + i3 + '"exp": ' + _int_list(exps, i3) + ","
+        + i3 + '"c": ' + encode(T.terms[exps].to_str()) + i2 + "}"
+        for exps in sorted(T.terms, key=grlex_key, reverse=True)
+    ])
+    return "".join([
+        "{", i1, '"p": ', str(T.field.p), ",",
+        i1, '"coeffs": ', "[" + rows + i1 + "]" if rows else "[]", ",",
+        i1, '"text": ', encode(T.to_str() if text is None else text),
+        newline, "}",
+    ])
+
+
 def residue_to_json(T: ResiduePoly) -> dict:
-    coeffs = []
-    for exps in sorted(T.terms, key=grlex_key, reverse=True):
-        coeffs.append(
-            {"exp": list(exps), "c": T.terms[exps].to_str()}
-        )
-    return {"p": T.field.p, "coeffs": coeffs, "text": T.to_str()}
+    return json.loads(residue_json(T))
 
 
 def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:

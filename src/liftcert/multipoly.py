@@ -6,10 +6,11 @@ provides the canonical phi-adic expansion
 
     f = sum_I  a_I * phi_1^{i_1} * ... * phi_n^{i_n}
 
-with deg_{x_j}(a_I) < deg(phi_j): the digits in x_j come from
-repeatedly dividing the coefficient list in x_j by phi_j's scalar
-coefficients.  Also the Gauss content valuation min_coeff vp(c), an
-int, or None for the zero polynomial.
+with deg_{x_j}(a_I) < deg(phi_j): for phi_j = x_j the digit index i_j
+is the exponent of x_j, read off each term in one pass; otherwise the
+digits in x_j come from repeatedly dividing the coefficient list in x_j
+by phi_j's scalar coefficients.  Also the Gauss content valuation
+min_coeff vp(c), an int, or None for the zero polynomial.
 """
 
 from __future__ import annotations
@@ -273,6 +274,16 @@ def _digits(terms, i: int, phi):
     return digits
 
 
+def _exponent_digits(terms, i: int):
+    """The phi-adic digits in x_i of {exps: coeff} for phi = x: each
+    term goes to the digit indexed by its exponent of x_i, which is set
+    to 0 in the digit.  A map from index to digit, nonzero digits only."""
+    digits = {}
+    for exps, c in terms.items():
+        digits.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
+    return digits
+
+
 def phi_expand(f: MultiPoly, phis) -> PhiExpansion:
     """Expand f in base (phi_1, ..., phi_n), one variable at a time.
 
@@ -289,8 +300,13 @@ def phi_expand(f: MultiPoly, phis) -> PhiExpansion:
     def expand(terms, var: int):
         if var == n:
             return {(): MultiPoly(n, terms)}
+        phi = phis[var]
+        if list(phi) == [0, 1]:
+            digits = _exponent_digits(terms, var).items()
+        else:
+            digits = enumerate(_digits(terms, var, phi))
         result = {}
-        for k, digit in enumerate(_digits(terms, var, phis[var])):
+        for k, digit in digits:
             if digit:
                 for idx, a in expand(digit, var + 1).items():
                     result[(k,) + idx] = a

@@ -10,7 +10,10 @@ integers, irreducible mod p) with delta > 0.  From each pair we derive:
     so the normalizer h_i is the constant p^{N_i}.
 
 The valuation of a polynomial f is computed from its phi-adic expansion,
-taken after a Taylor shift to each rational center (so phi = x there):
+taken after a Taylor shift to each rational center.  There phi = x, so a
+rational-center variable's digit index is just the exponent, read off
+each term in one pass; only inert variables are expanded by division by
+their phi, whose work is guarded by the configuration's limit:
 
     w(f) = min_I ( v(a_I at the centers) + sum_j i_j * lambda_j )
 
@@ -28,7 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, LiftcertError
+from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
+from .exactnum import vp
 from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 
@@ -147,6 +151,9 @@ class PairConfig:
         self.steps = [pair.N * (self.scale // pair.e) for pair in pairs]
         # checks that p is prime and that each inert phi is irreducible mod p
         self.field = ResidueField(p, inert_gens, limit)
+        # (names, text) of the certificate header last rendered for this
+        # configuration; LiftingCertificate.to_json fills it
+        self.rendered_header = None
 
     @property
     def nvars(self) -> int:
@@ -165,24 +172,51 @@ class PairConfig:
         """Map from expansion index I to (digit a_I, the int content
         valuation of a_I).
 
-        Rational-center variables are recentred first and expanded with
-        phi = x, so the digit's degree-0 part in those variables is the
-        evaluation at the center; inert variables keep their phi.
+        Rational-center variables are recentred first, after which
+        phi = x: their digit index is the exponent, so the digit's
+        degree-0 part in those variables is the evaluation at the
+        center.  With no inert variable every term is its own digit;
+        otherwise phi_expand divides by each inert phi, after a guard on
+        that division's work (ResourceLimitExceeded above self.limit).
         """
         self._check_arity(f)
         g = f
         phis = []
         for j, pair in enumerate(self.pairs):
-            if isinstance(pair.spec, RationalCenter):
+            if pair.y_index is None:
                 g = g.shift(j, pair.spec.center)
-                phis.append([Fraction(0), Fraction(1)])
+                phis.append((0, 1))
             else:
-                phis.append(list(pair.phi))
+                phis.append(pair.phi)
+        p, n = self.p, self.nvars
+        if not self.field.nyvars:  # no inert pair: every phi is x
+            zero = (0,) * n
+            return {exps: (MultiPoly(n, {zero: c}), vp(c, p))
+                    for exps, c in g.terms.items()}
+        self._check_division_work(g)
         expansion = phi_expand(g, phis)
         return {
-            idx: (a, content_valuation(a, self.p))
+            idx: (a, content_valuation(a, p))
             for idx, a in expansion.terms.items()
         }
+
+    def _check_division_work(self, g: MultiPoly):
+        """Raise ResourceLimitExceeded when dividing a coefficient list of
+        g by the inert phis takes more than self.limit row operations.  A
+        list of L = deg_{x_j} g + 1 entries gives a digit per m_j
+        entries, and each digit's division by phi_j takes L - m_j * k
+        steps (k = 1 .. L // m_j), each updating one row per nonzero
+        lower coefficient of phi_j: quadratic in the degree."""
+        needed = 0
+        for j, pair in enumerate(self.pairs):
+            if pair.y_index is not None and g.terms:
+                length, m = g.degree_in(j) + 1, pair.m
+                q = length // m
+                steps = q * length - m * q * (q + 1) // 2
+                needed += steps * sum(1 for c in pair.phi[:m] if c)
+        if needed > self.limit:
+            raise ResourceLimitExceeded(
+                "phi-adic division work", self.limit, needed)
 
     def valuation(self, table):
         """One walk over an expansion table: w(f), the contributing

@@ -13,6 +13,9 @@ from liftcert.cli import (
     EXIT_RESIDUE_EXCLUDED,
     main,
 )
+from liftcert import lifting
+from liftcert.parse import parse_polynomial
+from liftcert.valuation import PairConfig, pair_specs_from_json
 
 GAUSS2 = {
     "prime": 3,
@@ -225,6 +228,20 @@ class TestExpand:
         assert "coefficient bits limit exceeded" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_inert_division_guard_exit_5(self, pairs_file, capsys):
+        # dividing x^4000 + 3 by x^2 + 1 takes 4,000,000 row operations,
+        # quadratic in the degree; the guard refuses it before it starts
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "inert", "phi": [1, 0, 1], "delta": "1"}]})
+        start = time.perf_counter()
+        code = main(["expand", "--vars", "x", "--pairs", pairs, "x^4000+3"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "phi-adic division work limit exceeded" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestValue:
     def test_text(self, pairs_file, capsys):
@@ -281,6 +298,26 @@ class TestResidue:
             {"exp": [1], "c": "1"},
             {"exp": [0], "c": "1"},
         ]
+
+    def test_json_uses_the_certificate_writer(self, pairs_file, capsys):
+        # the T member of a certificate and residue --json come from one
+        # writer, and print as json.dumps(indent=2) would
+        expr = "x^4*y^6 + 2*x^2*y^6 + y^6 + 9*x*y^3 + 54*x + 27"
+        code = main(["residue", "--json", "--vars", "x,y", "--pairs",
+                     pairs_file(INERT9), expr])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["text"] == "Z1*Z2^2 + y1*Z2 + (2*y1 + 1)"
+        assert doc["coeffs"][2] == {"exp": [0, 0], "c": "2*y1 + 1"}
+        main(["certify", "--json", "--vars", "x,y", "--pairs",
+              pairs_file(INERT9), expr])
+        assert json.loads(capsys.readouterr().out)["T"] == doc
+        config = PairConfig(*pair_specs_from_json(INERT9))
+        report = lifting.check_lifting(parse_polynomial(expr, ["x", "y"]),
+                                       config)
+        assert out == lifting.residue_json(report.residue) + "\n"
 
     def test_not_normalized_exit_2(self, pairs_file, capsys):
         code = main([
@@ -369,6 +406,26 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "coefficient bits limit exceeded" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_lifting_guard_before_phi_powers_exit_5(
+            self, pairs_file, tmp_path, capsys):
+        # (x - 1/1000)^1500 has the constant term 1000^-1500, of 14,949
+        # bits: refused before the power is formed
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "1/1000", "delta": "0"}]})
+        tfile = tmp_path / "T.json"
+        tfile.write_text(json.dumps({
+            "p": 3, "coeffs": [{"exp": [1500], "c": "1"}],
+        }))
+        start = time.perf_counter()
+        code = main(["generate", "--vars", "x", "--pairs", pairs, str(tfile)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("estimated lifting coefficient bits limit exceeded: "
+                "need 14949") in captured.err
         assert "Traceback" not in captured.err
 
     def test_unliftable_exit_4(self, pairs_file, tmp_path, capsys):

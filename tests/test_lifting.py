@@ -235,6 +235,96 @@ class TestCertify:
         assert table[0]["h"] == "3"  # p^(e*lambda)
 
 
+def _lifted(config, terms, seed=0):
+    """A lifting of the residue with the given {Z-exponents: int} terms."""
+    field = config.field
+    T = ResiduePoly(field, config.nvars,
+                    {e: field.from_int(c) for e, c in terms.items()})
+    return generate_lifting(T, config, seed)
+
+
+INERT_RC = PairConfig([Inert((1, 0, 1), Fraction(1, 2)),
+                       RationalCenter(Fraction(1, 2), Fraction(1, 3))], 3)
+SHIFTED = PairConfig([RationalCenter(Fraction(1), Fraction(1, 2)),
+                      RationalCenter(Fraction(-1, 2), Fraction(2, 3))], 5)
+
+
+class TestCertificateWriter:
+    # (label, config, f, names, verdict, failed condition)
+    CASES = [
+        ("certified", gauss_config(3, 2),
+         P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"), ["x", "y"],
+         VERDICT_CERTIFIED, None),
+        ("not-a-lifting-i", eisenstein_config(2, 2), P("2*x", ("x",)), None,
+         VERDICT_NOT_A_LIFTING, "i"),
+        ("not-a-lifting-ii", eisenstein_config(2, 2), P("x^2 + x", ("x",)),
+         ["x"], VERDICT_NOT_A_LIFTING, "ii"),
+        ("not-a-lifting-iii", rc_config(2, [Fraction(1, 2), Fraction(1, 2)]),
+         P("x^2*y^2 + 2*x*y + 4"), None, VERDICT_NOT_A_LIFTING, "iii"),
+        ("reducible", gauss_config(3, 2), P("x^2*y^2 - 1"), ["x", "y"],
+         VERDICT_RESIDUE_REDUCIBLE, None),
+        ("is-variable", eisenstein_config(2, 2), P("x^2 + 2*x + 4", ("x",)),
+         None, VERDICT_RESIDUE_IS_VARIABLE, None),
+        ("inert-ramified", INERT_RC,
+         _lifted(INERT_RC, {(1, 1): 1, (0, 0): 2}, seed=7), None,
+         VERDICT_CERTIFIED, None),
+        ("shifted-ramified", SHIFTED,
+         _lifted(SHIFTED, {(2, 1): 1, (1, 0): 3, (0, 0): 1}), ["u", "v"],
+         VERDICT_CERTIFIED, None),
+        ("escaped-names", gauss_config(3, 2),
+         P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"), ['x"1', "\u00e9\\y"],
+         VERDICT_CERTIFIED, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "config,f,names,verdict,condition",
+        [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+    def test_matches_indent_2(self, config, f, names, verdict, condition):
+        cert = certify_irreducible(f, config, names=names)
+        assert cert.verdict == verdict
+        if condition is not None:
+            assert cert.reason.startswith(f"condition ({condition}) failed")
+        text = cert.to_json()
+        assert json.dumps(json.loads(text), indent=2) == text
+        assert cert.to_json_dict() == json.loads(text)
+        variables = [v["variable"] for v in json.loads(text)["variables"]]
+        assert variables == (names or ["x1", "x2"][:config.nvars])
+
+    def test_rows_come_from_templates(self, monkeypatch):
+        # once a configuration's header is rendered, a certificate is
+        # written without the general JSON writer
+        config = gauss_config(3, 2)
+        f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+        first = certify_irreducible(f, config, names=["x", "y"]).to_json()
+
+        def refuse(*args):
+            raise AssertionError("general writer called")
+
+        monkeypatch.setattr(lifting, "_json_text", refuse)
+        for g in (f, P("x^2*y^2 - 1"), P("x + y")):
+            text = certify_irreducible(g, config, names=["x", "y"]).to_json()
+            assert json.dumps(json.loads(text), indent=2) == text
+            assert text[text.index('"prime"'):text.index('"t"')] == (
+                first[first.index('"prime"'):first.index('"t"')])
+
+    def test_header_slot_follows_the_names(self):
+        # one configuration, three sets of names: the kept header must
+        # never print another certificate's variables
+        config = PairConfig(
+            [RationalCenter(Fraction(0), Fraction(0))] * 2, 3)
+        f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+        certs = [certify_irreducible(f, config, names=names)
+                 for names in (["x", "y"], ["a", "b"], None)]
+        assert config.rendered_header is None  # certify renders nothing
+        for names, cert in zip((["x", "y"], ["a", "b"], ["x1", "x2"]), certs):
+            doc = json.loads(cert.to_json())
+            assert [v["variable"] for v in doc["variables"]] == names
+            assert doc["input"] == f.to_str(names)
+        assert config.rendered_header[0] is None
+        assert json.loads(certs[0].to_json())["variables"][0]["phi"] == "x"
+        assert config.rendered_header[0] == ("x", "y")
+
+
 class TestResidueCache:
     def test_cache_is_bounded(self, monkeypatch):
         # more distinct residues than the cache holds: it keeps at most

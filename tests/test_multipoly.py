@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftcert import MultiPoly, phi_expand, reconstruct
+from liftcert import MultiPoly, multipoly, phi_expand, reconstruct
 from liftcert.multipoly import VariableMismatch, content_valuation, grlex_key
 
 from conftest import P, random_poly
@@ -117,6 +117,17 @@ class TestPhiExpansion:
                 assert not a.is_zero
                 for j in range(n):
                     assert a.degree_in(j) < len(phis[j]) - 1
+
+    def test_exponent_split_equals_division_by_x(self, rng):
+        # for phi = x the digits are read off the exponents; dividing the
+        # coefficient list by x gives the same digits
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            terms = random_poly(rng, n, 6, max_terms=8).terms
+            i = rng.randrange(n)
+            divided = {k: d for k, d in enumerate(
+                multipoly._digits(terms, i, [Fraction(0), Fraction(1)])) if d}
+            assert multipoly._exponent_digits(terms, i) == divided
 
     def test_expansion_is_unique(self, rng):
         # two polynomials with the same expansion table are equal

@@ -16,7 +16,9 @@ from liftcert import (
     compute_e_h,
     compute_lambda,
 )
-from liftcert.errors import ConfigError
+from liftcert import phi_expand, valuation
+from liftcert.errors import ConfigError, ResourceLimitExceeded
+from liftcert.multipoly import content_valuation
 from liftcert.valuation import (
     load_pair_specs,
     pair_specs_from_json,
@@ -161,6 +163,86 @@ class TestWValue:
         config = gauss_config(3, 2)
         with pytest.raises(ConfigError):
             w_of(config, P("x", ("x",)))
+
+
+def _reference_table(config, f):
+    """The expansion table from phi_expand of f shifted to every
+    rational centre, with phi = x there."""
+    g, phis = f, []
+    for j, pair in enumerate(config.pairs):
+        if isinstance(pair.spec, RationalCenter):
+            g = g.shift(j, pair.spec.center)
+            phis.append([Fraction(0), Fraction(1)])
+        else:
+            phis.append(list(pair.phi))
+    return {idx: (a, content_valuation(a, config.p))
+            for idx, a in phi_expand(g, phis).terms.items()}
+
+
+SPLIT_CONFIGS = [
+    ("gauss", gauss_config(3, 2)),
+    ("shifted-ramified", PairConfig(
+        [RationalCenter(Fraction(1), Fraction(1, 2)),
+         RationalCenter(Fraction(-1, 2), Fraction(2, 3))], 5)),
+    ("inert-then-shifted", PairConfig(
+        [Inert((1, 0, 1), Fraction(1, 2)),
+         RationalCenter(Fraction(2, 5), Fraction(1))], 3)),
+    ("shifted-then-inert", PairConfig(
+        [RationalCenter(Fraction(-1), Fraction(1, 3)),
+         Inert((1, 1, 1), Fraction(1, 2))], 2)),
+]
+
+
+class TestExponentSplit:
+    @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS],
+                             ids=[c[0] for c in SPLIT_CONFIGS])
+    def test_matches_phi_expand(self, config, rng):
+        for _ in range(150):
+            f = random_poly(rng, 2, 6, max_terms=8, allow_fractions=True)
+            assert config.expansion_table(f) == _reference_table(config, f)
+
+    @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS[:2]],
+                             ids=[c[0] for c in SPLIT_CONFIGS[:2]])
+    def test_all_rational_never_calls_phi_expand(self, config, monkeypatch,
+                                                 rng):
+        def refuse(*args):
+            raise AssertionError("phi_expand called")
+
+        monkeypatch.setattr(valuation, "phi_expand", refuse)
+        for _ in range(20):
+            f = random_poly(rng, 2, 5, allow_fractions=True)
+            table = config.expansion_table(f)
+            assert all(a.degree() == 0 for a, _ in table.values())
+
+
+class TestInertDivisionGuard:
+    INERT = PairConfig([Inert((1, 0, 1), Fraction(1))], 3)
+
+    def test_quadratic_division_refused_before_it_starts(self):
+        # x^4000 + 3 takes 4,000,000 row operations by x^2 + 1
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded, match="4000000"):
+            self.INERT.expansion_table(P("x^4000 + 3", ("x",)))
+        assert time.perf_counter() - start < 1
+
+    def test_guard_follows_the_limit(self):
+        f = P("x^100 + 3", ("x",))  # 2,500 row operations
+        table = self.INERT.expansion_table(f)
+        small = PairConfig([Inert((1, 0, 1), Fraction(1))], 3, limit=2499)
+        with pytest.raises(ResourceLimitExceeded,
+                           match="phi-adic division work"):
+            small.expansion_table(f)
+        exact = PairConfig([Inert((1, 0, 1), Fraction(1))], 3, limit=2500)
+        assert exact.expansion_table(f) == table
+
+    def test_phi_x_costs_nothing(self):
+        # the rational variable of a mixed configuration is split off its
+        # exponents, so only the inert degree counts (x^2 + 1 over F_3
+        # needs a limit of 16 for its own irreducibility test)
+        config = PairConfig([RationalCenter(Fraction(0), Fraction(0)),
+                             Inert((1, 0, 1), Fraction(1))], 3, limit=16)
+        table = config.expansion_table(P("x^5000*y^2 + 3"))
+        assert sorted(table) == [(0, 0), (5000, 0), (5000, 1)]
 
 
 def _fraction_walk(config, table):

@@ -33,7 +33,12 @@ from .lifting import (
 from .multipoly import grlex_key
 from .oracle import brute_factor
 from .parse import ParseError, check_coeffs, parse_polynomial
-from .valuation import PairConfig, load_pair_specs, pair_specs_to_json
+from .valuation import (
+    PairConfig,
+    load_pair_specs,
+    pair_specs_to_json,
+    read_json,
+)
 
 EXIT_OK = 0
 EXIT_NOT_A_LIFTING = 2
@@ -214,8 +219,7 @@ def _cmd_residue(args):
 def _cmd_generate(args):
     names = _names(args)
     config = _config(args, names)
-    with open(args.residue_file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.residue_file, "residue document")
     residue = residue_from_json(doc, config)
     f = generate_lifting(residue, config, args.seed)
     print(check_coeffs(f).to_str(names))
@@ -287,7 +291,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 from .errors import ConfigError, ResourceLimitExceeded
 from .exactnum import check_prime
-from .multipoly import grlex_key, monomial_factors
+from .multipoly import grlex_key, monomial_factors, terms_to_str
 
 DEFAULT_CANDIDATE_LIMIT = 10 ** 6
 
@@ -234,21 +235,12 @@ class ResidueField:
                     f"generator {list(g)} is reducible over F_{p}"
                 )
             self.degrees.append(d)
-        for i in range(len(self.degrees)):
-            for j in range(i + 1, len(self.degrees)):
-                a, b = self.degrees[i], self.degrees[j]
-                while b:
-                    a, b = b, a % b
-                if a != 1:
-                    raise DegreesNotCoprime(
-                        f"generator degrees {self.degrees[i]} and "
-                        f"{self.degrees[j]} share a factor"
-                    )
-        ext = 1
-        for d in self.degrees:
-            ext *= d
-        self.extension_degree = ext
-        self.q = p ** ext
+        for a, b in itertools.combinations(self.degrees, 2):
+            if math.gcd(a, b) != 1:
+                raise DegreesNotCoprime(
+                    f"generator degrees {a} and {b} share a factor")
+        self.extension_degree = math.prod(self.degrees)
+        self.q = p ** self.extension_degree
         self.nyvars = len(self.generators)
 
     # zero and one are built on each access: a stored element would point
@@ -398,21 +390,9 @@ class ResidueElement:
 
     def to_str(self, names=None) -> str:
         """Polynomial in y_i with integer coefficients in 0..p-1."""
-        if not self.coeffs:
-            return "0"
         if names is None:
             names = [f"y{i + 1}" for i in range(self.field.nyvars)]
-        parts = []
-        for e in sorted(self.coeffs, key=grlex_key, reverse=True):
-            c = self.coeffs[e]
-            factors = monomial_factors(names, e)
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+        return terms_to_str(self.coeffs, names)
 
     def __repr__(self):
         return f"ResidueElement({self.to_str()})"

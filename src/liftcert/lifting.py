@@ -28,13 +28,13 @@ from . import __version__
 from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import check_prime, vp
 from .finitefield import ResiduePoly, is_irreducible_multivariate
-from .multipoly import MultiPoly, grlex_key
-from .parse import MAX_COEFF_BITS
+from .multipoly import MultiPoly, PhiExpansion, grlex_key, reconstruct
+from .parse import MAX_COEFF_BITS, MAX_DEGREE
 from .valuation import (
     PairConfig,
     RationalCenter,
-    _json_exact,
     _json_list,
+    _json_number,
     pair_specs_to_json,
 )
 
@@ -217,10 +217,11 @@ class LiftingCertificate:
     def to_json(self) -> str:
         """The certificate as json.dumps(indent=2) prints it, written in
         one pass.  The "prime", "pairs" and "variables" members depend
-        only on the configuration and the names: their text is kept on
-        the configuration for the names last rendered.  The check rows
-        and T's coefficient rows are filled into fixed templates, and
-        T's text is the one certify printed for the residue checks."""
+        only on the configuration and the names: json.dumps renders
+        them when either is new, and their text is kept on the
+        configuration for the names last rendered.  The check rows and
+        T's coefficient rows are filled into fixed templates, and T's
+        text is the one certify printed for the residue checks."""
         config, names = self.config, self.names
         header = config.rendered_header
         if header is None or header[0] != names:
@@ -277,7 +278,7 @@ def _header_text(config, names):
             for i, pair in enumerate(config.pairs)
         ],
     }
-    return _json_text(members, "\n")[1:-2]
+    return json.dumps(members, indent=2)[1:-2]
 
 
 def _int_list(values, newline):
@@ -286,36 +287,6 @@ def _int_list(values, newline):
         return "[]"
     inner = newline + "  "
     return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
-
-
-def _json_text(value, newline):
-    """json.dumps(value, indent=2) for str, int, bool, None, list and
-    dict with str keys; CPython runs its pure-Python encoder whenever
-    indent is set.  newline is "\n" plus the enclosing indentation.  Any
-    other type raises TypeError."""
-    encode = encode_basestring_ascii  # raises TypeError on a non-str
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [encode(k) + ": " + (encode(v) if type(v) is str
-                                     else _json_text(v, inner))
-                 for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [encode(v) if type(v) is str else _json_text(v, inner)
-                 for v in value]
-        brackets = "[]"
-    elif isinstance(value, str):
-        return encode(value)
-    elif value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    elif isinstance(value, int):
-        return int.__repr__(value)
-    else:
-        raise TypeError(f"{type(value).__name__} is not rendered as JSON")
-    if not items:
-        return brackets
-    return (brackets[0] + inner + ("," + inner).join(items) + newline
-            + brackets[1])
 
 
 def certify_irreducible(
@@ -376,8 +347,10 @@ def _cached_irreducible(residue: ResiduePoly, limit: int) -> bool:
 def generate_lifting(
     T: ResiduePoly, config: PairConfig, seed: int = 0
 ) -> MultiPoly:
-    """Construct a lifting of T: canonical coefficient representatives,
-    p-power scaling, and phi powers; with seed != 0, sparse noise terms
+    """Construct a lifting of T as the phi-adic expansion read backwards:
+    the digit at index e*J is p^(s_J) times the canonical integer
+    representative of T's coefficient c_J, and `reconstruct` sums the
+    digits times their phi powers.  With seed != 0, sparse noise terms
     of strictly higher valuation are added (residue provably unchanged,
     re-verified before returning)."""
     if T.field != config.field:
@@ -415,19 +388,13 @@ def generate_lifting(
                         for pair, ti, ji in zip(config.pairs, t, exps))
               for exps in T.terms}
     _check_lifting_bits(config, powers)
-    phis = [
-        MultiPoly.from_univariate(n, i, pair.phi)
-        for i, pair in enumerate(config.pairs)
-    ]
-    f = MultiPoly.zero(n)
-    for exps, c in T.terms.items():
-        coeff_poly = _lift_element(c, config)
-        s = powers[exps]
-        term = coeff_poly.scale(Fraction(p) ** s)
-        for i, ji in enumerate(exps):
-            if ji:
-                term = term * phis[i] ** (config.pairs[i].e * ji)
-        f = f + term
+    digits = {
+        tuple(pair.e * ji for pair, ji in zip(config.pairs, exps)):
+            _lift_element(c, config).scale(Fraction(p) ** powers[exps])
+        for exps, c in T.terms.items()
+    }
+    f = reconstruct(PhiExpansion(n, [pair.phi for pair in config.pairs],
+                                 digits))
 
     if seed == 0:
         return f
@@ -597,17 +564,19 @@ def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:
 
     fld = config.field
     try:
-        if _json_exact(doc.get("p"), "p") != fld.p:
+        if _json_number(doc.get("p"), "p", integer=True) != fld.p:
             raise ConfigError(
                 f"residue document prime {doc.get('p')} does not match {fld.p}"
             )
         ynames = [f"y{k + 1}" for k in range(fld.nyvars)]
         terms = {}
         for entry in doc["coeffs"]:
-            exps = tuple(int(_json_exact(e, "exponent"))
+            exps = tuple(_json_number(e, "exponent", integer=True)
                          for e in _json_list(entry["exp"], "exponent list"))
             if any(e < 0 for e in exps):
                 raise ValueError(f"exponent {entry['exp']} is negative")
+            if max(exps, default=0) > MAX_DEGREE:
+                raise ResourceLimitExceeded("degree", MAX_DEGREE, max(exps))
             if len(exps) != config.nvars:
                 raise ConfigError(f"exponent {entry['exp']} has wrong arity")
             poly = parse_polynomial(entry["c"], ynames)

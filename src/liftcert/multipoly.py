@@ -42,6 +42,23 @@ def monomial_factors(names, exps):
             for name, k in zip(names, exps) if k]
 
 
+def terms_to_str(terms, names) -> str:
+    """Text of {exponents: int or Fraction}: graded-lex descending,
+    explicit * and ^, "0" when empty."""
+    parts = []
+    for exps in sorted(terms, key=grlex_key, reverse=True):
+        c = terms[exps]
+        parts.append(" - " if c < 0 else " + ")
+        c = abs(c)
+        factors = monomial_factors(names, exps)
+        parts.append("*".join(factors) if factors and c == 1
+                     else "*".join([str(c)] + factors))
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
+
+
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -202,27 +219,9 @@ class MultiPoly:
 
     def to_str(self, names=None) -> str:
         """Canonical text form: graded-lex descending, explicit * and ^."""
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.nvars)]
-        parts = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[exps]
-            factors = monomial_factors(names, exps)
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return terms_to_str(self.terms, names)
 
     def __repr__(self):
         return f"MultiPoly({self.to_str()})"
@@ -318,12 +317,13 @@ def phi_expand(f: MultiPoly, phis) -> PhiExpansion:
 def reconstruct(expansion: PhiExpansion) -> MultiPoly:
     """Sum a_I * prod phi_j^{i_j}, exactly."""
     n = expansion.nvars
+    phis = [MultiPoly.from_univariate(n, j, phi)
+            for j, phi in enumerate(expansion.phis)]
     f = MultiPoly.zero(n)
     for idx, a in expansion.terms.items():
         term = a
-        for j, k in enumerate(idx):
+        for phi, k in zip(phis, idx):
             if k:
-                phi = MultiPoly.from_univariate(n, j, expansion.phis[j])
                 term = term * phi ** k
         f = f + term
     return f

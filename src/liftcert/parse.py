@@ -78,7 +78,7 @@ def _bits(c):
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
-def _check_coeff(c):
+def check_coeff(c):
     _check_size("coefficient bits", MAX_COEFF_BITS, _bits(c))
     return c
 
@@ -89,7 +89,7 @@ def check_coeffs(poly):
     int-to-string limit; for polynomials the parser never saw, such as
     recentred digits and generated liftings."""
     for c in poly.terms.values():
-        _check_coeff(c)
+        check_coeff(c)
     return poly
 
 
@@ -147,17 +147,17 @@ class _Parser:
             if isinstance(factor, MultiPoly):
                 poly = factor if poly is None else self.multiply(poly, factor)
             elif factor != 1:
-                coeff = _check_coeff(coeff * factor)
+                coeff = check_coeff(coeff * factor)
             if not self.accept("*"):
                 break
         _check_size("degree", MAX_DEGREE, sum(exps))
         if poly is None:
             exps = tuple(exps)
-            terms[exps] = _check_coeff(terms.get(exps, 0) + coeff)
+            terms[exps] = check_coeff(terms.get(exps, 0) + coeff)
             return
         poly = self.multiply(poly, MultiPoly(self.nvars, {tuple(exps): coeff}))
         for e, c in poly.terms.items():
-            terms[e] = _check_coeff(terms.get(e, 0) + c)
+            terms[e] = check_coeff(terms.get(e, 0) + c)
 
     def parse_factor(self, exps):
         """The next factor with its exponent: a number, a MultiPoly, or,

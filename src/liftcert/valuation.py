@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import vp
 from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
+from .parse import MAX_COEFF_BITS, check_coeff
 
 
 class FractionalPPower(LiftcertError):
@@ -91,9 +93,7 @@ def compute_lambda(pair, p: int) -> Fraction:
 def compute_e_h(lam: Fraction, p: int):
     """Smallest e with e*lambda integral, and N = e*lambda (h = p^N)."""
     lam = Fraction(lam)
-    e = lam.denominator
-    n = lam.numerator
-    return e, n
+    return lam.denominator, lam.numerator
 
 
 @dataclass(frozen=True)
@@ -303,33 +303,42 @@ def pair_specs_to_json(specs, p) -> dict:
     pairs = []
     for spec in specs:
         if isinstance(spec, RationalCenter):
-            pairs.append(
-                {
-                    "kind": "rational_center",
-                    "center": str(spec.center),
-                    "delta": str(spec.delta),
-                }
-            )
+            pair = {"kind": "rational_center", "center": str(spec.center)}
         else:
-            pairs.append(
-                {
-                    "kind": "inert",
-                    "phi": [int(c) for c in spec.phi],
-                    "delta": str(spec.delta),
-                }
-            )
+            pair = {"kind": "inert", "phi": [int(c) for c in spec.phi]}
+        pair["delta"] = str(spec.delta)
+        pairs.append(pair)
     return {"prime": p, "pairs": pairs}
 
 
-def _json_exact(value, name):
-    """A number from a pair or residue file, which must be a JSON integer
-    or string: a float or a bool would be truncated, so it raises
-    ValueError naming the field."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(
-            f"{name} must be a JSON integer or string, got {json.dumps(value)}"
-        )
-    return value
+# an optional sign, then "a" or "a/b" as in parse.py; the groups are
+# the digits after any leading zeros
+_RATIONAL = re.compile(r"[-+]?0*(\d+)(?:/0*(\d+))?")
+# a number with more decimal digits has more than MAX_COEFF_BITS bits
+_MAX_DIGITS = math.ceil(MAX_COEFF_BITS * math.log10(2))
+
+
+def _json_number(value, name, integer=False):
+    """A number from a pair or residue file: a JSON integer, or a string
+    "a" or (unless integer) "a/b" with an optional sign.  A float or a
+    bool would be truncated, so it raises ValueError naming the field,
+    as does any other string.  A value of more than MAX_COEFF_BITS bits
+    raises ResourceLimitExceeded; a string's digits are counted before
+    any int is built.  Returns an int when integer, else a Fraction."""
+    match = _RATIONAL.fullmatch(value) if type(value) is str else None
+    if match and not (integer and match[2]):
+        digits = max(len(d) for d in match.groups(""))
+        if digits > _MAX_DIGITS:  # 10^(digits - 1) has more bits
+            raise ResourceLimitExceeded(
+                "coefficient bits", MAX_COEFF_BITS,
+                int((digits - 1) * math.log2(10)) + 1)
+        value = Fraction(value)
+    elif type(value) is not int:
+        form = '"a"' if integer else '"a" or "a/b"'
+        raise ValueError(f"{name} must be a JSON integer or a string "
+                         f"{form}, got {json.dumps(value)}")
+    check_coeff(value)
+    return int(value) if integer else Fraction(value)
 
 
 def _json_list(value, name):
@@ -343,26 +352,21 @@ def _json_list(value, name):
 def pair_specs_from_json(doc: dict):
     """Returns (specs, prime). phi is listed low-to-high degree."""
     try:
-        p = _json_exact(doc["prime"], "prime")
+        p = _json_number(doc["prime"], "prime", integer=True)
         specs = []
         for entry in doc["pairs"]:
             kind = entry["kind"]
             if kind == "rational_center":
-                specs.append(
-                    RationalCenter(
-                        center=Fraction(
-                            _json_exact(entry["center"], "center")),
-                        delta=Fraction(_json_exact(entry["delta"], "delta")),
-                    )
-                )
+                specs.append(RationalCenter(
+                    center=_json_number(entry["center"], "center"),
+                    delta=_json_number(entry["delta"], "delta"),
+                ))
             elif kind == "inert":
-                specs.append(
-                    Inert(
-                        phi=tuple(int(_json_exact(c, "phi entry"))
-                                  for c in _json_list(entry["phi"], "phi")),
-                        delta=Fraction(_json_exact(entry["delta"], "delta")),
-                    )
-                )
+                specs.append(Inert(
+                    phi=tuple(_json_number(c, "phi entry", integer=True)
+                              for c in _json_list(entry["phi"], "phi")),
+                    delta=_json_number(entry["delta"], "delta"),
+                ))
             else:
                 raise ConfigError(f"unknown pair kind {kind!r}")
         return specs, p
@@ -370,6 +374,16 @@ def pair_specs_from_json(doc: dict):
         raise ConfigError(f"malformed pair-spec document: {exc}") from exc
 
 
-def load_pair_specs(path):
+def read_json(path, what):
+    """The JSON document in the file at path.  Bytes that are not UTF-8,
+    nesting past the recursion limit and integer literals past Python's
+    4,300-digit limit raise ConfigError, as malformed JSON does."""
     with open(path, "r", encoding="utf-8") as fh:
-        return pair_specs_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"malformed {what}: {exc}") from None
+
+
+def load_pair_specs(path):
+    return pair_specs_from_json(read_json(path, "pair-spec document"))

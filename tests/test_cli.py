@@ -465,6 +465,95 @@ class TestGenerate:
         assert "Traceback" not in err
 
 
+class TestFileContents:
+    """A pair file and a residue file are read the same way: a file that
+    is not JSON, or holds a number the program cannot take in, exits 4
+    or 5 at once, with no traceback."""
+
+    GAUSS1 = {"prime": 3, "pairs": [
+        {"kind": "rational_center", "center": "0", "delta": "0"}]}
+
+    def run(self, pairs_file, tmp_path, kind, content):
+        path = tmp_path / "input.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        if kind == "pairs":
+            argv = ["certify", "--vars", "x", "--pairs", str(path), "x+1"]
+        else:
+            argv = ["generate", "--vars", "x", "--pairs",
+                    pairs_file(self.GAUSS1), str(path)]
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1
+        return code
+
+    @pytest.mark.parametrize("kind", ["pairs", "residue"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe", "[" * 100_000, '{"p": ' + "1" * 5000 + "}",
+    ], ids=["not-utf-8", "deep-nesting", "5000-digit-literal"])
+    def test_unreadable_json_exit_4(self, pairs_file, tmp_path, capsys,
+                                    kind, content):
+        code = self.run(pairs_file, tmp_path, kind, content)
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        document = "pair-spec" if kind == "pairs" else "residue"
+        assert f"error: malformed {document} document: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("center", ["1e9999999", "1e999999", "0.5",
+                                        " 1/2", "1_000", "1/-2"])
+    def test_number_outside_the_grammar_exit_4(
+            self, pairs_file, tmp_path, capsys, center):
+        # Fraction() would read these; "1e9999999" took seconds to build
+        # and "1e999999" certified, then could not print its header
+        doc = {"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": center, "delta": "0"}]}
+        code = self.run(pairs_file, tmp_path, "pairs", json.dumps(doc))
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert 'center must be a JSON integer or a string "a" or "a/b"' in err
+
+    @pytest.mark.parametrize("pair", [
+        {"kind": "rational_center", "center": "1" * 5000, "delta": "0"},
+        {"kind": "rational_center", "center": "0", "delta": "1/" + "7" * 4300},
+        {"kind": "rational_center", "center": "-" + "0" * 9000 + "3" * 4216,
+         "delta": "0"},
+        {"kind": "rational_center", "center": 3 ** 8900, "delta": "0"},
+        {"kind": "inert", "phi": [1, "9" * 5000, 1], "delta": "1"},
+    ], ids=["5000-digit-center", "4300-digit-denominator",
+            "4216-digits-after-zeros", "json-integer", "phi-entry"])
+    def test_oversized_number_exit_5(self, pairs_file, tmp_path, capsys,
+                                     pair):
+        doc = {"prime": 3, "pairs": [pair]}
+        code = self.run(pairs_file, tmp_path, "pairs", json.dumps(doc))
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "coefficient bits limit exceeded" in err
+        assert "Traceback" not in err
+
+    def test_widest_number_is_read(self, pairs_file, tmp_path, capsys):
+        # 2^14000 - 1, the largest value of MAX_COEFF_BITS bits, after
+        # leading zeros, which do not count (x + 1 is linear, so it
+        # certifies at any centre)
+        doc = {"prime": 3, "pairs": [{"kind": "rational_center",
+               "center": "-000" + str(2 ** 14000 - 1), "delta": "0"}]}
+        code = self.run(pairs_file, tmp_path, "pairs", json.dumps(doc))
+        assert code == EXIT_OK
+
+    def test_oversized_residue_exponent_exit_5(self, pairs_file, tmp_path,
+                                               capsys):
+        # an exponent of 10^400 overflowed the float estimate of the
+        # lifting's coefficient bits
+        content = '{"p": 3, "coeffs": [{"exp": [1%s], "c": "1"}]}' % (
+            "0" * 400)
+        code = self.run(pairs_file, tmp_path, "residue", content)
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "degree limit exceeded" in err and "Traceback" not in err
+
+
 class TestFactorOracle:
     def test_factors(self, capsys):
         code = main(["factor-oracle", "--vars", "x,y", "x^2*y^2-1"])

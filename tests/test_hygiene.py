@@ -1,0 +1,68 @@
+"""Leftovers in the package source, found by reading it with ast.
+
+Two kinds fail: a module that imports a name it never uses, and a
+module-level private function or class (one named _x) that nothing in
+the package references outside its own body.  The re-exports of
+__init__.py are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liftcert"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _references(node, skip=None):
+    """The names and attribute names that node's subtree mentions,
+    leaving out the subtree skip."""
+    found = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    modules = _modules()
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(node.name in _references(other, skip=node)
+                       for other in modules.values()):
+                unreferenced.append(f"{name}: {node.name}")
+    assert unreferenced == []

@@ -1,5 +1,6 @@
 """Minimal pairs, derived invariants, the valuation w, and residues."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -13,8 +14,10 @@ from liftcert import (
     MultiPoly,
     PairConfig,
     RationalCenter,
+    ResiduePoly,
     compute_e_h,
     compute_lambda,
+    generate_lifting,
 )
 from liftcert import phi_expand, valuation
 from liftcert.errors import ConfigError, ResourceLimitExceeded
@@ -215,6 +218,54 @@ class TestExponentSplit:
             assert all(a.degree() == 0 for a, _ in table.values())
 
 
+def _liftable_residue(rng, config):
+    """A random monic T of degree t_i in {1, 2} in each Z_i that has a
+    lifting: not a coordinate Z_i, and free of an inert variable's
+    generator wherever it reaches that variable's full degree."""
+    field, pairs = config.field, config.pairs
+    while True:
+        t = tuple(rng.randint(1, 2) for _ in pairs)
+        terms = {t: field.one}
+        for exps in itertools.product(*(range(ti + 1) for ti in t)):
+            if exps == t or rng.random() < 0.4:
+                continue
+            full = any(pair.y_index is not None and j == ti
+                       for pair, j, ti in zip(pairs, exps, t))
+            if full:
+                terms[exps] = field.from_int(rng.randrange(field.p))
+            else:
+                terms[exps] = field.element({
+                    y: rng.randrange(field.p)
+                    for y in itertools.product(range(3), repeat=field.nyvars)})
+        T = ResiduePoly(field, len(pairs), terms)
+        if not any(T.is_single_variable(i) for i in range(len(pairs))):
+            return T, t
+
+
+class TestGenerationInvertsExpansion:
+    @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS],
+                             ids=[c[0] for c in SPLIT_CONFIGS])
+    def test_table_of_lifting_is_its_digits(self, config, rng):
+        # the expansion of generate_lifting(T) has the digit p^(s_J)
+        # lift(c_J) of content s_J at e*J, and nothing else
+        n, p = config.nvars, config.p
+        for _ in range(30):
+            T, t = _liftable_residue(rng, config)
+            expected = {}
+            for exps, c in T.terms.items():
+                s = sum(pair.N * (ti - j)
+                        for pair, ti, j in zip(config.pairs, t, exps))
+                lift = {}
+                for y, k in c.coeffs.items():
+                    x = tuple(0 if pair.y_index is None else y[pair.y_index]
+                              for pair in config.pairs)
+                    lift[x] = Fraction(k * p ** s)
+                idx = tuple(pair.e * j for pair, j in zip(config.pairs, exps))
+                expected[idx] = (MultiPoly(n, lift), s)
+            assert config.expansion_table(generate_lifting(T, config)) == (
+                expected)
+
+
 class TestInertDivisionGuard:
     INERT = PairConfig([Inert((1, 0, 1), Fraction(1))], 3)
 
@@ -390,6 +441,22 @@ class TestPairJson:
     def test_inexact_prime(self, prime):
         with pytest.raises(ConfigError, match="prime must be a JSON integer"):
             pair_specs_from_json({"prime": prime, "pairs": []})
+
+    @pytest.mark.parametrize("center,value", [
+        ("-3/4", Fraction(-3, 4)), ("+2", 2), ("007/010", Fraction(7, 10)),
+        (-5, -5),
+    ])
+    def test_rational_grammar(self, center, value):
+        specs, _ = pair_specs_from_json({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": center, "delta": "0"}]})
+        assert specs[0].center == value
+
+    @pytest.mark.parametrize("entry", ["1/2", "2.0", " 2"])
+    def test_phi_entry_is_an_integer(self, entry):
+        with pytest.raises(ConfigError, match='phi entry must be a JSON '
+                           'integer or a string "a", got'):
+            pair_specs_from_json({"prime": 3, "pairs": [
+                {"kind": "inert", "phi": [1, entry, 1], "delta": "1"}]})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "pairs.json"

@@ -21,13 +21,7 @@ from .lifting import (
 from .multipoly import MultiPoly, phi_expand, reconstruct
 from .oracle import FactorizationResult, brute_factor
 from .parse import ParseError, parse_polynomial
-from .valuation import (
-    Inert,
-    PairConfig,
-    RationalCenter,
-    compute_e_h,
-    compute_lambda,
-)
+from .valuation import Inert, PairConfig, RationalCenter
 
 __all__ = [
     "ConfigError",
@@ -52,6 +46,4 @@ __all__ = [
     "Inert",
     "PairConfig",
     "RationalCenter",
-    "compute_e_h",
-    "compute_lambda",
 ]

@@ -22,7 +22,6 @@ from .finitefield import DEFAULT_CANDIDATE_LIMIT
 from .lifting import (
     VERDICT_CERTIFIED,
     VERDICT_NOT_A_LIFTING,
-    VERDICT_RESIDUE_NOT_MONIC,
     certify_irreducible,
     check_lifting,
     generate_lifting,
@@ -146,7 +145,7 @@ def _cmd_certify(args):
             print(f"reason: {cert.reason}")
     if cert.verdict == VERDICT_CERTIFIED:
         return EXIT_OK
-    if cert.verdict in (VERDICT_NOT_A_LIFTING, VERDICT_RESIDUE_NOT_MONIC):
+    if cert.verdict == VERDICT_NOT_A_LIFTING:
         return EXIT_NOT_A_LIFTING
     return EXIT_RESIDUE_EXCLUDED
 

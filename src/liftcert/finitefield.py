@@ -388,11 +388,10 @@ class ResidueElement:
             k >>= 1
         return result
 
-    def to_str(self, names=None) -> str:
+    def to_str(self) -> str:
         """Polynomial in y_i with integer coefficients in 0..p-1."""
-        if names is None:
-            names = [f"y{i + 1}" for i in range(self.field.nyvars)]
-        return terms_to_str(self.coeffs, names)
+        return terms_to_str(
+            self.coeffs, [f"y{i + 1}" for i in range(self.field.nyvars)])
 
     def __repr__(self):
         return f"ResidueElement({self.to_str()})"
@@ -467,11 +466,10 @@ class ResiduePoly:
         unit = tuple(1 if j == i else 0 for j in range(self.nvars))
         return set(self.terms) == {unit} and self.terms[unit] == self.field.one
 
-    def to_str(self, names=None):
+    def to_str(self):
         if not self.terms:
             return "0"
-        if names is None:
-            names = [f"Z{i + 1}" for i in range(self.nvars)]
+        names = [f"Z{i + 1}" for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[e]

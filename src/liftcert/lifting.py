@@ -42,7 +42,6 @@ VERDICT_CERTIFIED = "Certified"
 VERDICT_NOT_A_LIFTING = "NotALifting"
 VERDICT_RESIDUE_REDUCIBLE = "ResidueReducible"
 VERDICT_RESIDUE_IS_VARIABLE = "ResidueIsVariable"
-VERDICT_RESIDUE_NOT_MONIC = "ResidueNotMonic"
 
 
 class GenerationError(ConfigError):
@@ -82,79 +81,55 @@ class CheckReport:
         )
 
 
-def _record(checks, name, lhs, rhs, passed):
-    result = CheckResult(name, str(lhs), str(rhs), passed)
-    checks.append(result)
-    return result
-
-
 def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
-    """Verify the lifting conditions; stop at the first failed condition.
+    """Verify the lifting conditions; stop at the first failed check.
 
-    t_i is derived from the degrees (deg_{x_i} f = e_i t_i m_i forces
-    it), so a degree that is not an exact positive multiple of e_i m_i
-    is already a condition (i) failure.
+    Every row goes through `check`, which marks the report failed at the
+    first row that does not pass.  t_i is derived from the degrees
+    (deg_{x_i} f = e_i t_i m_i forces it), so a degree that is not an
+    exact positive multiple of e_i m_i is already a condition (i)
+    failure.  The report carries t once condition (i) holds, and the
+    residue only when every check passed.
     """
     if f.is_zero:
         raise ConfigError("f must be nonzero")
     config._check_arity(f)
-    checks = []
-    n = config.nvars
+    report = CheckReport([])
 
-    # condition (i): degrees and monicity
-    t = []
-    for i, pair in enumerate(config.pairs):
-        d = f.degree_in(i)
+    def check(condition, name, lhs, rhs, passed):
+        result = CheckResult(name, str(lhs), str(rhs), passed)
+        report.checks.append(result)
+        if not passed:
+            report.failed, report.condition = result, condition
+        return passed
+
+    # condition (i): degrees and monicity, at the corner monomial x^d
+    d = tuple(map(max, zip(*f.terms)))
+    for i, (pair, di) in enumerate(zip(config.pairs, d)):
         unit = pair.e * pair.m
-        if d < unit or d % unit != 0:
-            result = _record(
-                checks,
-                f"degree_in_x{i + 1}",
-                d,
-                f"a positive multiple of e_{i + 1}*m_{i + 1} = {unit}",
-                False,
-            )
-            return CheckReport(checks, failed=result, condition="i")
-        ti = d // unit
-        _record(checks, f"degree_in_x{i + 1}", d, unit * ti, True)
-        t.append(ti)
-    t = tuple(t)
-
-    total_target = sum(
-        pair.e * ti * pair.m for pair, ti in zip(config.pairs, t)
-    )
-    result = _record(
-        checks, "total_degree", f.degree(), total_target,
-        f.degree() == total_target,
-    )
-    if not result.passed:
-        return CheckReport(checks, failed=result, condition="i")
-
-    lead_exps = tuple(
-        pair.e * ti * pair.m for pair, ti in zip(config.pairs, t)
-    )
-    lead = f.coeff(lead_exps)
-    result = _record(
-        checks, "monic_leading_coefficient", lead, 1, lead == 1
-    )
-    if not result.passed:
-        return CheckReport(checks, failed=result, condition="i")
+        ok = di >= unit and di % unit == 0
+        rhs = di if ok else (
+            f"a positive multiple of e_{i + 1}*m_{i + 1} = {unit}")
+        if not check("i", f"degree_in_x{i + 1}", di, rhs, ok):
+            return report
+    total, lead = f.degree(), f.coeff(d)
+    if not (check("i", "total_degree", total, sum(d), total == sum(d))
+            and check("i", "monic_leading_coefficient", lead, 1, lead == 1)):
+        return report
+    report.t = t = tuple(di // (pair.e * pair.m)
+                         for pair, di in zip(config.pairs, d))
 
     # condition (ii): total and marginal valuations
     table = config.expansion_table(f)
     target = config.lifting_target(t)
     w, contributing, marginals = config.valuation(table)
-    result = _record(checks, "w_total", w, target, w == target)
-    if not result.passed:
-        return CheckReport(checks, t=t, failed=result, condition="ii")
+    if not check("ii", "w_total", w, target, w == target):
+        return report
     for i, (pair, marginal) in enumerate(zip(config.pairs, marginals)):
         marginal_target = t[i] * pair.N  # e_i t_i lambda_i
-        result = _record(
-            checks, f"w_marginal_x{i + 1}", marginal, marginal_target,
-            marginal == marginal_target,
-        )
-        if not result.passed:
-            return CheckReport(checks, t=t, failed=result, condition="ii")
+        if not check("ii", f"w_marginal_x{i + 1}", marginal, marginal_target,
+                     marginal == marginal_target):
+            return report
 
     # condition (iii): contributing indices divisible by e (only a failure
     # is recorded: two ramified pairs whose e share a factor can break
@@ -162,30 +137,20 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
     for idx in contributing:
         for i, (i_j, pair) in enumerate(zip(idx, config.pairs)):
             if i_j % pair.e:
-                result = _record(
-                    checks, f"contributing_index_x{i + 1}", f"{i_j} in {idx}",
-                    f"a multiple of e_{i + 1} = {pair.e}", False,
-                )
-                return CheckReport(checks, t=t, failed=result, condition="iii")
+                check("iii", f"contributing_index_x{i + 1}", f"{i_j} in {idx}",
+                      f"a multiple of e_{i + 1} = {pair.e}", False)
+                return report
     residue = config.residue(table, contributing)
-    for i in range(n):
-        d = residue.degree_in(i)
-        result = _record(
-            checks, f"residue_degree_Z{i + 1}", d, t[i], d == t[i]
-        )
-        if not result.passed:
-            return CheckReport(checks, t=t, failed=result, condition="iii")
-    lead_ok = residue.coeff(t) == config.field.one
-    result = _record(
-        checks, "residue_monic",
-        residue.coeff(t).to_str(), "1", lead_ok,
-    )
-    if not result.passed:
-        return CheckReport(
-            checks, t=t, residue=residue, failed=result, condition="iii"
-        )
-
-    return CheckReport(checks, t=t, residue=residue)
+    for i, ti in enumerate(t):
+        di = residue.degree_in(i)
+        if not check("iii", f"residue_degree_Z{i + 1}", di, ti, di == ti):
+            return report
+    lead = residue.coeff(t)
+    if not check("iii", "residue_monic", lead.to_str(), "1",
+                 lead == config.field.one):
+        return report
+    report.residue = residue
+    return report
 
 
 @dataclass
@@ -203,7 +168,6 @@ class LiftingCertificate:
     checks: list
     verdict: str
     reason: str = None
-    version: str = __version__
     residue_text: str = None  # residue.to_str(), when certify printed it
 
     @property
@@ -246,7 +210,7 @@ class LiftingCertificate:
             "[\n    " + checks + "\n  ]" if checks else "[]",
             ',\n  "verdict": ', encode(self.verdict),
             "" if reason is None else ',\n  "reason": ' + encode(reason),
-            ',\n  "version": ', encode(self.version), "\n}",
+            ',\n  "version": ', encode(__version__), "\n}",
         ])
 
 
@@ -298,28 +262,22 @@ def certify_irreducible(
     report = check_lifting(f, config)
     verdict, reason, text = VERDICT_CERTIFIED, None, None
     if not report.ok:
-        monic = report.failed.name == "residue_monic"
-        verdict = VERDICT_RESIDUE_NOT_MONIC if monic else VERDICT_NOT_A_LIFTING
-        reason = report.reason
+        verdict, reason = VERDICT_NOT_A_LIFTING, report.reason
     else:
         residue = report.residue
         text = residue.to_str()
         for i in range(config.nvars):
             excluded = residue.is_single_variable(i)
-            _record(
-                report.checks, f"residue_not_Z{i + 1}",
-                text, f"!= Z{i + 1}", not excluded,
-            )
+            report.checks.append(CheckResult(
+                f"residue_not_Z{i + 1}", text, f"!= Z{i + 1}", not excluded))
             if excluded:
                 verdict = VERDICT_RESIDUE_IS_VARIABLE
                 reason = f"residue is the excluded coordinate Z{i + 1}"
                 break
         else:
             irreducible = _cached_irreducible(residue, config.limit)
-            _record(
-                report.checks, "residue_irreducible",
-                text, "irreducible", irreducible,
-            )
+            report.checks.append(CheckResult(
+                "residue_irreducible", text, "irreducible", irreducible))
             if not irreducible:
                 verdict = VERDICT_RESIDUE_REDUCIBLE
                 reason = "residue polynomial factors over the residue field"
@@ -480,10 +438,14 @@ def _lift_element(c, config: PairConfig):
 # pair suggestion heuristics
 
 
-def suggest_pairs(f: MultiPoly, p: int, max_configs: int = 16):
-    """Candidate pair configurations to try with certify: always the
-    all-Gauss one, plus rational centers at 0 with deltas taken from
-    each variable's lower Newton-polygon slopes (other variables at 0)."""
+MAX_SUGGESTIONS = 16
+
+
+def suggest_pairs(f: MultiPoly, p: int):
+    """Candidate pair configurations to try with certify, at most
+    MAX_SUGGESTIONS: always the all-Gauss one, plus rational centers at
+    0 with deltas taken from each variable's lower Newton-polygon slopes
+    (other variables at 0)."""
     check_prime(p)
     if f.is_zero:
         raise ConfigError("f must be nonzero")
@@ -500,14 +462,11 @@ def suggest_pairs(f: MultiPoly, p: int, max_configs: int = 16):
             if slope > 0 and slope not in deltas:
                 deltas.append(slope)
         per_var.append(deltas)
-    configs = []
-    for combo in itertools.product(*per_var):
-        configs.append(
-            [RationalCenter(Fraction(0), delta) for delta in combo]
-        )
-        if len(configs) >= max_configs:
-            break
-    return configs
+    return [
+        [RationalCenter(Fraction(0), delta) for delta in combo]
+        for combo in itertools.islice(itertools.product(*per_var),
+                                      MAX_SUGGESTIONS)
+    ]
 
 
 def _newton_slopes(u: MultiPoly, i: int, p: int):

@@ -20,14 +20,17 @@ powers.  Size is checked before any arithmetic: an exponent, a term's
 degree or a product's degree above MAX_DEGREE, or a multiplication that
 would form more than MAX_TERMS term products, raises
 ResourceLimitExceeded.  So does a coefficient above MAX_COEFF_BITS bits
-(of its numerator or denominator): a number's power is checked before it
-is taken, and every coefficient product, sum and multiplication after
-it, so every coefficient returned prints within Python's default
-4,300-digit limit on int-to-string conversion.
+(of its numerator or denominator): a literal's digits are counted before
+it is converted (parse_number, which pair and residue files share), a
+number's power is checked before it is taken, and every coefficient
+product, sum and multiplication after it, so every coefficient returned
+prints within Python's default 4,300-digit limit on int-to-string
+conversion.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -38,6 +41,8 @@ MAX_NESTING = 100
 MAX_DEGREE = 100_000  # of any exponent, term or product
 MAX_TERMS = 100_000  # term products formed by one multiplication
 MAX_COEFF_BITS = 14_000  # at most 4,215 decimal digits
+# a number with more decimal digits has more than MAX_COEFF_BITS bits
+_MAX_DIGITS = math.ceil(MAX_COEFF_BITS * math.log10(2))
 
 
 class ParseError(LiftcertError):
@@ -81,6 +86,23 @@ def _bits(c):
 def check_coeff(c):
     _check_size("coefficient bits", MAX_COEFF_BITS, _bits(c))
     return c
+
+
+def parse_number(text):
+    """The number written "a" or "a/b" with an optional sign: an int, or
+    a Fraction for "a/b".  The digits after each part's leading zeros
+    are counted before any int is built: more than _MAX_DIGITS of them
+    raise ResourceLimitExceeded, and check_coeff decides the numbers at
+    the boundary once built.  A zero denominator raises
+    ZeroDivisionError."""
+    parts = [part.lstrip("0") or "0"
+             for part in text.lstrip("+-").split("/")]
+    digits = max(map(len, parts))
+    if digits > _MAX_DIGITS:  # 10^(digits - 1) has more bits
+        raise ResourceLimitExceeded("coefficient bits", MAX_COEFF_BITS,
+                                    int((digits - 1) * math.log2(10)) + 1)
+    number = int(parts[0]) if len(parts) == 1 else Fraction(*map(int, parts))
+    return check_coeff(-number if text.startswith("-") else number)
 
 
 def check_coeffs(poly):
@@ -169,8 +191,8 @@ class _Parser:
         if kind == "number":
             self.i += 1
             try:
-                number = Fraction(value) if "/" in value else int(value)
-            except (ValueError, ZeroDivisionError) as exc:
+                number = parse_number(value)
+            except ZeroDivisionError as exc:
                 raise ParseError(f"bad number: {exc}", pos) from None
             k = self.parse_exponent()
             if k > 1:  # number ** k has at least k * (bits - 1) bits

@@ -36,7 +36,7 @@ from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import vp
 from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
-from .parse import MAX_COEFF_BITS, check_coeff
+from .parse import MAX_COEFF_BITS, check_coeff, parse_number
 
 
 class FractionalPPower(LiftcertError):
@@ -78,24 +78,6 @@ class Inert:
             raise ConfigError("inert delta must be > 0")
 
 
-def compute_lambda(pair, p: int) -> Fraction:
-    """lambda = w(phi) under the pair valuation, after validating the
-    pair and p as PairConfig does.
-
-    Rational center: phi = x - center has the single Taylor digit 1
-    above the root, so lambda = delta.  Inert: lambda is the minimum of
-    v(phi^(k)(alpha)/k!) + k*delta over k >= 1, and it is delta too (see
-    PairConfig).
-    """
-    return PairConfig([pair], p).pairs[0].lam
-
-
-def compute_e_h(lam: Fraction, p: int):
-    """Smallest e with e*lambda integral, and N = e*lambda (h = p^N)."""
-    lam = Fraction(lam)
-    return lam.denominator, lam.numerator
-
-
 @dataclass(frozen=True)
 class PairData:
     spec: object  # RationalCenter or Inert
@@ -107,7 +89,14 @@ class PairData:
     y_index: object  # position among inert generators, or None
 
     def h_of(self, p: int) -> Fraction:
-        return Fraction(p) ** self.N
+        """h = p^N, refused (ResourceLimitExceeded) above MAX_COEFF_BITS
+        bits so that it prints; p^N has more than N*(bitlen(p) - 1)
+        bits, which refuses a huge N before the power is formed."""
+        low = self.N * (p.bit_length() - 1)
+        if low >= MAX_COEFF_BITS:
+            raise ResourceLimitExceeded("coefficient bits", MAX_COEFF_BITS,
+                                        low + 1)
+        return check_coeff(Fraction(p) ** self.N)
 
 
 class PairConfig:
@@ -122,11 +111,13 @@ class PairConfig:
         inert_gens = []
         for spec in self.specs:
             spec.validate()
-            # lambda = delta for inert pairs too: the k = 1 Taylor digit
-            # sum_j j*phi_j x^(j-1) has content 0, else phi mod p would be
-            # a p-th power, and every k >= 2 term is at least k*delta
+            # lambda = w(phi) = delta.  A rational center's phi = x -
+            # center has the single Taylor digit 1 above the root.  For
+            # an inert phi the k = 1 Taylor digit sum_j j*phi_j x^(j-1)
+            # has content 0, else phi mod p would be a p-th power, and
+            # every k >= 2 term is at least k*delta.  e is the smallest
+            # integer with e*lambda integral, and N = e*lambda (h = p^N).
             lam = Fraction(spec.delta)
-            e, n = compute_e_h(lam, p)
             if isinstance(spec, RationalCenter):
                 phi = (Fraction(-spec.center), Fraction(1))
                 y_index = None
@@ -140,8 +131,8 @@ class PairConfig:
                     phi=phi,
                     m=len(phi) - 1,
                     lam=lam,
-                    e=e,
-                    N=n,
+                    e=lam.denominator,
+                    N=lam.numerator,
                     y_index=y_index,
                 )
             )
@@ -311,11 +302,9 @@ def pair_specs_to_json(specs, p) -> dict:
     return {"prime": p, "pairs": pairs}
 
 
-# an optional sign, then "a" or "a/b" as in parse.py; the groups are
-# the digits after any leading zeros
-_RATIONAL = re.compile(r"[-+]?0*(\d+)(?:/0*(\d+))?")
-# a number with more decimal digits has more than MAX_COEFF_BITS bits
-_MAX_DIGITS = math.ceil(MAX_COEFF_BITS * math.log10(2))
+# an optional sign, then "a" or "a/b" as in parse.py; the group is the
+# denominator
+_RATIONAL = re.compile(r"[-+]?\d+(/\d+)?")
 
 
 def _json_number(value, name, integer=False):
@@ -323,22 +312,19 @@ def _json_number(value, name, integer=False):
     "a" or (unless integer) "a/b" with an optional sign.  A float or a
     bool would be truncated, so it raises ValueError naming the field,
     as does any other string.  A value of more than MAX_COEFF_BITS bits
-    raises ResourceLimitExceeded; a string's digits are counted before
-    any int is built.  Returns an int when integer, else a Fraction."""
+    raises ResourceLimitExceeded; a string is read by parse.parse_number,
+    which counts its digits before any int is built.  Returns an int when
+    integer, else a Fraction."""
     match = _RATIONAL.fullmatch(value) if type(value) is str else None
-    if match and not (integer and match[2]):
-        digits = max(len(d) for d in match.groups(""))
-        if digits > _MAX_DIGITS:  # 10^(digits - 1) has more bits
-            raise ResourceLimitExceeded(
-                "coefficient bits", MAX_COEFF_BITS,
-                int((digits - 1) * math.log2(10)) + 1)
-        value = Fraction(value)
-    elif type(value) is not int:
+    if match and not (integer and match[1]):
+        value = parse_number(value)
+    elif type(value) is int:
+        check_coeff(value)
+    else:
         form = '"a"' if integer else '"a" or "a/b"'
         raise ValueError(f"{name} must be a JSON integer or a string "
                          f"{form}, got {json.dumps(value)}")
-    check_coeff(value)
-    return int(value) if integer else Fraction(value)
+    return value if integer else Fraction(value)
 
 
 def _json_list(value, name):

@@ -542,6 +542,21 @@ class TestFileContents:
         code = self.run(pairs_file, tmp_path, "pairs", json.dumps(doc))
         assert code == EXIT_OK
 
+    def test_oversized_h_exit_5_before_printing(self, pairs_file, capsys):
+        # h = 3^10000 has 4,772 digits and only the JSON certificate
+        # prints it: the text run is a plain NotALifting, and the JSON
+        # run refuses h before it prints anything
+        doc = {"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "0", "delta": "10000"}]}
+        argv = ["certify", "--vars", "x", "--pairs", pairs_file(doc), "x+1"]
+        assert main(argv) == EXIT_NOT_A_LIFTING
+        assert "verdict: NotALifting" in capsys.readouterr().out
+        assert main(argv[:1] + ["--json"] + argv[1:]) == EXIT_GUARD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "coefficient bits limit exceeded" in err
+        assert "Traceback" not in err
+
     def test_oversized_residue_exponent_exit_5(self, pairs_file, tmp_path,
                                                capsys):
         # an exponent of 10^400 overflowed the float estimate of the

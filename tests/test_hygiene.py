@@ -1,15 +1,20 @@
-"""Leftovers in the package source, found by reading it with ast.
+"""Leftovers in the package source, found by reading it with ast, and
+the README's lists of verdicts and exit codes.
 
-Two kinds fail: a module that imports a name it never uses, and a
-module-level private function or class (one named _x) that nothing in
-the package references outside its own body.  The re-exports of
+Two kinds of leftover fail: a module that imports a name it never uses,
+and a module-level private function or class (one named _x) that nothing
+in the package references outside its own body.  The re-exports of
 __init__.py are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liftcert"
+from liftcert import cli, lifting
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liftcert"
 
 
 def _modules():
@@ -66,3 +71,18 @@ def test_every_private_definition_is_referenced():
                        for other in modules.values()):
                 unreferenced.append(f"{name}: {node.name}")
     assert unreferenced == []
+
+
+def _constants(module, prefix):
+    return sorted(value for name, value in vars(module).items()
+                  if name.startswith(prefix))
+
+
+def test_readme_lists_every_verdict_and_exit_code():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    verdicts = re.search(r"the verdict\s+\(([^)]*)\)", text)[1]
+    assert sorted(re.findall(r"`(\w+)`", verdicts)) == (
+        _constants(lifting, "VERDICT_"))
+    codes = re.search(r"Exit codes: ([^;]*);", text)[1]
+    assert sorted(int(c) for c in re.findall(r"`(\d+)`", codes)) == (
+        _constants(cli, "EXIT_"))

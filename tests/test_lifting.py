@@ -23,6 +23,7 @@ from liftcert import (
 from liftcert import exactnum, lifting
 from liftcert.errors import ConfigError, ResourceLimitExceeded
 from liftcert.finitefield import is_irreducible_multivariate
+from liftcert.multipoly import grlex_key
 from liftcert.lifting import (
     VERDICT_CERTIFIED,
     VERDICT_NOT_A_LIFTING,
@@ -33,7 +34,13 @@ from liftcert.lifting import (
     residue_to_json,
 )
 
-from conftest import P, gauss_config, rc_config
+from conftest import (
+    SPLIT_CONFIGS,
+    P,
+    gauss_config,
+    liftable_residue,
+    rc_config,
+)
 
 
 def eisenstein_config(p, deg):
@@ -96,7 +103,8 @@ class TestCheckLifting:
         assert report.failed.name == "contributing_index_x1"
         assert report.failed.lhs == "1 in (1, 1)"
         assert report.failed.rhs == "a multiple of e_1 = 2"
-        assert report.residue is None
+        assert report.failed is report.checks[-1]
+        assert report.t == (1, 1) and report.residue is None
         cert = certify_irreducible(f, config)
         assert cert.verdict == VERDICT_NOT_A_LIFTING
         assert cert.reason.startswith(
@@ -105,8 +113,8 @@ class TestCheckLifting:
     def test_residue_monic_follows_from_monic_input(self, rng):
         # for a monic f with the right degrees, the top expansion index
         # e*t always carries the digit 1 and always contributes, so the
-        # residue_monic check passes whenever the earlier checks do (the
-        # ResidueNotMonic verdict is a defensive branch)
+        # residue_monic check passes whenever the earlier checks do; the
+        # row is still recorded and compared
         config = PairConfig([Inert((1, 0, 1), Fraction(1, 2))], 3)
         report = check_lifting(P("x^4 + 2*x^2 + 4", ("x",)), config)
         assert report.ok
@@ -136,6 +144,47 @@ class TestCheckLifting:
         assert check_lifting(f, config).ok
         assert certify_irreducible(f, config).certified
         assert calls == []
+
+
+def _mutants(f, rng):
+    """f, f + 1, f with its leading coefficient doubled, and f without
+    one of its terms (when it has another)."""
+    n = f.nvars
+    lead = max(f.terms, key=grlex_key)
+    drop = rng.choice(sorted(f.terms))
+    yield f
+    yield f + MultiPoly.constant(n, 1)
+    yield f + MultiPoly(n, {lead: f.terms[lead]})
+    if len(f.terms) > 1:
+        yield MultiPoly(n, {e: c for e, c in f.terms.items() if e != drop})
+
+
+class TestReportContract:
+    # a failed report ends at the row that failed it; it carries t once
+    # condition (i) has held and the residue only when every check
+    # passed; certify turns exactly the failed reports into NotALifting
+    # with the report's reason
+    @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS],
+                             ids=[c[0] for c in SPLIT_CONFIGS])
+    def test_seeded_liftings_and_mutants(self, config, rng):
+        seen = set()
+        for seed in range(12):
+            T, _ = liftable_residue(rng, config)
+            for g in _mutants(generate_lifting(T, config, seed), rng):
+                report = check_lifting(g, config)
+                seen.add(report.condition)
+                if not report.ok:
+                    assert report.failed is report.checks[-1]
+                    assert not report.failed.passed
+                    assert all(c.passed for c in report.checks[:-1])
+                assert (report.t is None) == (report.condition == "i")
+                assert (report.residue is None) == (not report.ok)
+                cert = certify_irreducible(g, config)
+                assert (cert.verdict == VERDICT_NOT_A_LIFTING) == (
+                    not report.ok)
+                if not report.ok:
+                    assert cert.reason == report.reason
+        assert {None, "i"} <= seen
 
 
 class TestCertify:

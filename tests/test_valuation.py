@@ -1,6 +1,5 @@
 """Minimal pairs, derived invariants, the valuation w, and residues."""
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -14,9 +13,6 @@ from liftcert import (
     MultiPoly,
     PairConfig,
     RationalCenter,
-    ResiduePoly,
-    compute_e_h,
-    compute_lambda,
     generate_lifting,
 )
 from liftcert import phi_expand, valuation
@@ -28,7 +24,14 @@ from liftcert.valuation import (
     pair_specs_to_json,
 )
 
-from conftest import P, gauss_config, random_poly, rc_config
+from conftest import (
+    SPLIT_CONFIGS,
+    P,
+    gauss_config,
+    liftable_residue,
+    random_poly,
+    rc_config,
+)
 
 
 def w_of(config, f):
@@ -43,25 +46,30 @@ def residue_at(config, f):
     return config.residue(table, contributing)
 
 
+def pair_data(spec, p):
+    """The derived data of one pair, validated as PairConfig does."""
+    return PairConfig([spec], p).pairs[0]
+
+
 class TestLambda:
     def test_rational_center_is_delta(self):
-        assert compute_lambda(RationalCenter(Fraction(0), Fraction(0)), 3) == 0
-        assert compute_lambda(
+        assert pair_data(RationalCenter(Fraction(0), Fraction(0)), 3).lam == 0
+        assert pair_data(
             RationalCenter(Fraction(2), Fraction(5, 7)), 3
-        ) == Fraction(5, 7)
+        ).lam == Fraction(5, 7)
 
     def test_inert_x2_plus_1(self):
         # [DERIVED] phi = x^2+1 at p=3: the k=1 Taylor digit is 2x with
         # content 0, so lambda = min(delta, 1 + 2*delta) = delta here
-        assert compute_lambda(Inert((1, 0, 1), Fraction(1, 2)), 3) == Fraction(
+        assert pair_data(Inert((1, 0, 1), Fraction(1, 2)), 3).lam == Fraction(
             1, 2
         )
-        assert compute_lambda(Inert((1, 0, 1), Fraction(3)), 3) == 3
+        assert pair_data(Inert((1, 0, 1), Fraction(3)), 3).lam == 3
 
     def test_inert_x2_plus_x_plus_1(self):
-        assert compute_lambda(
+        assert pair_data(
             Inert((1, 1, 1), Fraction(1, 3)), 2
-        ) == Fraction(1, 3)
+        ).lam == Fraction(1, 3)
 
     def test_inert_lambda_equals_delta(self):
         # for phi irreducible mod p the derivative digit is a unit
@@ -72,18 +80,18 @@ class TestLambda:
             (Inert((1, 1, 0, 1), Fraction(7, 3)), 2),
             (Inert((2, 1, 1), Fraction(5, 2)), 3),
         ]:
-            assert compute_lambda(spec, p) == spec.delta
+            assert pair_data(spec, p).lam == spec.delta
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            compute_lambda(RationalCenter(Fraction(0), Fraction(-1)), 3)
+            pair_data(RationalCenter(Fraction(0), Fraction(-1)), 3)
         with pytest.raises(ConfigError):
-            compute_lambda(Inert((1, 0, 1), Fraction(0)), 3)
+            pair_data(Inert((1, 0, 1), Fraction(0)), 3)
         with pytest.raises(ConfigError):
             # x^2+1 = (x+1)^2 mod 2
-            compute_lambda(Inert((1, 0, 1), Fraction(1, 2)), 2)
+            pair_data(Inert((1, 0, 1), Fraction(1, 2)), 2)
         with pytest.raises(ConfigError):
-            compute_lambda(Inert((1, 0), Fraction(1)), 3)  # degree 1
+            pair_data(Inert((1, 0), Fraction(1)), 3)  # degree 1
 
     @pytest.mark.parametrize("spec,p", [
         (Inert((7, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 1), 11),
@@ -98,10 +106,27 @@ class TestLambda:
 
 class TestEH:
     def test_examples(self):
-        assert compute_e_h(Fraction(0), 3) == (1, 0)
-        assert compute_e_h(Fraction(1, 2), 2) == (2, 1)
-        assert compute_e_h(Fraction(3, 2), 5) == (2, 3)
-        assert compute_e_h(Fraction(4), 3) == (1, 4)
+        # e is the smallest integer with e*lambda integral, N = e*lambda
+        # and h = p^N
+        for delta, p, e, n in [
+            (Fraction(0), 3, 1, 0),
+            (Fraction(1, 2), 2, 2, 1),
+            (Fraction(3, 2), 5, 2, 3),
+            (Fraction(4), 3, 1, 4),
+        ]:
+            pair = pair_data(RationalCenter(Fraction(0), delta), p)
+            assert (pair.lam, pair.e, pair.N) == (delta, e, n)
+            assert pair.h_of(p) == p ** n
+
+    def test_h_refused_before_the_power(self):
+        # p^N has more than N*(bitlen(p) - 1) bits: a large N is refused
+        # on that count, before p^N is formed
+        pair = pair_data(RationalCenter(Fraction(0), Fraction(10 ** 6)), 3)
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            pair.h_of(3)
+        assert exc.value.needed == 10 ** 6 + 1
+        widest = pair_data(RationalCenter(Fraction(0), Fraction(13999)), 2)
+        assert widest.h_of(2) == 2 ** 13999
 
     def test_h_is_p_power(self):
         config = rc_config(2, [Fraction(1, 2)])
@@ -182,20 +207,6 @@ def _reference_table(config, f):
             for idx, a in phi_expand(g, phis).terms.items()}
 
 
-SPLIT_CONFIGS = [
-    ("gauss", gauss_config(3, 2)),
-    ("shifted-ramified", PairConfig(
-        [RationalCenter(Fraction(1), Fraction(1, 2)),
-         RationalCenter(Fraction(-1, 2), Fraction(2, 3))], 5)),
-    ("inert-then-shifted", PairConfig(
-        [Inert((1, 0, 1), Fraction(1, 2)),
-         RationalCenter(Fraction(2, 5), Fraction(1))], 3)),
-    ("shifted-then-inert", PairConfig(
-        [RationalCenter(Fraction(-1), Fraction(1, 3)),
-         Inert((1, 1, 1), Fraction(1, 2))], 2)),
-]
-
-
 class TestExponentSplit:
     @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS],
                              ids=[c[0] for c in SPLIT_CONFIGS])
@@ -218,30 +229,6 @@ class TestExponentSplit:
             assert all(a.degree() == 0 for a, _ in table.values())
 
 
-def _liftable_residue(rng, config):
-    """A random monic T of degree t_i in {1, 2} in each Z_i that has a
-    lifting: not a coordinate Z_i, and free of an inert variable's
-    generator wherever it reaches that variable's full degree."""
-    field, pairs = config.field, config.pairs
-    while True:
-        t = tuple(rng.randint(1, 2) for _ in pairs)
-        terms = {t: field.one}
-        for exps in itertools.product(*(range(ti + 1) for ti in t)):
-            if exps == t or rng.random() < 0.4:
-                continue
-            full = any(pair.y_index is not None and j == ti
-                       for pair, j, ti in zip(pairs, exps, t))
-            if full:
-                terms[exps] = field.from_int(rng.randrange(field.p))
-            else:
-                terms[exps] = field.element({
-                    y: rng.randrange(field.p)
-                    for y in itertools.product(range(3), repeat=field.nyvars)})
-        T = ResiduePoly(field, len(pairs), terms)
-        if not any(T.is_single_variable(i) for i in range(len(pairs))):
-            return T, t
-
-
 class TestGenerationInvertsExpansion:
     @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS],
                              ids=[c[0] for c in SPLIT_CONFIGS])
@@ -250,7 +237,7 @@ class TestGenerationInvertsExpansion:
         # lift(c_J) of content s_J at e*J, and nothing else
         n, p = config.nvars, config.p
         for _ in range(30):
-            T, t = _liftable_residue(rng, config)
+            T, t = liftable_residue(rng, config)
             expected = {}
             for exps, c in T.terms.items():
                 s = sum(pair.N * (ti - j)

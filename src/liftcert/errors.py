@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the default work limit of every guard."""
+
+DEFAULT_CANDIDATE_LIMIT = 10 ** 6
 
 
 class LiftcertError(Exception):

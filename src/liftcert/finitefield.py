@@ -45,11 +45,9 @@ import itertools
 import math
 import operator
 
-from .errors import ConfigError, ResourceLimitExceeded
+from .errors import DEFAULT_CANDIDATE_LIMIT, ConfigError, ResourceLimitExceeded
 from .exactnum import check_prime
 from .multipoly import grlex_key, monomial_factors, terms_to_str
-
-DEFAULT_CANDIDATE_LIMIT = 10 ** 6
 
 
 class GeneratorReducible(ConfigError):
@@ -466,26 +464,33 @@ class ResiduePoly:
         unit = tuple(1 if j == i else 0 for j in range(self.nvars))
         return set(self.terms) == {unit} and self.terms[unit] == self.field.one
 
+    def coefficient_texts(self):
+        """{exponents: coefficient text}, in descending graded-lex order."""
+        return {e: self.terms[e].to_str()
+                for e in sorted(self.terms, key=grlex_key, reverse=True)}
+
     def to_str(self):
-        if not self.terms:
-            return "0"
-        names = [f"Z{i + 1}" for i in range(self.nvars)]
-        parts = []
-        for e in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[e]
-            factors = monomial_factors(names, e)
-            cs = c.to_str()
-            if not factors:
-                parts.append(f"({cs})" if ("+" in cs or "*" in cs) else cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            else:
-                coef = f"({cs})" if ("+" in cs) else cs
-                parts.append("*".join([coef] + factors))
-        return " + ".join(parts)
+        return residue_text(self.nvars, self.coefficient_texts())
 
     def __repr__(self):
         return f"ResiduePoly({self.to_str()})"
+
+
+def residue_text(nvars, texts):
+    """The printed form of a residue polynomial in Z_1..Z_nvars from its
+    coefficient_texts(): a coefficient that is a sum is parenthesised."""
+    names = [f"Z{i + 1}" for i in range(nvars)]
+    parts = []
+    for e, cs in texts.items():
+        factors = monomial_factors(names, e)
+        if not factors:
+            parts.append(f"({cs})" if ("+" in cs or "*" in cs) else cs)
+        elif cs == "1":
+            parts.append("*".join(factors))
+        else:
+            coef = f"({cs})" if ("+" in cs) else cs
+            parts.append("*".join([coef] + factors))
+    return " + ".join(parts) if parts else "0"
 
 
 def _evaluate(terms, values, keep, ar):

@@ -25,10 +25,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
+from .errors import ConfigError, ResourceLimitExceeded
 from .exactnum import check_prime, vp
-from .finitefield import ResiduePoly, is_irreducible_multivariate
-from .multipoly import MultiPoly, PhiExpansion, grlex_key, reconstruct
+from .finitefield import ResiduePoly, is_irreducible_multivariate, residue_text
+from .multipoly import MultiPoly, PhiExpansion, reconstruct
 from .parse import MAX_COEFF_BITS, MAX_DEGREE
 from .valuation import (
     PairConfig,
@@ -168,7 +168,7 @@ class LiftingCertificate:
     checks: list
     verdict: str
     reason: str = None
-    residue_text: str = None  # residue.to_str(), when certify printed it
+    residue_texts: dict = None  # residue.coefficient_texts(), from certify
 
     @property
     def certified(self):
@@ -184,8 +184,9 @@ class LiftingCertificate:
         only on the configuration and the names: json.dumps renders
         them when either is new, and their text is kept on the
         configuration for the names last rendered.  The check rows and
-        T's coefficient rows are filled into fixed templates, and T's
-        text is the one certify printed for the residue checks."""
+        T's rows are filled into fixed templates; T's rows and text come
+        from the coefficient texts that certify printed once for the
+        residue checks."""
         config, names = self.config, self.names
         header = config.rendered_header
         if header is None or header[0] != names:
@@ -194,7 +195,7 @@ class LiftingCertificate:
         encode = encode_basestring_ascii
         residue = self.residue
         t_json = "null" if residue is None else residue_json(
-            residue, self.residue_text, "\n  ")
+            residue, self.residue_texts, "\n  ")
         checks = ",\n    ".join([
             _CHECK_ROW % (encode(c.name), encode(c.lhs), encode(c.rhs),
                           "true" if c.passed else "false")
@@ -260,12 +261,13 @@ def certify_irreducible(
     of the residue within config.limit; a Certified verdict means f is
     irreducible over the p-adics and hence over the rationals."""
     report = check_lifting(f, config)
-    verdict, reason, text = VERDICT_CERTIFIED, None, None
+    verdict, reason, texts = VERDICT_CERTIFIED, None, None
     if not report.ok:
         verdict, reason = VERDICT_NOT_A_LIFTING, report.reason
     else:
         residue = report.residue
-        text = residue.to_str()
+        texts = residue.coefficient_texts()
+        text = residue_text(config.nvars, texts)
         for i in range(config.nvars):
             excluded = residue.is_single_variable(i)
             report.checks.append(CheckResult(
@@ -284,7 +286,7 @@ def certify_irreducible(
     return LiftingCertificate(
         f, config, None if names is None else tuple(names),
         report.t, report.residue, report.checks, verdict, reason,
-        residue_text=text,
+        residue_texts=texts,
     )
 
 
@@ -309,8 +311,9 @@ def generate_lifting(
     the digit at index e*J is p^(s_J) times the canonical integer
     representative of T's coefficient c_J, and `reconstruct` sums the
     digits times their phi powers.  With seed != 0, sparse noise terms
-    of strictly higher valuation are added (residue provably unchanged,
-    re-verified before returning)."""
+    of strictly higher valuation are added, each try re-verified: after
+    a failed first level the search jumps to _least_noise_level, and it
+    raises ResourceLimitExceeded after 60 levels."""
     if T.field != config.field:
         raise ConfigError("T's residue field does not match the pairs")
     if T.nvars != config.nvars:
@@ -351,38 +354,43 @@ def generate_lifting(
             _lift_element(c, config).scale(Fraction(p) ** powers[exps])
         for exps, c in T.terms.items()
     }
-    f = reconstruct(PhiExpansion(n, [pair.phi for pair in config.pairs],
-                                 digits))
+    f = reconstruct(PhiExpansion(n, config.phis, digits))
 
     if seed == 0:
         return f
 
-    rng = random.Random(seed)
-    target = config.lifting_target(t)
-    assert target.denominator == 1
-    level = int(target) + 1
-    bounds = [
-        pair.e * ti * pair.m - 1 for pair, ti in zip(config.pairs, t)
-    ]
-    monomials = [
-        tuple(rng.randint(0, b) for b in bounds)
-        for _ in range(rng.randint(1, 3))
-    ]
-    coeffs = [rng.randint(1, max(p - 1, 1)) for _ in monomials]
-    for _ in range(60):
-        noise = MultiPoly(
-            n,
-            {
-                e: Fraction(c * p ** level)
-                for e, c in zip(monomials, coeffs)
-            },
-        )
-        g = f + noise
+    noise = _noise(random.Random(seed), config, t)
+    level = int(config.lifting_target(t)) + 1
+    for attempt in range(60):
+        g = f + noise.scale(p ** level)
         report = check_lifting(g, config)
         if report.ok and report.residue == T:
             return g
         level += 1
-    raise LiftcertError("could not place noise terms above the lifting level")
+        if attempt == 0:
+            level = max(level, _least_noise_level(noise, config, t))
+    raise ResourceLimitExceeded("noise placement attempts", 60, 61)
+
+
+def _noise(rng, config: PairConfig, t):
+    """One to three monomials of degree below e_i t_i m_i in each x_i,
+    with coefficients in 1 .. p - 1: the noise before its p-power."""
+    bounds = [pair.e * ti * pair.m - 1 for pair, ti in zip(config.pairs, t)]
+    monomials = [tuple(rng.randint(0, b) for b in bounds)
+                 for _ in range(rng.randint(1, 3))]
+    coeffs = [rng.randint(1, max(config.p - 1, 1)) for _ in monomials]
+    return MultiPoly(config.nvars, dict(zip(monomials, coeffs)))
+
+
+def _least_noise_level(noise: MultiPoly, config: PairConfig, t) -> int:
+    """The least L at which p^L * noise has w above the lifting target
+    and each marginal at least t_i N_i: below it, the sum with the
+    lifting has a smaller w or marginal, or another residue."""
+    w, _, marginals = config.valuation(config.expansion_table(noise))
+    target = config.lifting_target(t)
+    return max([math.floor(target - w) + 1] + [
+        math.ceil(ti * pair.N - marginal)
+        for pair, ti, marginal in zip(config.pairs, t, marginals)])
 
 
 def _check_lifting_bits(config: PairConfig, powers):
@@ -495,21 +503,23 @@ def _newton_slopes(u: MultiPoly, i: int, p: int):
 # residue polynomial serialization (wire format)
 
 
-def residue_json(T: ResiduePoly, text=None, newline="\n") -> str:
+def residue_json(T: ResiduePoly, texts=None, newline="\n") -> str:
     """T's wire document as json.dumps(indent=2) prints it, nested at
     newline: the prime, one row per term in descending graded-lex order,
-    and text, T's printed form (T.to_str() when None)."""
+    and T's printed form, all from texts, T's coefficient_texts() (read
+    from T when None)."""
     encode = encode_basestring_ascii
     i1, i2, i3 = newline + "  ", newline + "    ", newline + "      "
+    texts = texts or T.coefficient_texts()
     rows = ",".join([
         i2 + "{" + i3 + '"exp": ' + _int_list(exps, i3) + ","
-        + i3 + '"c": ' + encode(T.terms[exps].to_str()) + i2 + "}"
-        for exps in sorted(T.terms, key=grlex_key, reverse=True)
+        + i3 + '"c": ' + encode(text) + i2 + "}"
+        for exps, text in texts.items()
     ])
     return "".join([
         "{", i1, '"p": ', str(T.field.p), ",",
         i1, '"coeffs": ', "[" + rows + i1 + "]" if rows else "[]", ",",
-        i1, '"text": ', encode(T.to_str() if text is None else text),
+        i1, '"text": ', encode(residue_text(T.nvars, texts)),
         newline, "}",
     ])
 

@@ -6,19 +6,20 @@ provides the canonical phi-adic expansion
 
     f = sum_I  a_I * phi_1^{i_1} * ... * phi_n^{i_n}
 
-with deg_{x_j}(a_I) < deg(phi_j): for phi_j = x_j the digit index i_j
-is the exponent of x_j, read off each term in one pass; otherwise the
-digits in x_j come from repeatedly dividing the coefficient list in x_j
-by phi_j's scalar coefficients.  Also the Gauss content valuation
-min_coeff vp(c), an int, or None for the zero polynomial.
+with deg_{x_j}(a_I) < deg(phi_j): a linear phi_j = x_j - c is the
+Taylor shift to c, after which each term's exponent of x_j is its digit
+index; a phi_j of higher degree rewrites the coefficient lists in x_j
+by repeated division, guarded by a work limit.  Also the Gauss content
+valuation min_coeff vp(c), an int, or None for the zero polynomial.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 
-from .errors import LiftcertError
+from .errors import DEFAULT_CANDIDATE_LIMIT, LiftcertError, ResourceLimitExceeded
 from .exactnum import vp
 
 
@@ -81,6 +82,13 @@ class MultiPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """terms as they are, already canonical like phi_expand's digits."""
+        f = object.__new__(cls)
+        f.nvars, f.terms = nvars, terms
+        return f
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -191,18 +199,20 @@ class MultiPoly:
         return result
 
     def shift(self, i: int, a) -> "MultiPoly":
-        """x_i -> x_i + a, by the binomial Taylor shift of each term."""
+        """x_i -> x_i + a, by the binomial Taylor shift of each term;
+        each binomial comb(k, j) comes from the one before it."""
         a = _as_fraction(a)
         if a == 0:
             return self
         terms = {}
         for exps, c in self.terms.items():
             k = exps[i]
-            power = c  # c * a^(k - j)
+            binom, power = 1, c  # comb(k, j) and c * a^(k - j)
             for j in range(k, -1, -1):
                 e = exps[:i] + (j,) + exps[i + 1:]
-                terms[e] = terms.get(e, 0) + math.comb(k, j) * power
+                terms[e] = terms.get(e, 0) + binom * power
                 power *= a
+                binom = binom * j // (k - j + 1)
         return MultiPoly(self.nvars, terms)
 
     def __eq__(self, other) -> bool:
@@ -227,91 +237,84 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
-class PhiExpansion:
-    """The unique representation f = sum_I a_I prod_j phi_j^{i_j}."""
-
-    __slots__ = ("nvars", "phis", "terms")
-
-    def __init__(self, nvars, phis, terms):
-        self.nvars = nvars
-        self.phis = [list(p) for p in phis]  # univariate coeffs, low-to-high
-        self.terms = dict(terms)  # index vector -> MultiPoly digit
+# the unique representation f = sum_I a_I prod_j phi_j^{i_j}: phis are
+# univariate coefficient lists, low-to-high; terms map I to the digit a_I
+PhiExpansion = namedtuple("PhiExpansion", "nvars phis terms")
 
 
-def _digits(terms, i: int, phi):
-    """phi-adic digits in x_i of {exps: coeff}, lowest first.
+def _divide(terms, i: int, phi, limit):
+    """Rewrite {exps: coeff} so that an exponent k*m + r of x_i stands
+    for x_i^r * phi^k, where phi is monic of degree m.
 
-    The coefficient list in x_i (entries keyed by the exponents with x_i
-    set to 0) is divided by phi in place, from the top: afterwards the m
-    entries from base are the remainder, i.e. the next digit, and the
-    rest are the quotient.  Only phi's nonzero lower coefficients do any
-    arithmetic, so for phi = x^m the digits are the list itself, read in
-    one pass.
+    Each coefficient list in x_i, one per vector of the other exponents,
+    is divided by phi in place, from the top: afterwards the m entries
+    from base are the remainder, i.e. the next digit, and the rest are
+    the quotient, which the next pass divides.  A list of L entries takes
+    L - m*k steps for its k-th digit (k = 1 .. L // m), each updating one
+    entry per nonzero lower coefficient of phi (none for phi = x^m):
+    quadratic in the degree.  These updates are counted over every list
+    before any division, against limit (ResourceLimitExceeded).
     """
     m = len(phi) - 1
     lower = [(j, c) for j, c in enumerate(phi[:m]) if c]
-    coeffs = [{} for _ in range(max(e[i] for e in terms) + 1)]
+    if not lower:
+        return terms
+    lists = {}
     for exps, c in terms.items():
-        coeffs[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
-    digits = []
-    for base in range(0, len(coeffs), m):
-        for d in range(len(coeffs) - 1, base + m - 1, -1) if lower else ():
-            lead = coeffs[d]
-            for j, pj in lower:
-                row = coeffs[d - m + j]
-                for e, c in lead.items():
-                    v = row.get(e, 0) - pj * c
-                    if v:
-                        row[e] = v
-                    else:
-                        row.pop(e, None)
-        digit = {}
-        for k, row in enumerate(coeffs[base:base + m]):
-            for e, c in row.items():
-                digit[e[:i] + (k,) + e[i + 1:]] = c
-        digits.append(digit)
-    return digits
+        lists.setdefault(exps[:i] + (0,) + exps[i + 1:], {})[exps[i]] = c
+    needed = 0
+    for entries in lists.values():
+        length = max(entries) + 1
+        q = length // m
+        needed += (q * length - m * q * (q + 1) // 2) * len(lower)
+    if needed > limit:
+        raise ResourceLimitExceeded("phi-adic division work", limit, needed)
+    out = {}
+    for key, entries in lists.items():
+        coeffs = [0] * (max(entries) + 1)
+        for e, c in entries.items():
+            coeffs[e] = c
+        for base in range(0, len(coeffs), m):
+            for d in range(len(coeffs) - 1, base + m - 1, -1):
+                lead = coeffs[d]
+                if lead:
+                    for j, pj in lower:
+                        coeffs[d - m + j] -= pj * lead
+        for e, c in enumerate(coeffs):
+            if c:
+                out[key[:i] + (e,) + key[i + 1:]] = c
+    return out
 
 
-def _exponent_digits(terms, i: int):
-    """The phi-adic digits in x_i of {exps: coeff} for phi = x: each
-    term goes to the digit indexed by its exponent of x_i, which is set
-    to 0 in the digit.  A map from index to digit, nonzero digits only."""
-    digits = {}
-    for exps, c in terms.items():
-        digits.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
-    return digits
-
-
-def phi_expand(f: MultiPoly, phis) -> PhiExpansion:
-    """Expand f in base (phi_1, ..., phi_n), one variable at a time.
-
-    phis is one monic univariate coefficient list (low-to-high) per
-    variable; phi_j is a polynomial in x_j alone.
+def phi_expand(f: MultiPoly, phis,
+               limit=DEFAULT_CANDIDATE_LIMIT) -> PhiExpansion:
+    """Expand f in base (phi_1, ..., phi_n), where phi_j is a monic
+    univariate coefficient list (low-to-high) in x_j.  A linear phi_j =
+    x_j - c is the Taylor shift x_j -> x_j + c; then each phi_j of
+    degree m_j >= 2 rewrites the terms through `_divide`, under limit.
+    An exponent k*m_j + r of x_j now stands for x_j^r * phi_j^k, and the
+    digit at index I collects the terms whose exponents split into I.
     """
     n = f.nvars
     if len(phis) != n:
         raise VariableMismatch(f"{len(phis)} phis for {n} variables")
-    for coeffs in phis:
-        if len(coeffs) < 2 or _as_fraction(coeffs[-1]) != 1:
+    for j, phi in enumerate(phis):
+        if len(phi) < 2 or phi[-1] != 1:
             raise ValueError("each phi must be monic of degree >= 1")
-
-    def expand(terms, var: int):
-        if var == n:
-            return {(): MultiPoly(n, terms)}
-        phi = phis[var]
-        if list(phi) == [0, 1]:
-            digits = _exponent_digits(terms, var).items()
-        else:
-            digits = enumerate(_digits(terms, var, phi))
-        result = {}
-        for k, digit in digits:
-            if digit:
-                for idx, a in expand(digit, var + 1).items():
-                    result[(k,) + idx] = a
-        return result
-
-    return PhiExpansion(n, phis, expand(f.terms, 0) if f.terms else {})
+        if len(phi) == 2 and phi[0]:
+            f = f.shift(j, -phi[0])
+    terms = f.terms
+    for j, phi in enumerate(phis):
+        if len(phi) > 2:
+            terms = _divide(terms, j, phi, limit)
+    ms = [len(phi) - 1 for phi in phis]
+    split, zero = any(m > 1 for m in ms), (0,) * n
+    digits = {}
+    for exps, c in terms.items():
+        idx, rest = zip(*map(divmod, exps, ms)) if split else (exps, zero)
+        digits.setdefault(idx, {})[rest] = c
+    return PhiExpansion(n, phis, {idx: MultiPoly._of(n, digit)
+                                  for idx, digit in digits.items()})
 
 
 def reconstruct(expansion: PhiExpansion) -> MultiPoly:
@@ -331,4 +334,4 @@ def reconstruct(expansion: PhiExpansion) -> MultiPoly:
 
 def content_valuation(f: MultiPoly, p: int):
     """Gauss content: min vp over coefficients, an int; None for zero."""
-    return min((vp(c, p) for c in f.terms.values()), default=None)
+    return min(map(vp, f.terms.values(), repeat(p)), default=None)

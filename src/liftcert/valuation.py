@@ -9,19 +9,19 @@ integers, irreducible mod p) with delta > 0.  From each pair we derive:
   * e_i, the denominator of lambda_i, and N_i = e_i * lambda_i,
     so the normalizer h_i is the constant p^{N_i}.
 
-The valuation of a polynomial f is computed from its phi-adic expansion,
-taken after a Taylor shift to each rational center.  There phi = x, so a
-rational-center variable's digit index is just the exponent, read off
-each term in one pass; only inert variables are expanded by division by
-their phi, whose work is guarded by the configuration's limit:
+The valuation of a polynomial f is computed from its phi-adic expansion
+in the pairs' own phis (multipoly.phi_expand): a rational center's
+phi = x - center is a Taylor shift, after which the digit index is the
+exponent; an inert phi is divided out, with that division's work
+guarded by the configuration's limit:
 
     w(f) = min_I ( v(a_I at the centers) + sum_j i_j * lambda_j )
 
-where the coefficient value is the Gauss content of the (recentred)
-digit; this content rule is exact because inert extensions are
-unramified with pairwise coprime degrees, a constraint the residue
-field construction enforces.  One walk over the expansion table gives
-w, the contributing (argmin) indices and the per-variable marginals.
+where the coefficient value is the Gauss content of the digit; this
+content rule is exact because inert extensions are unramified with
+pairwise coprime degrees, a constraint the residue field construction
+enforces.  One walk over the expansion table gives w, the contributing
+(argmin) indices and the per-variable marginals.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
-from .exactnum import vp
 from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 from .parse import MAX_COEFF_BITS, check_coeff, parse_number
@@ -137,6 +136,7 @@ class PairConfig:
                 )
             )
         self.pairs = pairs
+        self.phis = [pair.phi for pair in pairs]
         # the valuation walk's ints: E = lcm(e_i) and lambda_i * E
         self.scale = math.lcm(*(pair.e for pair in pairs))
         self.steps = [pair.N * (self.scale // pair.e) for pair in pairs]
@@ -161,53 +161,13 @@ class PairConfig:
 
     def expansion_table(self, f: MultiPoly):
         """Map from expansion index I to (digit a_I, the int content
-        valuation of a_I).
-
-        Rational-center variables are recentred first, after which
-        phi = x: their digit index is the exponent, so the digit's
-        degree-0 part in those variables is the evaluation at the
-        center.  With no inert variable every term is its own digit;
-        otherwise phi_expand divides by each inert phi, after a guard on
-        that division's work (ResourceLimitExceeded above self.limit).
-        """
+        valuation of a_I), from phi_expand in the pairs' own phis: a
+        rational-center digit is the evaluation at the center, and the
+        division by an inert phi is guarded by self.limit
+        (ResourceLimitExceeded)."""
         self._check_arity(f)
-        g = f
-        phis = []
-        for j, pair in enumerate(self.pairs):
-            if pair.y_index is None:
-                g = g.shift(j, pair.spec.center)
-                phis.append((0, 1))
-            else:
-                phis.append(pair.phi)
-        p, n = self.p, self.nvars
-        if not self.field.nyvars:  # no inert pair: every phi is x
-            zero = (0,) * n
-            return {exps: (MultiPoly(n, {zero: c}), vp(c, p))
-                    for exps, c in g.terms.items()}
-        self._check_division_work(g)
-        expansion = phi_expand(g, phis)
-        return {
-            idx: (a, content_valuation(a, p))
-            for idx, a in expansion.terms.items()
-        }
-
-    def _check_division_work(self, g: MultiPoly):
-        """Raise ResourceLimitExceeded when dividing a coefficient list of
-        g by the inert phis takes more than self.limit row operations.  A
-        list of L = deg_{x_j} g + 1 entries gives a digit per m_j
-        entries, and each digit's division by phi_j takes L - m_j * k
-        steps (k = 1 .. L // m_j), each updating one row per nonzero
-        lower coefficient of phi_j: quadratic in the degree."""
-        needed = 0
-        for j, pair in enumerate(self.pairs):
-            if pair.y_index is not None and g.terms:
-                length, m = g.degree_in(j) + 1, pair.m
-                q = length // m
-                steps = q * length - m * q * (q + 1) // 2
-                needed += steps * sum(1 for c in pair.phi[:m] if c)
-        if needed > self.limit:
-            raise ResourceLimitExceeded(
-                "phi-adic division work", self.limit, needed)
+        return {idx: (a, content_valuation(a, self.p)) for idx, a in
+                phi_expand(f, self.phis, self.limit).terms.items()}
 
     def valuation(self, table):
         """One walk over an expansion table: w(f), the contributing

@@ -144,6 +144,19 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "resource guard" in err and "Traceback" not in err
 
+    def test_high_degree_shift_is_linear_in_binomials(self, pairs_file,
+                                                      capsys):
+        # the Taylor shift of x^8000 + 3 to the centre 1 takes each
+        # binomial from the one before; its residue Z^8000 + 1 then
+        # trips the Rabin guard
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "1", "delta": "0"}]})
+        start = time.perf_counter()
+        code = main(["certify", "--vars", "x", "--pairs", pairs, "x^8000+3"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        assert "Rabin work limit exceeded" in capsys.readouterr().err
+
     @pytest.mark.parametrize("as_json", [False, True])
     @pytest.mark.parametrize("expr", [
         "x^2 + 3^10000", "(3^5000*x + 1)^2", "9" * 100 + "^100000*x",
@@ -276,6 +289,21 @@ class TestValue:
         assert doc == {"w": "inf", "marginals": ["inf", "inf"],
                        "contributing": []}
 
+    def test_inert_division_counts_every_list_exit_5(self, pairs_file,
+                                                     capsys):
+        # four coefficient lists in y of 2,001 entries each, at
+        # 1,000,000 row operations apiece
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "0", "delta": "0"},
+            {"kind": "inert", "phi": [1, 0, 1], "delta": "1"}]})
+        start = time.perf_counter()
+        code = main(["value", "--vars", "x,y", "--pairs", pairs,
+                     "y^2000 + x*y^2000 + x^2*y^2000 + x^3*y^2000 + 3"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert "phi-adic division work limit exceeded: need 4000000" in err
+
 
 class TestResidue:
     def test_prints_residue(self, pairs_file, capsys):
@@ -387,6 +415,25 @@ class TestGenerate:
             "certify", "--vars", "x,y", "--pairs", pairs, generated,
         ])
         assert code == EXIT_OK
+
+    def test_noise_placed_far_above_the_target(self, pairs_file, tmp_path,
+                                               capsys):
+        # at the centre 3^-10 the noise's own w is far below 0, and the
+        # first level at which seed 1 places it is past 60 single steps
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "1/59049", "delta": "0"}]})
+        tfile = tmp_path / "T.json"
+        tfile.write_text(json.dumps({"p": 3, "coeffs": [
+            {"exp": [10], "c": "1"}, {"exp": [0], "c": "1"}]}))
+        code = main(["generate", "--vars", "x", "--pairs", pairs, str(tfile),
+                     "--seed", "1"])
+        assert code == EXIT_OK
+        generated = capsys.readouterr().out.strip()
+        code = main(["certify", "--json", "--vars", "x", "--pairs", pairs,
+                     generated])
+        assert code == EXIT_RESIDUE_EXCLUDED  # Z^10 + 1 factors mod 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["T"]["text"] == "Z1^10 + 1"
 
     def test_oversized_coefficient_exit_5(self, pairs_file, tmp_path,
                                           capsys):

@@ -22,7 +22,7 @@ from liftcert import (
 )
 from liftcert import exactnum, lifting
 from liftcert.errors import ConfigError, ResourceLimitExceeded
-from liftcert.finitefield import is_irreducible_multivariate
+from liftcert.finitefield import ResidueElement, is_irreducible_multivariate
 from liftcert.multipoly import grlex_key
 from liftcert.lifting import (
     VERDICT_CERTIFIED,
@@ -262,6 +262,25 @@ class TestCertify:
         assert json.loads(cert.to_json())["input"] == (
             "x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
 
+    def test_residue_coefficients_printed_once(self, monkeypatch):
+        # certify prints each coefficient of T once, and the certificate's
+        # T rows and text reuse those texts; check_lifting prints the
+        # leading one for its residue_monic row
+        calls = []
+        to_str = ResidueElement.to_str
+
+        def counted(self):
+            calls.append(self)
+            return to_str(self)
+
+        monkeypatch.setattr(ResidueElement, "to_str", counted)
+        cert = certify_irreducible(
+            P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"), gauss_config(3, 2))
+        doc = cert.to_json_dict()
+        assert len(calls) == len(cert.residue.terms) + 1
+        monkeypatch.undo()
+        assert doc["T"] == residue_to_json(cert.residue)
+
     def test_limit_comes_from_config(self):
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
         specs = [RationalCenter(Fraction(0), Fraction(0))] * 2
@@ -489,6 +508,43 @@ class TestGenerate:
             cert = certify_irreducible(f, config)
             assert cert.certified, cert.verdict
             assert cert.residue == T
+
+    # centres at powers of p: the noise is expanded at them, so its own w
+    # can lie below 0 and the first placements fail
+    NOISE_CONFIGS = [config for _, config in SPLIT_CONFIGS] + [
+        PairConfig([RationalCenter(Fraction(1, 9), Fraction(0))], 3),
+        PairConfig([RationalCenter(Fraction(3), Fraction(1))], 3),
+    ]
+
+    def test_skipped_noise_levels_fail(self, rng):
+        # every level that the jump after the first failed placement
+        # skips fails too, so the jump changes no lifting
+        skipped = 0
+        for config in self.NOISE_CONFIGS:
+            for seed in range(1, 11):
+                T, t = liftable_residue(rng, config)
+                f = generate_lifting(T, config)
+                noise = lifting._noise(random.Random(seed), config, t)
+                for level in range(
+                        int(config.lifting_target(t)) + 2,
+                        lifting._least_noise_level(noise, config, t)):
+                    skipped += 1
+                    report = check_lifting(f + noise.scale(config.p ** level),
+                                           config)
+                    assert not (report.ok and report.residue == T)
+                cert = certify_irreducible(generate_lifting(T, config, seed),
+                                           config)
+                assert cert.residue == T
+        assert skipped > 0
+
+    def test_noise_placement_gives_up_with_a_guard(self, monkeypatch):
+        config = gauss_config(3, 2)
+        field = config.field
+        T = ResiduePoly(field, 2, {(2, 2): field.one, (0, 0): field.one})
+        monkeypatch.setattr(lifting, "check_lifting",
+                            lambda g, config: lifting.CheckReport([], failed=1))
+        with pytest.raises(ResourceLimitExceeded, match="noise placement"):
+            generate_lifting(T, config, seed=1)
 
 
 class TestEisensteinSubsumption:

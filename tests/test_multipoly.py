@@ -119,15 +119,19 @@ class TestPhiExpansion:
                     assert a.degree_in(j) < len(phis[j]) - 1
 
     def test_exponent_split_equals_division_by_x(self, rng):
-        # for phi = x the digits are read off the exponents; dividing the
-        # coefficient list by x gives the same digits
+        # for phi = x - a the digits are the exponents of f shifted to a;
+        # dividing each coefficient list by x - a, the reference, gives
+        # the same digits
         for _ in range(200):
             n = rng.randint(1, 3)
-            terms = random_poly(rng, n, 6, max_terms=8).terms
+            f = random_poly(rng, n, 6, max_terms=8, allow_fractions=True)
             i = rng.randrange(n)
-            divided = {k: d for k, d in enumerate(
-                multipoly._digits(terms, i, [Fraction(0), Fraction(1)])) if d}
-            assert multipoly._exponent_digits(terms, i) == divided
+            phis = [[Fraction(0), Fraction(1)]] * n
+            phis[i] = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                       Fraction(1)]
+            digits = {idx: a.constant_value()
+                      for idx, a in phi_expand(f, phis).terms.items()}
+            assert multipoly._divide(f.terms, i, phis[i], 10 ** 9) == digits
 
     def test_expansion_is_unique(self, rng):
         # two polynomials with the same expansion table are equal

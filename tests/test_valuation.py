@@ -15,7 +15,7 @@ from liftcert import (
     RationalCenter,
     generate_lifting,
 )
-from liftcert import phi_expand, valuation
+from liftcert import multipoly, phi_expand
 from liftcert.errors import ConfigError, ResourceLimitExceeded
 from liftcert.multipoly import content_valuation
 from liftcert.valuation import (
@@ -217,12 +217,13 @@ class TestExponentSplit:
 
     @pytest.mark.parametrize("config", [c[1] for c in SPLIT_CONFIGS[:2]],
                              ids=[c[0] for c in SPLIT_CONFIGS[:2]])
-    def test_all_rational_never_calls_phi_expand(self, config, monkeypatch,
-                                                 rng):
+    def test_linear_phis_never_divide(self, config, monkeypatch, rng):
+        # a rational centre's phi = x - center is a Taylor shift, after
+        # which every digit is a constant read off the exponents
         def refuse(*args):
-            raise AssertionError("phi_expand called")
+            raise AssertionError("a linear phi was divided out")
 
-        monkeypatch.setattr(valuation, "phi_expand", refuse)
+        monkeypatch.setattr(multipoly, "_divide", refuse)
         for _ in range(20):
             f = random_poly(rng, 2, 5, allow_fractions=True)
             table = config.expansion_table(f)
@@ -274,9 +275,9 @@ class TestInertDivisionGuard:
         assert exact.expansion_table(f) == table
 
     def test_phi_x_costs_nothing(self):
-        # the rational variable of a mixed configuration is split off its
-        # exponents, so only the inert degree counts (x^2 + 1 over F_3
-        # needs a limit of 16 for its own irreducibility test)
+        # each coefficient list in y counts its own length, so x's degree
+        # costs nothing (x^2 + 1 over F_3 needs a limit of 16 for its own
+        # irreducibility test)
         config = PairConfig([RationalCenter(Fraction(0), Fraction(0)),
                              Inert((1, 0, 1), Fraction(1))], 3, limit=16)
         table = config.expansion_table(P("x^5000*y^2 + 3"))

@@ -345,23 +345,23 @@ class ResidueElement:
     def __hash__(self):
         return hash((self.field, self._key()))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         out = dict(self.coeffs)
         p = self.field.p
         for e, c in other.coeffs.items():
-            s = (out.get(e, 0) + c) % p
+            s = (out.get(e, 0) + sign * c) % p
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
         return ResidueElement(self.field, out)
 
+    def __sub__(self, other):
+        return self.__add__(other, -1)  # one walk, one construction
+
     def __neg__(self):
         p = self.field.p
         return ResidueElement(self.field, {e: (-c) % p for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         raw = {}

@@ -309,8 +309,10 @@ def generate_lifting(
 ) -> MultiPoly:
     """Construct a lifting of T as the phi-adic expansion read backwards:
     the digit at index e*J is p^(s_J) times the canonical integer
-    representative of T's coefficient c_J, and `reconstruct` sums the
-    digits times their phi powers.  With seed != 0, sparse noise terms
+    representative of T's coefficient c_J, built on ints, and
+    `reconstruct` undoes the expansion under config.limit: the division
+    work is the one certify counts on the result, so generate refuses
+    exactly what certify's guard would.  With seed != 0, sparse noise terms
     of strictly higher valuation are added, each try re-verified: after
     a failed first level the search jumps to _least_noise_level, and it
     raises ResourceLimitExceeded after 60 levels."""
@@ -351,10 +353,10 @@ def generate_lifting(
     _check_lifting_bits(config, powers)
     digits = {
         tuple(pair.e * ji for pair, ji in zip(config.pairs, exps)):
-            _lift_element(c, config).scale(Fraction(p) ** powers[exps])
+            _lift_element(c, config, p ** powers[exps])
         for exps, c in T.terms.items()
     }
-    f = reconstruct(PhiExpansion(n, config.phis, digits))
+    f = reconstruct(PhiExpansion(n, config.phis, digits), config.limit)
 
     if seed == 0:
         return f
@@ -394,7 +396,7 @@ def _least_noise_level(noise: MultiPoly, config: PairConfig, t) -> int:
 
 
 def _check_lifting_bits(config: PairConfig, powers):
-    """Raise ResourceLimitExceeded, before any phi power is formed, when
+    """Raise ResourceLimitExceeded, before the lifting is built, when
     a term p^s * prod_i phi_i^(e_i j_i) of the lifting has an estimated
     coefficient above MAX_COEFF_BITS bits; powers maps each exponent
     vector j of T to its s.  For phi = x - u/v, phi^k's denominators
@@ -428,9 +430,9 @@ def _check_lifting_bits(config: PairConfig, powers):
                 "estimated lifting coefficient bits", MAX_COEFF_BITS, needed)
 
 
-def _lift_element(c, config: PairConfig):
-    """Canonical integer-polynomial representative of a residue element,
-    with the inert generators mapped back to their variables."""
+def _lift_element(c, config: PairConfig, scale: int) -> MultiPoly:
+    """scale times the canonical integer-polynomial representative of a
+    residue element, inert generators mapped back to their variables."""
     n = config.nvars
     terms = {}
     for y_exp, k in c.coeffs.items():
@@ -438,8 +440,8 @@ def _lift_element(c, config: PairConfig):
         for i, pair in enumerate(config.pairs):
             if pair.y_index is not None:
                 exps[i] = y_exp[pair.y_index]
-        terms[tuple(exps)] = Fraction(k)
-    return MultiPoly(n, terms)
+        terms[tuple(exps)] = k * scale
+    return MultiPoly._of(n, terms)
 
 
 # ---------------------------------------------------------------------

@@ -9,12 +9,15 @@ provides the canonical phi-adic expansion
 with deg_{x_j}(a_I) < deg(phi_j): a linear phi_j = x_j - c is the
 Taylor shift to c, after which each term's exponent of x_j is its digit
 index; a phi_j of higher degree rewrites the coefficient lists in x_j
-by repeated division, guarded by a work limit.  Also the Gauss content
-valuation min_coeff vp(c), an int, or None for the zero polynomial.
+by repeated division, guarded by a work limit.  Both run on ints over
+one common denominator, and `reconstruct`, the inverse, runs them
+backwards.  Also the Gauss content valuation min_coeff vp(c), an int,
+or None for the zero polynomial.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
@@ -107,15 +110,8 @@ class MultiPoly:
     @classmethod
     def from_univariate(cls, nvars: int, i: int, coeffs) -> "MultiPoly":
         """Embed a univariate polynomial (coeffs low-to-high) in variable i."""
-        terms = {}
-        for k, c in enumerate(coeffs):
-            c = _as_fraction(c)
-            if c == 0:
-                continue
-            exps = [0] * nvars
-            exps[i] = k
-            terms[tuple(exps)] = c
-        return cls(nvars, terms)
+        return cls(nvars, {(0,) * i + (k,) + (0,) * (nvars - i - 1): c
+                           for k, c in enumerate(coeffs)})
 
     # -- queries -----------------------------------------------------
 
@@ -199,21 +195,29 @@ class MultiPoly:
         return result
 
     def shift(self, i: int, a) -> "MultiPoly":
-        """x_i -> x_i + a, by the binomial Taylor shift of each term;
-        each binomial comb(k, j) comes from the one before it."""
-        a = _as_fraction(a)
-        if a == 0:
+        """x_i -> x_i + a, on ints.  With a = u/v, D the common denominator
+        of the coefficients and K the top degree in x_i, a term
+        (n/D)*x_i^k adds n*comb(k, j)*u^(k-j)*v^(K-k+j) / (D*v^K) to
+        x_i^j; each comb(k, j) comes from the one before it."""
+        if a == 0 or not self.terms:
             return self
-        terms = {}
+        u, v = a.numerator, a.denominator
+        den = math.lcm(*[c.denominator for c in self.terms.values()])
+        top = self.degree_in(i)
+        sums = {}
         for exps, c in self.terms.items():
-            k = exps[i]
-            binom, power = 1, c  # comb(k, j) and c * a^(k - j)
+            k, head, tail = exps[i], exps[:i], exps[i + 1:]
+            binom = 1  # comb(k, j); power is n * v^(K - k) * u^(k - j)
+            power = c.numerator * (den // c.denominator) * v ** (top - k)
             for j in range(k, -1, -1):
-                e = exps[:i] + (j,) + exps[i + 1:]
-                terms[e] = terms.get(e, 0) + binom * power
-                power *= a
+                e = head + (j,) + tail
+                sums[e] = sums.get(e, 0) + binom * power
+                power *= u
                 binom = binom * j // (k - j + 1)
-        return MultiPoly(self.nvars, terms)
+        den *= v ** top
+        return MultiPoly._of(self.nvars, {
+            e: Fraction(s) if den == 1 else Fraction(s * v ** e[i], den)
+            for e, s in sums.items() if s})
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,9 +246,9 @@ class MultiPoly:
 PhiExpansion = namedtuple("PhiExpansion", "nvars phis terms")
 
 
-def _divide(terms, i: int, phi, limit):
+def _divide(terms, i: int, phi, limit, undo=False):
     """Rewrite {exps: coeff} so that an exponent k*m + r of x_i stands
-    for x_i^r * phi^k, where phi is monic of degree m.
+    for x_i^r * phi^k, where phi is monic of degree m (undo: the inverse).
 
     Each coefficient list in x_i, one per vector of the other exponents,
     is divided by phi in place, from the top: afterwards the m entries
@@ -253,12 +257,18 @@ def _divide(terms, i: int, phi, limit):
     L - m*k steps for its k-th digit (k = 1 .. L // m), each updating one
     entry per nonzero lower coefficient of phi (none for phi = x^m):
     quadratic in the degree.  These updates are counted over every list
-    before any division, against limit (ResourceLimitExceeded).
+    before any division, against limit (ResourceLimitExceeded).  Undo
+    runs the steps in reverse order with the opposite sign; it keeps each
+    list's length, so it counts the same work.  The entries are the
+    numerators over one common denominator.
     """
     m = len(phi) - 1
-    lower = [(j, c) for j, c in enumerate(phi[:m]) if c]
+    sign, order = (1, reversed) if undo else (-1, iter)
+    lower = [(j, sign * (c.numerator if c.denominator == 1 else c))
+             for j, c in enumerate(phi[:m]) if c]
     if not lower:
         return terms
+    den = math.lcm(*[c.denominator for c in terms.values()])
     lists = {}
     for exps, c in terms.items():
         lists.setdefault(exps[:i] + (0,) + exps[i + 1:], {})[exps[i]] = c
@@ -273,16 +283,16 @@ def _divide(terms, i: int, phi, limit):
     for key, entries in lists.items():
         coeffs = [0] * (max(entries) + 1)
         for e, c in entries.items():
-            coeffs[e] = c
-        for base in range(0, len(coeffs), m):
-            for d in range(len(coeffs) - 1, base + m - 1, -1):
+            coeffs[e] = c.numerator * (den // c.denominator)
+        for base in order(range(0, len(coeffs), m)):
+            for d in order(range(len(coeffs) - 1, base + m - 1, -1)):
                 lead = coeffs[d]
                 if lead:
                     for j, pj in lower:
-                        coeffs[d - m + j] -= pj * lead
+                        coeffs[d - m + j] += pj * lead
         for e, c in enumerate(coeffs):
             if c:
-                out[key[:i] + (e,) + key[i + 1:]] = c
+                out[key[:i] + (e,) + key[i + 1:]] = Fraction(c, den)
     return out
 
 
@@ -317,18 +327,27 @@ def phi_expand(f: MultiPoly, phis,
                                   for idx, digit in digits.items()})
 
 
-def reconstruct(expansion: PhiExpansion) -> MultiPoly:
-    """Sum a_I * prod phi_j^{i_j}, exactly."""
-    n = expansion.nvars
-    phis = [MultiPoly.from_univariate(n, j, phi)
-            for j, phi in enumerate(expansion.phis)]
-    f = MultiPoly.zero(n)
-    for idx, a in expansion.terms.items():
-        term = a
-        for phi, k in zip(phis, idx):
-            if k:
-                term = term * phi ** k
-        f = f + term
+def reconstruct(expansion: PhiExpansion,
+                limit=DEFAULT_CANDIDATE_LIMIT) -> MultiPoly:
+    """sum_I a_I * prod_j phi_j^{i_j}, as phi_expand run backwards: a
+    term x^r of a_I goes to the exponent i_j*m_j + r_j of each x_j (an
+    r_j >= m_j raises ValueError), `_divide` undoes each inert division
+    under limit, and a shift by -c undoes each centre c."""
+    n, phis = expansion.nvars, expansion.phis
+    ms = [len(phi) - 1 for phi in phis]
+    terms = {}
+    for idx, digit in expansion.terms.items():
+        for rest, c in digit.terms.items():
+            if any(r >= m for r, m in zip(rest, ms)):
+                raise ValueError(f"digit {idx} has degree >= deg(phi)")
+            terms[tuple(k * m + r for k, m, r in zip(idx, ms, rest))] = c
+    for j in reversed(range(n)):
+        if ms[j] > 1:
+            terms = _divide(terms, j, phis[j], limit, undo=True)
+    f = MultiPoly(n, terms)
+    for j, phi in enumerate(phis):
+        if ms[j] == 1 and phi[0]:
+            f = f.shift(j, phi[0])
     return f
 
 

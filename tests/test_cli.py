@@ -14,6 +14,7 @@ from liftcert.cli import (
     main,
 )
 from liftcert import lifting
+from liftcert.errors import ResourceLimitExceeded
 from liftcert.parse import parse_polynomial
 from liftcert.valuation import PairConfig, pair_specs_from_json
 
@@ -473,6 +474,31 @@ class TestGenerate:
         assert captured.out == ""
         assert ("estimated lifting coefficient bits limit exceeded: "
                 "need 14949") in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_division_guard_exit_5(self, pairs_file, tmp_path, capsys):
+        # the lifting of Z^501 + 1 under x^2 + 1 has degree 2004 in x:
+        # undoing its division needs the 1,004,004 row operations that
+        # expanding any polynomial of that degree needs, above the
+        # default limit of 10^6
+        pair_doc = {"prime": 3, "pairs": [
+            {"kind": "inert", "phi": [1, 0, 1], "delta": "1/2"}]}
+        specs, p = pair_specs_from_json(pair_doc)
+        with pytest.raises(ResourceLimitExceeded) as expanded:
+            PairConfig(specs, p).expansion_table(parse_polynomial("x^2004",
+                                                                  ["x"]))
+        tfile = tmp_path / "T.json"
+        tfile.write_text(json.dumps({"p": 3, "coeffs": [
+            {"exp": [501], "c": "1"}, {"exp": [0], "c": "1"}]}))
+        start = time.perf_counter()
+        code = main(["generate", "--vars", "x", "--pairs",
+                     pairs_file(pair_doc), str(tfile)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"phi-adic division work limit exceeded: need "
+                f"{expanded.value.needed}") in captured.err
         assert "Traceback" not in captured.err
 
     def test_unliftable_exit_4(self, pairs_file, tmp_path, capsys):

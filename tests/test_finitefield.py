@@ -126,6 +126,15 @@ class TestResidueField:
             assert a * b == b * a
             assert (a + b) + c == a + (b + c)
 
+    @pytest.mark.parametrize("p,gens", [(2, [(1, 1, 1)]), (3, [(1, 0, 1)])],
+                             ids=["F4", "F9"])
+    def test_sub_is_add_of_negative(self, p, gens):
+        elems = list(ResidueField(p, gens).elements())
+        for a, b in itertools.product(elems, repeat=2):
+            diff = a - b
+            assert diff == a + (-b)
+            assert 0 not in diff.coeffs.values()
+
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             ResidueField(3, []).zero.inverse()

@@ -509,6 +509,28 @@ class TestGenerate:
             assert cert.certified, cert.verdict
             assert cert.residue == T
 
+    def test_division_guard_matches_certify(self):
+        # generate undoes the division by x^2 + 1 under config.limit with
+        # the work count that expanding its result makes: just above the
+        # limit both refuse with the same need, and at the limit the
+        # lifting generates and certifies
+        specs = [Inert((1, 0, 1), Fraction(1, 6))]
+        field = PairConfig(specs, 3).field
+        T = ResiduePoly(field, 1, {(1,): field.one,
+                                   (0,): field.element({(1,): 1})})
+        f = generate_lifting(T, PairConfig(specs, 3))
+        with pytest.raises(ResourceLimitExceeded) as expanded:
+            PairConfig(specs, 3, 20).expansion_table(f)
+        needed = expanded.value.needed
+        assert expanded.value.bound_name == "phi-adic division work"
+        with pytest.raises(ResourceLimitExceeded,
+                           match="phi-adic division work") as generated:
+            generate_lifting(T, PairConfig(specs, 3, needed - 1))
+        assert generated.value.needed == needed
+        config = PairConfig(specs, 3, needed)
+        assert generate_lifting(T, config) == f
+        assert certify_irreducible(f, config).certified
+
     # centres at powers of p: the noise is expanded at them, so its own w
     # can lie below 0 and the first placements fail
     NOISE_CONFIGS = [config for _, config in SPLIT_CONFIGS] + [

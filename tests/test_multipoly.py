@@ -1,11 +1,17 @@
 """Sparse polynomial arithmetic, phi-adic expansion, and contents."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from liftcert import MultiPoly, multipoly, phi_expand, reconstruct
-from liftcert.multipoly import VariableMismatch, content_valuation, grlex_key
+from liftcert.multipoly import (
+    PhiExpansion,
+    VariableMismatch,
+    content_valuation,
+    grlex_key,
+)
 
 from conftest import P, random_poly
 
@@ -63,6 +69,83 @@ class TestArithmetic:
             assert g.shift(0, a) == MultiPoly(2, {
                 idx: digit.constant_value() for idx, digit in digits.items()
             })
+
+
+def naive_shift(f, i, a):
+    """f(x_i + a) as the sum over f's terms c*x^k of c*comb(k, j)*a^(k-j)
+    at x_i^j, on Fractions."""
+    terms = {}
+    for exps, c in f.terms.items():
+        k = exps[i]
+        for j in range(k + 1):
+            e = exps[:i] + (j,) + exps[i + 1:]
+            terms[e] = terms.get(e, 0) + c * math.comb(k, j) * a ** (k - j)
+    return MultiPoly(f.nvars, terms)
+
+
+def naive_sum(n, phis, digits):
+    """sum_I a_I * prod_j phi_j^{i_j}, by products of MultiPolys."""
+    f = MultiPoly.zero(n)
+    for idx, a in digits.items():
+        for j, (phi, k) in enumerate(zip(phis, idx)):
+            a = a * MultiPoly.from_univariate(n, j, phi) ** k
+        f = f + a
+    return f
+
+
+class TestReferences:
+    """shift and reconstruct against sums written out here."""
+
+    def test_shift_matches_binomial_sum(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            f = random_poly(rng, n, 7, max_terms=6, allow_fractions=True)
+            i = rng.randrange(n)
+            a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 7))
+            assert f.shift(i, a) == naive_shift(f, i, a)
+
+    def test_high_degree_shift_matches_binomial_sum(self):
+        f = MultiPoly(1, {(60,): Fraction(5, 6), (7,): Fraction(-3, 4)})
+        for a in (Fraction(1), Fraction(-7, 3), Fraction(1, 2)):
+            assert f.shift(0, a) == naive_shift(f, 0, a)
+
+    PHIS = [
+        [Fraction(7, 3), Fraction(1)],  # centre -7/3
+        [Fraction(-1, 2), Fraction(1)],  # centre 1/2
+        [Fraction(-1), Fraction(1)],  # centre 1
+        [Fraction(1), Fraction(0), Fraction(1)],  # x^2 + 1
+        [Fraction(1), Fraction(1), Fraction(1)],  # x^2 + x + 1
+    ]
+
+    def test_reconstruct_matches_naive_sum(self, rng):
+        # canonical digit tables drawn directly, not from phi_expand
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            phis = [rng.choice(self.PHIS) for _ in range(n)]
+            ms = [len(phi) - 1 for phi in phis]
+            digits = {}
+            for _ in range(rng.randint(1, 4)):
+                idx = tuple(rng.randint(0, 4) for _ in range(n))
+                digit = MultiPoly(n, {
+                    tuple(rng.randrange(m) for m in ms):
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for _ in range(rng.randint(1, 3))})
+                if not digit.is_zero:
+                    digits[idx] = digit
+            expansion = PhiExpansion(n, phis, digits)
+            f = reconstruct(expansion)
+            assert f == naive_sum(n, phis, digits)
+            assert phi_expand(f, phis).terms == digits
+
+    @pytest.mark.parametrize("phi,rest", [
+        ([Fraction(1), Fraction(0), Fraction(1)], (2,)),
+        ([Fraction(-1), Fraction(1)], (1,)),
+    ], ids=["inert-x^2", "centre-x"])
+    def test_non_canonical_digit_raises(self, phi, rest):
+        digits = {(1,): MultiPoly(1, {rest: 1, (0,): 1})}
+        with pytest.raises(ValueError, match="degree"):
+            reconstruct(PhiExpansion(1, [phi], digits))
 
 
 class TestToStr:

@@ -3,14 +3,15 @@
 perfbench/layers.py patches spans around (owner, attribute) pairs of the
 library; a refactor that removes or renames one of them would otherwise
 first fail inside a traced benchmark run.  The module is loaded from its
-file; only the last test installs its tracer, and uninstalls it again.
+file; only the last two tests install its tracer, and each uninstalls
+it again.
 """
 
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from liftcert import Inert, PairConfig, RationalCenter, lifting
+from liftcert import Inert, PairConfig, RationalCenter, ResiduePoly, lifting
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -61,3 +62,23 @@ def test_traced_residue_read_reaches_its_parse_calls():
     parents = [spans[span[layers.PARENT]][layers.NAME]
                for span in spans if span[layers.NAME] == "parse"]
     assert parents == ["lifting.residue_from_json"] * 2
+
+
+def test_traced_generate_records_its_shift():
+    # generate_lifting's reconstruct undoes the centre with
+    # MultiPoly.shift, so the traced multipoly.shift_s includes the
+    # write side's shifts
+    layers = _layers()
+    config = PairConfig([RationalCenter(Fraction(1, 2), Fraction(1))], 5)
+    field = config.field
+    T = ResiduePoly(field, 1, {(2,): field.one, (0,): field.from_int(2)})
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        lifting.generate_lifting(T, config)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    parents = [spans[span[layers.PARENT]][layers.NAME]
+               for span in spans if span[layers.NAME] == "multipoly.shift"]
+    assert parents == ["lifting.generate"]

@@ -1,20 +1,29 @@
 """Independent ground-truth factorization over the rationals.
 
-Kronecker's method, end to end: a bivariate input is mapped to a
+Kronecker's method, end to end: a bivariate input f is mapped to a
 univariate integer polynomial by the substitution y -> x^D with
-D = 1 + max partial degree (injective on the relevant exponent boxes);
-the univariate polynomial is factored by the classical evaluation /
-divisor-tuple / interpolation search; factor combinations are mapped
-back through the substitution and verified by exact division.
+D = 1 + deg_x f, which every factor g of f survives, since
+deg_x g < D; the univariate polynomial is factored by the classical
+evaluation / divisor-tuple / interpolation search; products of its
+factors are mapped back through the substitution and verified by exact
+division, and what is left when no proper product divides is
+irreducible.
 
 The univariate search uses the standard Kronecker heuristics.  Rational
 roots a/b are found first, by the integer test b^d * u(a/b) = 0.  A
 degree-r factor is then sought on the r+1 points, out of a window of
 r+1+WINDOW_EXTRA, whose values have the fewest divisors, which keeps the
-divisor tuples few.  Each factorization lists the divisors of a value
+divisor tuples few.  At the last point the search runs over the shorter
+of two lists: the divisors of the value there, or the divisors of
+lc(u), which the top Newton divided difference lc(g) must divide, each
+solved backwards to the value it implies.  Each interpolant is screened
+on the window points the search did not choose before it is expanded
+and divided into u.  Each factorization lists the divisors of a value
 once, in a dict that lives for that call only.  Every candidate is
 checked by exact division, and two guards bound the work: divisor
-trials per value and divisor-tuple nodes per factorization.
+trials per value, and divisor-tuple candidates per factorization, which
+counts every divisor tried at every level, the last level's lead list
+included.
 
 Exponential but exact, and deliberately independent of every
 valuation-theoretic code path in this package: this is the oracle the
@@ -162,9 +171,16 @@ def _kron_from_univariate(coeffs, d_base: int, nvars: int) -> MultiPoly:
 
 def _factor_primitive(f: MultiPoly, guard: int):
     """Irreducible primitive factors (with repetition) of a primitive
-    polynomial with positive graded-lex leading coefficient."""
+    polynomial with positive graded-lex leading coefficient.
+
+    The image of what is left of f is, up to sign, the product of the
+    univariate factors left in the pool.  A factor g of f has
+    deg_x g < D, so its image maps back to g itself: a split of what is
+    left shows up as a proper subset of the pool whose product divides
+    it.  When no proper subset does, which a lone factor decides at once,
+    what is left is irreducible and is appended as it stands."""
     n = f.nvars
-    d_base = 1 + max(f.degree_in(i) for i in range(n))
+    d_base = 1 + f.degree_in(0)
     uni = _kron_to_univariate(f, d_base)
     uni_factors = _factor_univariate_int(uni, guard)
     if n == 1:
@@ -173,9 +189,10 @@ def _factor_primitive(f: MultiPoly, guard: int):
     factors = []
     remaining = f
     pool = list(uni_factors)
-    while pool:
+    found = True
+    while found and len(pool) > 1:
         found = False
-        for size in range(1, len(pool) + 1):
+        for size in range(1, len(pool)):
             for subset in itertools.combinations(range(len(pool)), size):
                 prod = [1]
                 for idx in subset:
@@ -193,13 +210,7 @@ def _factor_primitive(f: MultiPoly, guard: int):
                     break
             if found:
                 break
-        if not found:
-            # full pool is one irreducible image; remaining is that factor
-            primitive, _ = _primitive_part(remaining)
-            factors.append(primitive)
-            remaining = exact_divide(remaining, primitive)
-            pool = []
-    assert remaining.degree() == 0
+    factors.append(remaining)
     return factors
 
 
@@ -377,7 +388,20 @@ def _has_degree_factor(u, r, guard, nodes, memo):
     guard is left out of the ranking, and with fewer than r+1 points
     left the search takes the first r+1 of the window.  Newton divided
     differences prune the tuples: for an integer g they are integers at
-    any distinct integer points."""
+    any distinct integer points.
+
+    The top divided difference of g is lc(g), which divides lc(u).  So
+    the last level enumerates the shorter of two lists: the divisors of
+    lc(u), solving each column backwards down to the value it gives at
+    the last point, or the divisors of that value, checked forwards.
+    Both accept the same columns, which are tried in the value list's
+    order either way.  Each interpolant is then screened on the window
+    points the search did not choose: a factor of u is nonzero there and
+    divides u's value.  An interpolant with a content c may fail the
+    screen although its primitive part divides u, but that primitive
+    part has a tuple of its own.  The guard counts the candidates
+    enumerated at every level: at the last level, each one of the lead
+    list, or each value up to the one that gives a factor."""
     window = []
     for m in _eval_points():
         v = _int_eval(u, m)
@@ -396,7 +420,11 @@ def _has_degree_factor(u, r, guard, nodes, memo):
     else:
         chosen = window[:r + 1]
     pts = [m for m, _ in chosen]
+    steps = [[pts[j] - pts[j - i] for i in range(j + 1)]  # [0] unused
+             for j in range(r + 1)]
+    spare = [(m, v) for m, v in window if m not in pts]
     signed = [None] * (r + 1)  # listed when the search first reaches j
+    leads = []  # ±divisors(lc u) if shorter than the last value's list
     columns = []  # columns[j] = divided differences ending at point j
 
     def candidates(j):
@@ -405,52 +433,89 @@ def _has_degree_factor(u, r, guard, nodes, memo):
             # fix the sign at the first point
             signed[j] = base if j == 0 else [
                 s * d for d in base for s in (1, -1)]
+            if j == r:
+                lead_base = _divisors(u[-1], guard, memo)
+                if len(lead_base) < len(base):
+                    leads.extend(s * d for d in lead_base for s in (1, -1))
         return signed[j]
 
-    def rec(j):
-        if j == r + 1:
-            lead = columns[r][r]
-            if lead == 0 or u[-1] % lead != 0:
+    def over_guard():
+        return ResourceLimitExceeded(
+            "divisor-tuple candidates", guard, nodes[0])
+
+    def factor_through(col):
+        """The interpolant ending in col, primitive, if it survives the
+        spare points and divides u."""
+        top = [c[j] for j, c in enumerate(columns)] + [col[r]]
+        for m, v in spare:
+            g_m = top[r]
+            for j in range(r - 1, -1, -1):
+                g_m = g_m * (m - pts[j]) + top[j]
+            if g_m == 0 or v % g_m != 0:
                 return None
-            g = _int_primitive(_newton_to_coeffs(columns, pts))
-            if len(g) - 1 != r:
-                return None
-            if _int_exact_divide(u, g) is None:
-                return None
-            return g
-        for d in candidates(j):
+        g = _int_primitive(_newton_to_coeffs(top, pts))
+        if _int_exact_divide(u, g) is None:
+            return None
+        return g
+
+    def by_leads():
+        """The last level from lc(g) down: col[r] runs over ±divisors(lc u)
+        and the column is solved backwards to d = col[0]."""
+        prev, step, value = columns[r - 1], steps[r], chosen[r][1]
+        accepted = []
+        for lead in leads:
             nodes[0] += 1
             if nodes[0] > guard:
-                raise ResourceLimitExceeded(
-                    "divisor-tuple candidates", guard, nodes[0]
-                )
+                raise over_guard()
+            col = [0] * r + [lead]
+            for i in range(r, 0, -1):
+                col[i - 1] = col[i] * step[i] + prev[i - 1]
+            if col[0] != 0 and value % col[0] == 0:
+                accepted.append(col)
+        accepted.sort(key=lambda col: (abs(col[0]), col[0] < 0))
+        for col in accepted:
+            g = factor_through(col)
+            if g is not None:
+                return g
+        return None
+
+    def rec(j):
+        values = candidates(j)
+        if leads and j == r:
+            return by_leads()
+        prev, step = columns[j - 1] if j else None, steps[j]
+        for d in values:
+            nodes[0] += 1
+            if nodes[0] > guard:
+                raise over_guard()
             col = [d]
-            ok = True
             for i in range(1, j + 1):
-                num = col[i - 1] - columns[j - 1][i - 1]
-                den = pts[j] - pts[j - i]
-                if num % den != 0:
-                    ok = False
+                num = col[i - 1] - prev[i - 1]
+                if num % step[i] != 0:
                     break
-                col.append(num // den)
-            if not ok:
-                continue
-            columns.append(col)
-            result = rec(j + 1)
-            columns.pop()
-            if result is not None:
-                return result
+                col.append(num // step[i])
+            else:
+                if j < r:
+                    columns.append(col)
+                    g = rec(j + 1)
+                    columns.pop()
+                elif col[r] != 0 and u[-1] % col[r] == 0:
+                    g = factor_through(col)
+                else:
+                    g = None
+                if g is not None:
+                    return g
         return None
 
     return rec(0)
 
 
-def _newton_to_coeffs(columns, pts):
-    """Expand Newton-form coefficients into a dense coefficient list."""
+def _newton_to_coeffs(top, pts):
+    """Expand Newton-form coefficients top[j] (of prod_{k<j} (x - pts[k]))
+    into a dense coefficient list."""
     coeffs = [0]
     basis = [1]  # prod_{k<j} (x - pts[k])
-    for j, col in enumerate(columns):
-        c = col[j]
+    for j, c in enumerate(top):
         if len(coeffs) < len(basis):
             coeffs += [0] * (len(basis) - len(coeffs))
         for i, b in enumerate(basis):

@@ -1,9 +1,15 @@
 """End-to-end command-line tests: every subcommand, every exit code."""
 
+import io
 import json
+import os
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftcert.cli import (
     EXIT_GUARD,
@@ -676,6 +682,15 @@ class TestFactorOracle:
         err = capsys.readouterr().err
         assert "f must be nonzero" in err and "Traceback" not in err
 
+    def test_leading_minus_needs_dashes(self, capsys):
+        # argparse reads "-x^2+1" as an option unless "--" precedes it
+        assert main(["factor-oracle", "--vars", "x", "-x^2+1"]) == (
+            EXIT_INPUT_ERROR)
+        assert "usage:" in capsys.readouterr().err
+        assert main(["factor-oracle", "--vars", "x", "--", "-x^2+1"]) == (
+            EXIT_OK)
+        assert capsys.readouterr().out == "-1 * (x - 1) * (x + 1)\n"
+
 
 class TestSuggest:
     def test_suggestions_include_slope(self, capsys):
@@ -777,3 +792,104 @@ class TestArgumentValidation:
         ])
         assert code == EXIT_INPUT_ERROR
         assert "--limit must be a positive integer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------
+# fuzzing: whatever the input, main returns a documented exit code
+
+
+_numbers = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "2/3", "-1/3", 0, 1, 2, 3]),
+    st.integers(), st.floats(), st.booleans(), st.none(),
+    st.text(alphabet="0123456789/-+. e", max_size=6),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_centres = st.fixed_dictionaries({
+    "kind": st.just("rational_center"),
+    "center": st.sampled_from(["0", "1", "-1/2"]),
+    "delta": st.sampled_from(["0", "1/2", "1/3", "2"]),
+})
+_INERT_PHI = {2: [1, 1, 1], 3: [1, 0, 1], 5: [2, 0, 1]}  # irreducible
+_pieces = st.sampled_from([
+    "x", "y", "2", "3", "1/2", "x^2", "y^3", "x^2*y^2", "x^9", "y^40",
+    "(x+1)", "(x*y-1)", "(y-x^2)", "0", "z", "(", "^",
+])
+_expressions = st.one_of(
+    st.builds("".join, st.lists(
+        st.tuples(st.sampled_from(["+", "-", "*", ""]), _pieces)
+        .map("".join), max_size=4)).flatmap(
+            lambda tail: _pieces.map(lambda head: head + tail)),
+    st.text(alphabet="xy0123456789+-*/^(). ", max_size=12),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _documents(draw, nvars):
+    """A pair file and a residue file for nvars variables, well formed
+    except for at most one field, which may hold any JSON value."""
+    prime = draw(st.sampled_from([2, 3, 5]))
+    pairs = [draw(_centres) for _ in range(nvars)]
+    if draw(st.booleans()):
+        pairs[-1] = {"kind": "inert", "phi": _INERT_PHI[prime],
+                     "delta": draw(st.sampled_from(["1/2", "1"]))}
+    pair_doc = {"prime": prime, "pairs": pairs}
+    residue_doc = {"p": prime, "coeffs": draw(st.lists(
+        st.fixed_dictionaries({
+            "exp": st.lists(st.integers(0, 3), min_size=nvars,
+                            max_size=nvars),
+            "c": st.sampled_from(["1", "2", "y1", "y1 + 1", "-1"]),
+        }), min_size=1, max_size=3))}
+    spoilt = draw(st.sampled_from([
+        None, pair_doc, pair_doc["pairs"][0], residue_doc,
+        residue_doc["coeffs"][0]]))
+    if spoilt is not None:
+        key = draw(st.sampled_from(sorted(spoilt)))
+        spoilt[key] = draw(_numbers | _json_values)
+    if draw(st.integers(0, 9)) == 0:
+        pair_doc = draw(_json_values)
+    if draw(st.integers(0, 9)) == 0:
+        residue_doc = draw(_json_values)
+    return pair_doc, residue_doc
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(
+        ["factor-oracle", "certify", "expand", "generate"]))
+    nvars = draw(st.integers(1, 2))
+    names = ["x", "x,y"][nvars - 1]
+    if draw(st.integers(0, 9)) == 0:
+        names = draw(st.sampled_from(["", "x,x", "x,y,z"]))
+    pair_doc, residue_doc = draw(_documents(nvars))
+    dashes = draw(st.booleans())
+    return command, names, draw(_expressions), dashes, pair_doc, residue_doc
+
+
+@given(_invocations())
+@settings(max_examples=100, deadline=None)
+def test_fuzz_exit_codes(invocation):
+    command, names, expr, dashes, pair_doc, residue_doc = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = os.path.join(tmp, "pairs.json")
+        residue = os.path.join(tmp, "residue.json")
+        with open(pairs, "w", encoding="utf-8") as fh:
+            json.dump(pair_doc, fh)
+        with open(residue, "w", encoding="utf-8") as fh:
+            json.dump(residue_doc, fh)
+        argv = [command, "--vars", names, "--limit", "10000"]
+        if command != "factor-oracle":
+            argv += ["--pairs", pairs]
+        argv += ["--"] if dashes else []
+        argv += [residue if command == "generate" else expr]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in {EXIT_OK, EXIT_NOT_A_LIFTING, EXIT_RESIDUE_EXCLUDED,
+                    EXIT_INPUT_ERROR, EXIT_GUARD}

@@ -70,6 +70,42 @@ class TestExamples:
     def test_eisenstein_is_irreducible(self):
         assert brute_factor(P("x^5 + 2", ("x",))).irreducible
 
+    @pytest.mark.parametrize("text, scalar, factors", [
+        # lc(u) = -315 has fewer divisors than the values at the chosen
+        # points, so the last level runs over the leads
+        ("(21*x^2 + 40*x - 74)*(-15*x^2 + 28*x + 78)", -1,
+         ["15*x^2 - 28*x - 78", "21*x^2 + 40*x - 74"]),
+        # here a value at the last point has the fewer divisors
+        ("(15*x^2 + 2*x + 2)*(-21*x^2 + 4*x + 6)", -1,
+         ["15*x^2 + 2*x + 2", "21*x^2 - 4*x - 6"]),
+        ("(-21*x^2 + 2)*(15*x^2 + 2*x - 2)*(35*x^2 + 2)", -1,
+         ["15*x^2 + 2*x - 2", "21*x^2 - 2", "35*x^2 + 2"]),
+        ("(15*x^2 + 6*x + 70)*(-35*x^2 + 58*x - 86)", -1,
+         ["15*x^2 + 6*x + 70", "35*x^2 - 58*x + 86"]),
+    ])
+    def test_non_monic_eisenstein_products(self, text, scalar, factors):
+        # each factor is Eisenstein at 2 with an odd composite lead, so
+        # none has a rational root and lc(g) is a proper divisor of lc(u)
+        result = brute_factor(P(text, ("x",)))
+        assert result.scalar == scalar
+        assert [m for _, m in result.factors] == [1] * len(factors)
+        assert _factor_strs(result, ("x",)) == sorted(factors)
+        assert result.reconstruct(1) == P(text, ("x",))
+
+    @pytest.mark.parametrize("text, factors", [
+        ("x*y^7 + x + 1", ["x*y^7 + x + 1"]),
+        ("y^8 + x", ["y^8 + x"]),
+        ("x*y^6 + y + 1", ["x*y^6 + y + 1"]),
+        ("(x*y^5 + 3)*(y^2 - x)", ["x*y^5 + 3", "y^2 - x"]),
+    ])
+    def test_base_follows_the_x_degree(self, text, factors):
+        # D = 1 + deg_x f keeps the image's values small enough to list
+        # their divisors; with D = 1 + max(deg_x, deg_y) these trip the
+        # "divisor trials" guard
+        result = brute_factor(P(text))
+        assert result.scalar == 1
+        assert _factor_strs(result) == sorted(factors)
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             brute_factor(MultiPoly.zero(1))

@@ -17,8 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import ConfigError, ResourceLimitExceeded
-from .finitefield import DEFAULT_CANDIDATE_LIMIT
+from .errors import DEFAULT_CANDIDATE_LIMIT, ConfigError, ResourceLimitExceeded
 from .lifting import (
     VERDICT_CERTIFIED,
     VERDICT_NOT_A_LIFTING,

@@ -5,16 +5,20 @@ The residue field is F_p[y_1..y_k]/(g_1..g_k) where the g_i are monic
 irreducible univariate polynomials over F_p of pairwise coprime degrees;
 coprimality is what makes the quotient a field, and it is enforced
 loudly at construction.  Univariate F_p polynomials are coefficient
-tuples, low-to-high, with no trailing zeros; the routines behind Rabin's
+tuples, low-to-high, with no trailing zeros; the routines behind Ben-Or's
 test take lists in the same order over F_q.
 
-Univariate irreducibility over F_q is Rabin's test (M. O. Rabin,
-"Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980):
-a monic f of degree d is irreducible if and only if f divides
-Z^(q^d) - Z and gcd(Z^(q^(d/r)) - Z, f) = 1 for every prime r dividing d.
-It answers every univariate question (generators, residues with
-positive degree in one variable) behind one guard: d^3 * bitlen(q),
-Rabin's field operations up to a constant factor, against the limit.
+Univariate irreducibility over F_q is Ben-Or's test (M. Ben-Or,
+"Probabilistic algorithms in finite fields", FOCS 1981): a monic f of
+degree d is irreducible if and only if gcd(Z^(q^k) - Z, f) = 1 for
+k = 1..floor(d/2), because a reducible f has a factor of degree at most
+d/2; the loop stops at the first k whose gcd is not 1.  It answers every
+univariate question (generators, residues with positive degree in one
+variable) behind one guard, "univariate Rabin work": d^3 * bitlen(q),
+the field operations of Rabin's test (M. O. Rabin, SIAM J. Comput. 9,
+1980) up to a constant factor, against the limit.  Ben-Or's loop
+computes no more Frobenius powers than Rabin's test, so the same count
+bounds it.
 
 A residue polynomial T(Z_1..Z_n) of positive degree in two or more
 variables is decided in three steps.  First a guard counts the
@@ -23,13 +27,13 @@ ResourceLimitExceeded above the limit, so every T that could reach the
 search is bounded before any work is done.  Second, a
 specialisation witness: if T is primitive in a main variable Z_i and a
 point c for the other variables keeps T's Z_i-degree and makes T(c)
-irreducible by Rabin's test, then T is irreducible, because a
+irreducible by Ben-Or's test, then T is irreducible, because a
 factorisation of T would specialise to one of T(c) or put a non-unit in
 T's content.  The points tried, over all main variables, are at most the
 candidate count the guard admitted.  Third, only if no witness is found,
 the exhaustive divisor search decides; it decides every reducible T.
 
-One field arithmetic, `_Arith`, serves Rabin's test, the witness and the
+One field arithmetic, `_Arith`, serves Ben-Or's test, the witness and the
 divisor search: plain residues mod p for a prime field, ResidueElements
 for an extension field.  Points and candidate coefficients are drawn
 from its elements in the order of `ResidueField.elements()`; a prime
@@ -70,7 +74,7 @@ def fp_normalize(coeffs, p):
 
 
 def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
-    """Rabin's test over F_p behind its work guard d^3 * bitlen(p); g is
+    """Ben-Or's test over F_p behind its work guard d^3 * bitlen(p); g is
     monic of degree >= 1, and degree-1 polynomials are irreducible."""
     check_prime(p)
     g = fp_normalize(g, p)
@@ -81,11 +85,11 @@ def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
 
 # ---------------------------------------------------------------------
 # univariate polynomials over F_q, as coefficient lists (low to high,
-# no trailing zeros), and Rabin's irreducibility test
+# no trailing zeros), and Ben-Or's irreducibility test
 
 
 class _Arith:
-    """Field operations for Rabin's test, the witness and the divisor
+    """Field operations for Ben-Or's test, the witness and the divisor
     search: plain residues mod p for a prime field, ResidueElements for
     an extension field.  Zero is falsy in both.  `element` converts a
     ResidueElement to this representation; `elements` lists the q
@@ -169,41 +173,31 @@ def _gcd(a, b, ar):
     return _monic(a, ar) if a else a
 
 
-def _rabin(f, ar):
-    """Rabin's test: a monic f of degree d >= 1 over F_q is irreducible
-    if and only if f divides Z^(q^d) - Z and gcd(Z^(q^(d/r)) - Z, f) = 1
-    for every prime r dividing d."""
-    d = len(f) - 1
-    z = _rem([ar.zero, ar.one], f, ar)
-    checks, m, r = set(), d, 2
-    while m > 1:  # d/r for the primes r dividing d
-        if m % r == 0:
-            checks.add(d // r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    h = z
-    for k in range(1, d + 1):
+def _ben_or(f, ar):
+    """Ben-Or's test: a monic f of degree d >= 1 over F_q is irreducible
+    if and only if gcd(Z^(q^k) - Z, f) = 1 for k = 1..d/2, since a
+    reducible f has a factor of degree at most d/2."""
+    h = z = [ar.zero, ar.one]  # Z mod f, since the loop runs only for d >= 2
+    for _ in range((len(f) - 1) // 2):
         h = _powmod(h, ar.q, f, ar)  # Z^(q^k) mod f
-        if k in checks:
-            diff = [ar.sub(a, b) for a, b in itertools.zip_longest(
-                h, z, fillvalue=ar.zero)]
-            if len(_gcd(f, diff, ar)) > 1:
-                return False
-    return h == z
+        diff = [ar.sub(a, b) for a, b in itertools.zip_longest(
+            h, z, fillvalue=ar.zero)]
+        if len(_gcd(f, diff, ar)) > 1:
+            return False
+    return True
 
 
 def _irreducible_univariate(f, ar, limit):
-    """Whether a monic f of degree d >= 1 over F_q is irreducible: Rabin's
-    test once d^3 * bitlen(q), its work up to a constant factor, is
-    within limit."""
+    """Whether a monic f of degree d >= 1 over F_q is irreducible: Ben-Or's
+    test once d^3 * bitlen(q), the work of Rabin's test up to a constant
+    factor and a bound on Ben-Or's, is within limit."""
     d = len(f) - 1
     if d == 1:
         return True
     needed = d ** 3 * ar.q.bit_length()
     if needed > limit:
         raise ResourceLimitExceeded("univariate Rabin work", limit, needed)
-    return _rabin(f, ar)
+    return _ben_or(f, ar)
 
 
 # ---------------------------------------------------------------------
@@ -513,7 +507,7 @@ def specialisation_witness(t: ResiduePoly, budget):
 
     T is primitive in Z_i, and the point c (one element for each other
     variable, in index order) keeps T's Z_i-degree and makes T(c)
-    irreducible over F_q by Rabin's test.  A factorisation T = A*B then
+    irreducible over F_q by Ben-Or's test.  A factorisation T = A*B then
     cannot exist: if A and B both have positive Z_i-degree, T(c) =
     A(c)*B(c) is a product of two polynomials of positive degree; if A
     has Z_i-degree 0, it divides the content of T in Z_i and is a unit.
@@ -578,7 +572,7 @@ def specialisation_witness(t: ResiduePoly, budget):
         for point, values in points(n - 1, (i,)):
             ev = _evaluate(terms, values, (i,), ar)
             f = [ev.get((k,), ar.zero) for k in range(d + 1)]
-            if f[d] and _rabin(_monic(f, ar), ar):
+            if f[d] and _ben_or(_monic(f, ar), ar):
                 return i, tuple(x if ar.field else field.from_int(x)
                                 for x in point)
     return None

@@ -35,6 +35,7 @@ from .valuation import (
     RationalCenter,
     _json_list,
     _json_number,
+    _json_object,
     pair_specs_to_json,
 )
 
@@ -534,14 +535,18 @@ def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:
     from .parse import parse_polynomial
 
     fld = config.field
+    where = "the document"
     try:
+        doc = _json_object(doc, where)
         if _json_number(doc.get("p"), "p", integer=True) != fld.p:
             raise ConfigError(
                 f"residue document prime {doc.get('p')} does not match {fld.p}"
             )
         ynames = [f"y{k + 1}" for k in range(fld.nyvars)]
         terms = {}
-        for entry in doc["coeffs"]:
+        for i, entry in enumerate(_json_list(doc["coeffs"], "coeffs")):
+            where = f"coeffs[{i}]"
+            entry = _json_object(entry, where)
             exps = tuple(_json_number(e, "exponent", integer=True)
                          for e in _json_list(entry["exp"], "exponent list"))
             if any(e < 0 for e in exps):
@@ -559,6 +564,9 @@ def residue_from_json(doc: dict, config: PairConfig) -> ResiduePoly:
                     )
                 coeffs[e] = c.numerator
             terms[exps] = fld.element(coeffs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"malformed residue document: missing field "
+                          f"{json.dumps(exc.args[0])} in {where}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed residue document: {exc}") from exc
     return ResiduePoly(fld, config.nvars, terms)

@@ -37,10 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitExceeded
+from .errors import DEFAULT_CANDIDATE_LIMIT, ResourceLimitExceeded
 from .multipoly import MultiPoly, grlex_key
 
-DEFAULT_GUARD = 10 ** 6
 WINDOW_EXTRA = 6  # points evaluated beyond the r+1 a degree-r search needs
 MAX_VARS = 2
 MAX_TOTAL_DEGREE = 8
@@ -68,7 +67,8 @@ class FactorizationResult:
         return f
 
 
-def brute_factor(f: MultiPoly, guard: int = DEFAULT_GUARD) -> FactorizationResult:
+def brute_factor(f: MultiPoly,
+                 guard: int = DEFAULT_CANDIDATE_LIMIT) -> FactorizationResult:
     """Exact factorization into rational irreducibles (desk scale)."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")

@@ -32,8 +32,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
-from .finitefield import DEFAULT_CANDIDATE_LIMIT, ResidueField, ResiduePoly
+from .errors import (
+    DEFAULT_CANDIDATE_LIMIT,
+    ConfigError,
+    LiftcertError,
+    ResourceLimitExceeded,
+)
+from .finitefield import ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 from .parse import MAX_COEFF_BITS, check_coeff, parse_number
 
@@ -295,12 +300,25 @@ def _json_list(value, name):
     return value
 
 
+def _json_object(value, name):
+    """An object from a pair or residue file; anything else raises
+    ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"{name} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def pair_specs_from_json(doc: dict):
     """Returns (specs, prime). phi is listed low-to-high degree."""
+    where = "the document"
     try:
+        doc = _json_object(doc, where)
         p = _json_number(doc["prime"], "prime", integer=True)
         specs = []
-        for entry in doc["pairs"]:
+        for i, entry in enumerate(_json_list(doc["pairs"], "pairs")):
+            where = f"pairs[{i}]"
+            entry = _json_object(entry, where)
             kind = entry["kind"]
             if kind == "rational_center":
                 specs.append(RationalCenter(
@@ -316,7 +334,10 @@ def pair_specs_from_json(doc: dict):
             else:
                 raise ConfigError(f"unknown pair kind {kind!r}")
         return specs, p
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"malformed pair-spec document: missing field "
+                          f"{json.dumps(exc.args[0])} in {where}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed pair-spec document: {exc}") from exc
 
 

@@ -155,7 +155,7 @@ class TestCertify:
                                                       capsys):
         # the Taylor shift of x^8000 + 3 to the centre 1 takes each
         # binomial from the one before; its residue Z^8000 + 1 then
-        # trips the Rabin guard
+        # trips the univariate guard, named for Rabin's work
         pairs = pairs_file({"prime": 3, "pairs": [
             {"kind": "rational_center", "center": "1", "delta": "0"}]})
         start = time.perf_counter()
@@ -188,7 +188,8 @@ class TestCertify:
     ])
     def test_univariate_residue_decided_by_rabin(
             self, pairs_file, capsys, expr, expected):
-        # beyond the divisor-candidate count from degree 26 at p = 3
+        # Ben-Or's test decides these, beyond the divisor-candidate count
+        # from degree 26 at p = 3
         gauss1 = {"prime": 3, "pairs": GAUSS2["pairs"][:1]}
         code = main([
             "certify", "--vars", "x", "--pairs", pairs_file(gauss1), expr,
@@ -520,8 +521,8 @@ class TestGenerate:
 
 
     @pytest.mark.parametrize("doc,named", [
-        ({"p": 3}, "'coeffs'"),
-        ([1, 2], "'list'"),
+        ({"p": 3}, 'missing field "coeffs"'),
+        ([1, 2], "must be a JSON object"),
         ({"p": 3, "coeffs": [{"exp": [1.9, 1], "c": "1"}]}, "exponent"),
         ({"p": 3, "coeffs": [{"exp": [True, 1], "c": "1"}]}, "exponent"),
         ({"p": 3, "coeffs": [{"exp": [1, 1], "c": "1"},
@@ -580,6 +581,35 @@ class TestFileContents:
         document = "pair-spec" if kind == "pairs" else "residue"
         assert f"error: malformed {document} document: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, doc, message", [
+        ("pairs", {"prime": 3, "pairs": [None]},
+         "pairs[0] must be a JSON object, got null"),
+        ("pairs", {"prime": 3, "pairs": 5},
+         "pairs must be a JSON list, got 5"),
+        ("pairs", [GAUSS1],
+         "the document must be a JSON object, got [{"),
+        ("pairs", {"prime": 3, "pairs": [{"kind": "inert", "delta": "1"}]},
+         'missing field "phi" in pairs[0]'),
+        ("pairs", {"pairs": []}, 'missing field "prime" in the document'),
+        ("residue", [1], "the document must be a JSON object, got [1]"),
+        ("residue", {"p": 3, "coeffs": 5},
+         "coeffs must be a JSON list, got 5"),
+        ("residue", {"p": 3, "coeffs": [None]},
+         "coeffs[0] must be a JSON object, got null"),
+        ("residue", {"p": 3, "coeffs": [{"exp": [1]}]},
+         'missing field "c" in coeffs[0]'),
+        ("residue", {"p": 3}, 'missing field "coeffs" in the document'),
+    ], ids=["null-pair", "int-pairs", "list-document", "no-phi", "no-prime",
+            "list-residue", "int-coeffs", "null-coeff", "no-c", "no-coeffs"])
+    def test_bad_field_named_exit_4(self, pairs_file, tmp_path, capsys,
+                                    kind, doc, message):
+        # the message names the field, not Python's exception text
+        code = self.run(pairs_file, tmp_path, kind, json.dumps(doc))
+        assert code == EXIT_INPUT_ERROR
+        document = "pair-spec" if kind == "pairs" else "residue"
+        assert (f"error: malformed {document} document: {message}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("center", ["1e9999999", "1e999999", "0.5",
                                         " 1/2", "1_000", "1/-2"])

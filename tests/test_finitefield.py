@@ -33,6 +33,20 @@ def _count_irreducibles(p, d):
     return count
 
 
+def _monic_polys(p, d):
+    """Every monic polynomial of degree d over F_p, low to high."""
+    return [lower + (1,) for lower in itertools.product(range(p), repeat=d)]
+
+
+def _times(a, b, p):
+    """a * b mod p by schoolbook multiplication of coefficient tuples."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return tuple(prod)
+
+
 class TestUnivariate:
     def test_fp_basics(self):
         assert fp_normalize([3, 6, 9], 3) == ()
@@ -55,12 +69,32 @@ class TestUnivariate:
         for (p, d), n in expected.items():
             assert _count_irreducibles(p, d) == n
 
+    @pytest.mark.parametrize("p, top", [(2, 8), (3, 6), (5, 4)])
+    def test_each_polynomial_matches_products(self, p, top):
+        # a monic f is reducible exactly when it is a product of two monic
+        # polynomials of positive degree; this checks every f, so errors
+        # that cancel out in the necklace counts show too
+        for d in range(1, top + 1):
+            products = {_times(a, b, p)
+                        for k in range(1, d // 2 + 1)
+                        for a in _monic_polys(p, k)
+                        for b in _monic_polys(p, d - k)}
+            # the squares g^2 with deg g = d/2: for an irreducible g only
+            # the loop's last step, k = d/2, finds their factor
+            squares = ({_times(g, g, p) for g in _monic_polys(p, d // 2)}
+                       if d % 2 == 0 else set())
+            assert squares <= products
+            for f in _monic_polys(p, d):
+                assert is_irreducible_univariate(f, p) == (
+                    f not in products), (p, f)
+
     def test_requires_monic(self):
         with pytest.raises(ValueError):
             is_irreducible_univariate((1, 2), 3)
 
     def test_guard(self):
-        # the guard counts Rabin's work d^3 * bitlen(q) before any of it
+        # the guard counts d^3 * bitlen(q), the work of Rabin's test and a
+        # bound on Ben-Or's, before any of it
         g = tuple([1] * 20 + [1])
         with pytest.raises(ResourceLimitExceeded) as exc:
             is_irreducible_univariate(g, 5, limit=100)
@@ -216,7 +250,7 @@ class TestMultivariateIrreducibility:
             assert found == n, d
 
     def test_one_variable_never_reaches_the_search(self, monkeypatch):
-        # Rabin's test decides a T with positive degree in one variable:
+        # Ben-Or's test decides a T with positive degree in one variable:
         # no candidate count, witness or divisor search runs, so Z^30 +
         # Z + 2 over F_3, whose count is 3 + ... + 3^15, is decided too
         def refuse(*args):

@@ -221,7 +221,7 @@ class TestCertify:
         assert cert.residue.to_str() == "Z1 + 1"
 
     def test_field_too_large_to_tabulate(self):
-        # q = 1031: Rabin's test over a prime field works on residues
+        # q = 1031: Ben-Or's test over a prime field works on residues
         # mod q and builds no tables; 1031 = 3 mod 4, so -1 is not a
         # square and x^2 + 1 has no root
         config = gauss_config(1031, 1)
@@ -611,7 +611,7 @@ def _desk_cases(rng, p, per_kind):
 
 class TestDeskScaleSoundness:
     def test_certified_univariate_is_oracle_irreducible(self):
-        # Rabin's test decides every one-variable residue here; each
+        # Ben-Or's test decides every one-variable residue here; each
         # Certified verdict must meet an oracle that finds no factor
         rng = random.Random(20261018)
         certified = set()
@@ -714,6 +714,17 @@ class TestSuggest:
             cert = certify_irreducible(f, PairConfig(specs, 2))
             verdicts.add(cert.verdict)
         assert VERDICT_CERTIFIED in verdicts
+
+    def test_newton_polygon_drops_a_point_above_the_hull(self):
+        # valuations 1, 3, 0 at x^0, x^2, x^4: the lower hull pops (2, 3)
+        # and keeps one edge of slope -1/4; keeping the point would give the
+        # slopes -1 and 3/2 and suggest delta 3/2
+        f = P("x^4 + 8*x^2 + 2", ("x",))
+        quarter = [RationalCenter(Fraction(0), Fraction(1, 4))]
+        assert suggest_pairs(f, 2) == [
+            [RationalCenter(Fraction(0), Fraction(0))], quarter]
+        cert = certify_irreducible(f, PairConfig(quarter, 2))
+        assert cert.verdict == VERDICT_CERTIFIED
 
     def test_zero_rejected(self):
         from liftcert import MultiPoly

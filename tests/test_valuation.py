@@ -98,8 +98,9 @@ class TestLambda:
         (Inert((3, 1, 0, 0, 0, 0, 1), 1), 101),
     ], ids=["x^12+x+7-F_11", "x^6+x+3-F_101"])
     def test_generator_within_rabin_work(self, spec, p):
-        # trial division would try p^(d/2) > 10^6 candidates; Rabin's
-        # work d^3 * bitlen(p) is a few thousand
+        # trial division would try p^(d/2) > 10^6 candidates; the guard's
+        # count d^3 * bitlen(p), which bounds Ben-Or's test, is a few
+        # thousand
         config = PairConfig([spec], p)
         assert config.field.q == p ** (len(spec.phi) - 1)
 

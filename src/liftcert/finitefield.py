@@ -32,6 +32,17 @@ factorisation of T would specialise to one of T(c) or put a non-unit in
 T's content.  The points tried, over all main variables, are at most the
 candidate count the guard admitted.  Third, only if no witness is found,
 the exhaustive divisor search decides; it decides every reducible T.
+It tries only candidates g that fit T's degrees, which leaves every
+answer as it is:
+- a g with lex-leading monomial L has only monomials e with e_i <=
+  deg_i T - H_i and |e| <= deg T - |H|, where H = lead(T) - L, because
+  the cofactor T/g leads with H and degrees add under multiplication;
+- the division of T by g stops at the first quotient monomial s with
+  s_i > deg_i T - deg_i g, |s| > deg T - deg g or s <lex trail(T) -
+  trail(g), because every quotient monomial is one of the cofactor's,
+  whose degrees and lex-trailing monomial are those differences.
+The guard's count, and the witness's budget, stay those of the
+unpruned search.
 
 One field arithmetic, `_Arith`, serves Ben-Or's test, the witness and the
 divisor search: plain residues mod p for a prime field, ResidueElements
@@ -275,7 +286,10 @@ class ResidueField:
         return ResidueElement(self, reduced)
 
     def _reduce(self, coeffs):
-        # rewrite y_j^{m_j} using g_j until all exponents are in range
+        # rewrite y_j^{m_j} using g_j until all exponents are in range;
+        # coefficients arrive reduced mod p
+        if all(a < m for e in coeffs for a, m in zip(e, self.degrees)):
+            return {e: c for e, c in coeffs.items() if c}
         p = self.p
         pending = dict(coeffs)
         done = {}
@@ -629,24 +643,42 @@ def _divisor_search(t: ResiduePoly):
     """Whether T is irreducible, by an unguarded exhaustive search for a
     divisor g on _divisor_slots plus the constant, with lex-leading
     coefficient 1 (removing unit ambiguity).  Both the lex-leading and
-    the lex-trailing monomial of g must divide those of T."""
+    the lex-trailing monomial of g must divide those of T.
+
+    Only candidates that fit T's degrees are tried.  Lex-leading
+    monomials and degrees add under multiplication, so for g with
+    lex-leading monomial L the cofactor h = T/g leads with H = lead(T)
+    - L, and:
+    - every monomial e of g has e_i <= deg_i T - H_i and |e| <= deg T -
+      |H|, since deg_i g = deg_i T - deg_i h and deg_i h >= H_i, and
+      likewise for the total degree; each lead's candidates use only
+      the slots within both bounds;
+    - every quotient monomial s of the lex division is a monomial of h,
+      so it has s_i <= deg_i T - deg_i g, |s| <= deg T - deg g and s
+      >=lex trail(T) - trail(g), lex-trailing monomials adding as the
+      leading ones do; the division stops at the first s that does not.
+    """
     slots, leads = _divisor_slots(t)
-    t_trail = min(t.terms)
+    box = [t.degree_in(i) for i in range(t.nvars)]
+    deg = t.degree()
+    t_lead, t_trail = t.lex_leading(), min(t.terms)
     ar = _Arith(t.field.p, t.field)
     sub, mul, zero = ar.sub, ar.mul, ar.zero
     tt = {e: ar.element(c) for e, c in t.terms.items()}
 
-    def divides(g_items, lead):
-        # lex leading-term reduction; g's lead coefficient is 1
+    def divides(g_items, lead, caps, room, floor):
+        # lex leading-term reduction; g's lead coefficient is 1, and each
+        # quotient monomial s must fit the bounds on h's monomials
         r = dict(tt)
         while r:
             rl = max(r)
-            if any(a < b for a, b in zip(rl, lead)):
+            s = tuple(a - b for a, b in zip(rl, lead))
+            if (s < floor or sum(s) > room
+                    or any(not 0 <= a <= b for a, b in zip(s, caps))):
                 return False
-            shift = tuple(a - b for a, b in zip(rl, lead))
             c = r[rl]
             for ge, gc in g_items:
-                e = tuple(a + b for a, b in zip(shift, ge))
+                e = tuple(a + b for a, b in zip(s, ge))
                 v = sub(r.get(e, zero), mul(c, gc))
                 if v:
                     r[e] = v
@@ -656,20 +688,24 @@ def _divisor_search(t: ResiduePoly):
 
     zero_exp = (0,) * t.nvars
     for lead in leads:
-        lower = sorted(e for e in slots if e < lead) + [zero_exp]
-        lower.sort()
+        h_lead = [a - b for a, b in zip(t_lead, lead)]
+        fits = [b - a for a, b in zip(h_lead, box)]
+        top = deg - sum(h_lead)
+        lower = [zero_exp] + [
+            e for e in slots
+            if e < lead and sum(e) <= top
+            and all(a <= b for a, b in zip(e, fits))
+        ]
         for combo in itertools.product(ar.elements, repeat=len(lower)):
-            trail = lead
-            for e, c in zip(lower, combo):
-                if c:
-                    trail = e
-                    break
+            g_items = [(lead, ar.one)]
+            g_items += [(e, c) for e, c in zip(lower, combo) if c]
+            monos = [e for e, _ in g_items]
+            trail = min(monos)
             if any(a > b for a, b in zip(trail, t_trail)):
                 continue
-            g_items = [(lead, ar.one)]
-            for e, c in zip(lower, combo):
-                if c:
-                    g_items.append((e, c))
-            if divides(g_items, lead):
+            caps = [b - max(col) for b, col in zip(box, zip(*monos))]
+            room = deg - max(map(sum, monos))
+            floor = tuple(a - b for a, b in zip(t_trail, trail))
+            if divides(g_items, lead, caps, room, floor):
                 return False
     return True

@@ -5,6 +5,7 @@ polynomials."""
 import gc
 import itertools
 import random
+import time
 import tracemalloc
 import weakref
 
@@ -352,10 +353,50 @@ class TestMultivariateIrreducibility:
             assert not is_irreducible_multivariate(prod)
 
 
+def _divides(g, t):
+    """Whether g divides T, by lex leading-term reduction in element
+    arithmetic; g's lex-leading coefficient is 1."""
+    lead = max(g)
+    zero = t.field.zero
+    r = dict(t.terms)
+    while r:
+        top = max(r)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            return False
+        c = r[top]
+        for e, gc in g.items():
+            k = tuple(a + b for a, b in zip(shift, e))
+            v = r.get(k, zero) - c * gc
+            if v.is_zero:
+                r.pop(k, None)
+            else:
+                r[k] = v
+    return True
+
+
+def _reference_irreducible(t):
+    """Whether T is irreducible, by the unpruned enumeration: every g on
+    `_divisor_slots` plus the constant, with lex-leading coefficient 1,
+    is tested for division.  A reducible T has a factor of total degree
+    at most deg(T)/2 inside its degree box, and those are the slots."""
+    field = t.field
+    slots, _ = finitefield._divisor_slots(t)
+    monos = [(0,) * t.nvars] + slots  # ascending lex
+    elems = list(field.elements())
+    for k in range(1, len(monos)):
+        for combo in itertools.product(elems, repeat=k):
+            g = {e: c for e, c in zip(monos, combo) if not c.is_zero}
+            g[monos[k]] = field.one
+            if _divides(g, t):
+                return False
+    return True
+
+
 def _exhaustive(polys):
-    """The exhaustive divisor search's answers, the reference for every
+    """The unpruned enumeration's answers, the reference for every
     faster decision."""
-    return [finitefield._divisor_search(t) for t in polys]
+    return [_reference_irreducible(t) for t in polys]
 
 
 def _specialise(t, i, c):
@@ -449,3 +490,120 @@ class TestSpecialisationWitness:
             assert ref() is None
         finally:
             gc.enable()
+
+
+FIELDS = {
+    "F_2": (2, []),
+    "F_3": (3, []),
+    "F_5": (5, []),
+    "F_4": (2, [(1, 1, 1)]),  # F_2[y]/(y^2 + y + 1)
+    "F_9": (3, [(1, 0, 1)]),  # F_3[y]/(y^2 + 1)
+}
+
+
+def _random_poly(field, rng, box, top):
+    """A random polynomial on the monomials of box with total degree at
+    most top, with at least one non-constant term."""
+    elems = list(field.elements())
+    monos = [e for e in itertools.product(*(range(b + 1) for b in box))
+             if sum(e) <= top]
+    while True:
+        terms = {e: rng.choice(elems) for e in monos}
+        t = ResiduePoly(field, len(box), terms)
+        if t.degree() >= 1:
+            return t
+
+
+class TestDivisorSearch:
+    # each factor on box with total degree at most top, so that the
+    # reference's unpruned enumeration stays near a thousand candidates
+    # or fewer
+    @pytest.mark.parametrize("name,box,top", [
+        ("F_2", (2, 1), 3), ("F_3", (1, 1), 2), ("F_5", (1, 1), 1),
+        ("F_4", (1, 1), 2), ("F_9", (1, 1), 1),
+        ("F_2", (1, 1, 1), 2), ("F_3", (1, 1, 1), 1), ("F_5", (1, 1, 1), 1),
+        ("F_4", (1, 1, 1), 1), ("F_9", (1, 1, 1), 1),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_agrees_with_the_unpruned_enumeration(self, name, box, top):
+        field = ResidueField(*FIELDS[name])
+        rng = random.Random(f"{name}-{box}")
+        products = [_random_poly(field, rng, box, top)
+                    * _random_poly(field, rng, box, top) for _ in range(6)]
+        draws = [_random_poly(field, rng, [2 * b for b in box], 2 * top)
+                 for _ in range(6)]
+        products, draws = (
+            [t for t in polys
+             if sum(t.degree_in(i) > 0 for i in range(t.nvars)) > 1]
+            for polys in (products, draws))
+        assert products and draws
+        pruned = [finitefield._divisor_search(t) for t in products + draws]
+        assert pruned == _exhaustive(products + draws)
+        assert not any(pruned[:len(products)])
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_factors_on_the_bounds(self, name):
+        # in (Z1^2 + Z2)(Z2 + 1) the cofactor of g = Z2 + 1 leads with
+        # Z1^2, so g may use only slots with e_1 <= 0 and |e| <= 1, and
+        # the quotient's Z1^2 meets its bounds s_1 <= 2 and |s| <= 2;
+        # Z1^2 + Z2 and Z1 - Z2^2 carry T's full degree in one variable,
+        # and in (Z1 + Z2*Z3)(Z3 - 1) the quotient's Z2*Z3 meets the
+        # lex floor, the total and the Z2 and Z3 bounds at once
+        field = ResidueField(*FIELDS[name])
+        one, minus = field.one, field.from_int(-1)
+        factors = [
+            ({(2, 0): one, (0, 1): one}, {(0, 1): one, (0, 0): one}),
+            ({(1, 0): one, (0, 2): minus}, {(1, 0): one, (0, 0): one}),
+            ({(1, 0, 0): one, (0, 1, 1): one},
+             {(0, 0, 1): one, (0, 0, 0): minus}),
+        ]
+        for a, b in factors:
+            n = len(next(iter(a)))
+            t = ResiduePoly(field, n, a) * ResiduePoly(field, n, b)
+            assert not finitefield._divisor_search(t)
+            assert not _reference_irreducible(t)
+            # the same T with 1 added to its constant term
+            terms = dict(t.terms)
+            terms[(0,) * n] = t.coeff((0,) * n) + one
+            t = ResiduePoly(field, n, terms)
+            assert finitefield._divisor_search(t) == _reference_irreducible(t)
+
+    def test_guard_counts_the_unpruned_candidates(self):
+        # the ceiling probes: (Z1^2 Z2^2 + 1)^3 over F_3, and the Gauss
+        # probe's T at p = 10^9 + 7, trip the guard on the same counts as
+        # an unpruned search would try
+        f3 = ResidueField(3, [])
+        base = _poly(f3, {(2, 2): 1, (0, 0): 1})
+        big = ResidueField(10 ** 9 + 7, [])
+        probe = ResiduePoly(big, 2, {
+            e: big.from_int(c) for e, c in {
+                (2, 2): 1, (2, 1): 1, (1, 2): 1, (1, 1): 4, (1, 0): 2,
+                (0, 1): 1, (0, 0): 2}.items()})
+        for t, needed in ((base * base * base, 2_391_483),
+                          (probe, 1_000_000_007)):
+            with pytest.raises(ResourceLimitExceeded) as exc:
+                is_irreducible_multivariate(t)
+            assert exc.value.bound_name == "multivariate divisor candidates"
+            assert exc.value.needed == needed
+            assert str(exc.value) == (
+                "multivariate divisor candidates limit exceeded: "
+                f"need {needed}, limit is 1000000")
+
+    def test_witnessless_pool_residues_decide_quickly(self, monkeypatch):
+        # the benchmark's gauss3-33 and inert9-ramified residues, decided
+        # by the search alone: about 4 s unpruned, about 0.05 s pruned
+        monkeypatch.setattr(finitefield, "specialisation_witness",
+                            lambda t, budget: None)
+        f3 = ResidueField(3, [])
+        gauss = _poly(f3, {
+            (3, 3): 1, (3, 2): 2, (2, 3): 2, (3, 1): 1, (2, 2): 2, (1, 3): 1,
+            (2, 1): 2, (1, 2): 2, (2, 0): 1, (1, 1): 2, (0, 2): 1, (1, 0): 1,
+            (0, 1): 1})
+        f9 = ResidueField(3, [(1, 0, 1)])
+        inert = ResiduePoly(f9, 2, {e: f9.element(c) for e, c in {
+            (2, 2): {(0,): 1}, (1, 2): {(0,): 1}, (1, 1): {(0,): 1},
+            (0, 2): {(1,): 2}, (1, 0): {(1,): 1, (0,): 1},
+            (0, 1): {(1,): 1}}.items()})
+        start = time.process_time()
+        assert is_irreducible_multivariate(gauss)
+        assert is_irreducible_multivariate(inert)
+        assert time.process_time() - start < 1.0

@@ -1,12 +1,12 @@
 """Arithmetic in F_p and its composite residue fields, plus
-irreducibility tests for residue polynomials.
+irreducibility tests and factorisation for residue polynomials.
 
 The residue field is F_p[y_1..y_k]/(g_1..g_k) where the g_i are monic
 irreducible univariate polynomials over F_p of pairwise coprime degrees;
 coprimality is what makes the quotient a field, and it is enforced
 loudly at construction.  Univariate F_p polynomials are coefficient
 tuples, low-to-high, with no trailing zeros; the routines behind Ben-Or's
-test take lists in the same order over F_q.
+test and the factoriser take lists in the same order over F_q.
 
 Univariate irreducibility over F_q is Ben-Or's test (M. Ben-Or,
 "Probabilistic algorithms in finite fields", FOCS 1981): a monic f of
@@ -18,39 +18,59 @@ variable) behind one guard, "univariate Rabin work": d^3 * bitlen(q),
 the field operations of Rabin's test (M. O. Rabin, SIAM J. Comput. 9,
 1980) up to a constant factor, against the limit.  Ben-Or's loop
 computes no more Frobenius powers than Rabin's test, so the same count
-bounds it.
+bounds it.  Run to the end, the same loop is the distinct-degree
+factorisation of a squarefree f, and Cantor-Zassenhaus splitting with a
+fixed seed, by the trace map when q is even, takes each part to its
+irreducible factors (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 14).
 
 A residue polynomial T(Z_1..Z_n) of positive degree in two or more
-variables is decided in three steps.  First a guard counts the
-candidate divisors of an exhaustive search and raises
-ResourceLimitExceeded above the limit, so every T that could reach the
-search is bounded before any work is done.  Second, a
-specialisation witness: if T is primitive in a main variable Z_i and a
-point c for the other variables keeps T's Z_i-degree and makes T(c)
-irreducible by Ben-Or's test, then T is irreducible, because a
-factorisation of T would specialise to one of T(c) or put a non-unit in
-T's content.  The points tried, over all main variables, are at most the
-candidate count the guard admitted.  Third, only if no witness is found,
-the exhaustive divisor search decides; it decides every reducible T.
-It tries only candidates g that fit T's degrees, which leaves every
-answer as it is:
-- a g with lex-leading monomial L has only monomials e with e_i <=
-  deg_i T - H_i and |e| <= deg T - |H|, where H = lead(T) - L, because
-  the cofactor T/g leads with H and degrees add under multiplication;
-- the division of T by g stops at the first quotient monomial s with
-  s_i > deg_i T - deg_i g, |s| > deg T - deg g or s <lex trail(T) -
-  trail(g), because every quotient monomial is one of the cofactor's,
-  whose degrees and lex-trailing monomial are those differences.
-The guard's count, and the witness's budget, stay those of the
-unpruned search.
+variables is decided by these routes, in this order:
+1. Reducibility witnesses, each a factor checked by exact division:
+   a variable Z_i dividing every term of a T other than c*Z_i; a p-th
+   root, when every exponent is divisible by p (T = S^p, with S's
+   coefficients c^(q/p)); and, for a T in two variables, a content of
+   positive degree, the gcd over F_q[Z_j] of T's Z_i-coefficients.
+   They run on every such T and cost a few gcds.
+2. The candidate divisors of an exhaustive search are counted, lead by
+   lead, until the count passes the limit.  At or below it, a
+   specialisation witness is sought: if T is primitive in a main
+   variable Z_i and a point c for the other variables keeps T's
+   Z_i-degree and makes T(c) irreducible by Ben-Or's test, then T is
+   irreducible, because a factorisation of T would specialise to one of
+   T(c) or put a non-unit in T's content.  The points tried, over all
+   main variables, are at most the count.  Only if no witness is found,
+   the exhaustive divisor search decides; it decides every reducible T.
+   It tries only candidates g that fit T's degrees, which leaves every
+   answer as it is:
+   - a g with lex-leading monomial L has only monomials e with e_i <=
+     deg_i T - H_i and |e| <= deg T - |H|, where H = lead(T) - L,
+     because the cofactor T/g leads with H and degrees add under
+     multiplication;
+   - the division of T by g stops at the first quotient monomial s
+     with s_i > deg_i T - deg_i g, |s| > deg T - deg g or s <lex
+     trail(T) - trail(g), because every quotient monomial is one of
+     the cofactor's, whose degrees and lex-trailing monomial are those
+     differences.
+3. Above the limit, a T in two variables goes to factor-by-lifting,
+   `lifting_route`, with a budget of the limit: specialise one
+   variable at the first point where T keeps its degree in the other
+   and T(c) is squarefree, factor T(c), Hensel-lift the factors with
+   T's leading coefficient imposed, and try each subset of them as a
+   factor of T.  The lifts of a factorisation's parts are unique, so
+   when no subset divides T, T is irreducible.  Its docstring gives the
+   argument and what the budget counts.
+4. Only when no route has decided within its budget does T raise
+   ResourceLimitExceeded("multivariate divisor candidates") with the
+   count of step 2.
+No verdict comes from a truncated search.
 
-One field arithmetic, `_Arith`, serves Ben-Or's test, the witness and the
-divisor search: plain residues mod p for a prime field, ResidueElements
-for an extension field.  Points and candidate coefficients are drawn
-from its elements in the order of `ResidueField.elements()`; a prime
-field's are range(p).  An extension field's q elements are listed on
-first use, once by the witness and once by the search, and the field
-does not keep them.
+One field arithmetic, `_Arith`, serves every route: plain residues mod
+p for a prime field, ResidueElements for an extension field.  Points
+and candidate coefficients are drawn from its elements in the order of
+`ResidueField.elements()`; a prime field's are range(p).  An extension
+field's q elements are listed on first use, once by each route that
+draws them, and the field does not keep them.
 """
 
 from __future__ import annotations
@@ -59,6 +79,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 
 from .errors import DEFAULT_CANDIDATE_LIMIT, ConfigError, ResourceLimitExceeded
 from .exactnum import check_prime
@@ -100,11 +121,12 @@ def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
 
 
 class _Arith:
-    """Field operations for Ben-Or's test, the witness and the divisor
-    search: plain residues mod p for a prime field, ResidueElements for
-    an extension field.  Zero is falsy in both.  `element` converts a
-    ResidueElement to this representation; `elements` lists the q
-    elements in the order of `ResidueField.elements()`.
+    """Field operations for every route: plain residues mod p for a
+    prime field, ResidueElements for an extension field.  Zero is falsy
+    in both.  `element` converts a ResidueElement to this
+    representation, `from_int` an integer; `norm` reduces the result of
+    + - * on representatives; `elements` lists the q elements in the
+    order of `ResidueField.elements()`, and `random` draws one.
     """
 
     def __init__(self, p, field=None):
@@ -115,19 +137,24 @@ class _Arith:
             self.sub = lambda a, b: (a - b) % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
+            self.from_int = self.norm = lambda k: k % p
             self.element = lambda a: a.coeffs.get((), 0)
         else:
             self.field = field
             self.q, self.zero, self.one = field.q, field.zero, field.one
             self.add, self.sub = operator.add, operator.sub
             self.mul, self.inv = operator.mul, ResidueElement.inverse
-            self.element = lambda a: a
+            self.from_int = field.from_int
+            self.element = self.norm = lambda a: a
 
     @functools.cached_property
     def elements(self):
         if self.field is None:
             return range(self.q)
         return list(self.field.elements())
+
+    def random(self, rng):
+        return self.elements[rng.randrange(self.q)]
 
 
 def _trim(a):
@@ -137,31 +164,64 @@ def _trim(a):
 
 
 def _monic(a, ar):
+    if a[-1] == ar.one:
+        return a
     inv = ar.inv(a[-1])
     return [ar.mul(inv, c) for c in a]
 
 
-def _rem(a, f, ar):
-    """a mod f, for monic f."""
-    r = list(a)
-    n = len(f) - 1
-    for k in range(len(r) - 1, n - 1, -1):
-        c = r[k]
-        if c:
-            for j in range(n):
-                r[k - n + j] = ar.sub(r[k - n + j], ar.mul(c, f[j]))
-    return _trim(r[:n])
+def _add(a, b, ar):
+    return _trim([ar.add(x, y) for x, y in itertools.zip_longest(
+        a, b, fillvalue=ar.zero)])
 
 
-def _mulmod(a, b, f, ar):
+def _sub(a, b, ar):
+    return _trim([ar.sub(x, y) for x, y in itertools.zip_longest(
+        a, b, fillvalue=ar.zero)])
+
+
+# the inner loops of Ben-Or's test and the factoriser use + - * directly
+# and reduce with ar.norm only where a value is read: ints mod p once at
+# the end, ResidueElements (whose norm is the identity) at each operation
+
+
+def _product(a, b, ar):
+    """a*b, unreduced."""
     if not a or not b:
         return []
     prod = [ar.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                prod[i + j] = ar.add(prod[i + j], ar.mul(x, y))
-    return _rem(prod, f, ar)
+                prod[i + j] += x * y
+    return prod
+
+
+def _mul(a, b, ar):
+    return _trim(list(map(ar.norm, _product(a, b, ar))))
+
+
+def _divmod(a, f, ar):
+    """Quotient and remainder of a, possibly unreduced, by a monic f."""
+    r = list(a)
+    n = len(f) - 1
+    quo = []
+    for k in range(len(r) - 1, n - 1, -1):
+        c = ar.norm(r[k])
+        quo.append(c)
+        if c:
+            for j in range(n):
+                r[k - n + j] -= c * f[j]
+    return _trim(quo[::-1]), _trim(list(map(ar.norm, r[:n])))
+
+
+def _rem(a, f, ar):
+    """a mod f, for monic f."""
+    return _divmod(a, f, ar)[1]
+
+
+def _mulmod(a, b, f, ar):
+    return _rem(_product(a, b, ar), f, ar)
 
 
 def _powmod(a, e, f, ar):
@@ -179,23 +239,87 @@ def _gcd(a, b, ar):
     """The monic gcd of a and b ([] when both are zero)."""
     a, b = _trim(list(a)), _trim(list(b))
     while b:
+        if len(b) == 1:  # a nonzero constant
+            return [ar.one]
         b = _monic(b, ar)
         a, b = b, _rem(a, b, ar)
     return _monic(a, ar) if a else a
 
 
+def _inverse_mod(a, f, ar):
+    """a^-1 mod a monic f, for a coprime to f, by the extended Euclidean
+    algorithm with monic remainders: s*a = r mod f for each pair (r, s)."""
+    r0, s0 = f, []
+    r1, s1 = _rem(a, f, ar), [ar.one]
+    while len(r1) > 1:
+        inv = ar.inv(r1[-1])
+        r1, s1 = [ar.mul(inv, c) for c in r1], [ar.mul(inv, c) for c in s1]
+        quo, rem = _divmod(r0, r1, ar)
+        r0, s0, r1, s1 = r1, s1, rem, _sub(s0, _mul(quo, s1, ar), ar)
+    inv = ar.inv(r1[0])
+    return _rem([ar.mul(inv, c) for c in s1], f, ar)
+
+
+def _distinct_degree(f, ar):
+    """Distinct-degree factorisation, Ben-Or's loop run to the end: for a
+    monic f it yields pairs (k, g), k increasing, where g != 1 is the
+    monic gcd of Z^(q^k) - Z and what is left of f.  For a squarefree f,
+    g is the product of f's irreducible factors of degree k.  What is
+    left once k passes half its degree is yielded last, with its own
+    degree."""
+    h = z = [ar.zero, ar.one]  # Z mod f, since the loop runs only for d >= 2
+    k = 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _powmod(h, ar.q, f, ar)  # Z^(q^k) mod f
+        g = _gcd(f, _sub(h, z, ar), ar)
+        if len(g) > 1:
+            yield k, g
+            f = _divmod(f, g, ar)[0]
+            h = _rem(h, f, ar)
+    if len(f) > 1:
+        yield len(f) - 1, f
+
+
 def _ben_or(f, ar):
     """Ben-Or's test: a monic f of degree d >= 1 over F_q is irreducible
     if and only if gcd(Z^(q^k) - Z, f) = 1 for k = 1..d/2, since a
-    reducible f has a factor of degree at most d/2."""
-    h = z = [ar.zero, ar.one]  # Z mod f, since the loop runs only for d >= 2
-    for _ in range((len(f) - 1) // 2):
-        h = _powmod(h, ar.q, f, ar)  # Z^(q^k) mod f
-        diff = [ar.sub(a, b) for a, b in itertools.zip_longest(
-            h, z, fillvalue=ar.zero)]
-        if len(_gcd(f, diff, ar)) > 1:
-            return False
-    return True
+    reducible f has a factor of degree at most d/2.  It is the first
+    step of the distinct-degree factorisation, which stops there."""
+    return next(_distinct_degree(f, ar))[0] == len(f) - 1
+
+
+def _equal_degree(g, k, ar, rng):
+    """Cantor-Zassenhaus splitting: the monic irreducible factors of a
+    monic squarefree g whose irreducible factors all have degree k.  For
+    a random a of degree below deg g, gcd(g, b) splits g with
+    probability at least 1/2, where b = a^((q^k - 1)/2) - 1 for odd q
+    and b is the trace a + a^2 + a^4 + ... + a^(2^(mk - 1)) of a from
+    F_(q^k) to F_2 for q = 2^m."""
+    if len(g) - 1 == k:
+        return [g]
+    while True:
+        a = _trim([ar.random(rng) for _ in range(len(g) - 1)])
+        if ar.q % 2:
+            b = _sub(_powmod(a, (ar.q ** k - 1) // 2, g, ar), [ar.one], ar)
+        else:
+            b = power = a
+            for _ in range(k * (ar.q.bit_length() - 1) - 1):
+                power = _mulmod(power, power, g, ar)
+                b = _add(b, power, ar)
+        d = _gcd(g, b, ar)
+        if 1 < len(d) < len(g):
+            return (_equal_degree(d, k, ar, rng)
+                    + _equal_degree(_divmod(g, d, ar)[0], k, ar, rng))
+
+
+def _factor_squarefree(f, ar):
+    """The monic irreducible factors of a monic squarefree f over F_q:
+    distinct-degree factorisation, then equal-degree splitting with a
+    fixed seed, so the same f always gives the same list."""
+    rng = random.Random(0)
+    return [h for k, g in _distinct_degree(f, ar)
+            for h in _equal_degree(g, k, ar, rng)]
 
 
 def _irreducible_univariate(f, ar, limit):
@@ -592,6 +716,295 @@ def specialisation_witness(t: ResiduePoly, budget):
     return None
 
 
+# ---------------------------------------------------------------------
+# reducibility witnesses and the factor-by-lifting route
+
+
+def _exact_quotient(num, den, ar):
+    """num / den for polynomials as {exponents: coefficient} in ar's
+    representation, or None when den does not divide num: lex
+    leading-term reduction, which stops at the first quotient monomial
+    outside the box of num's degrees less den's."""
+    lead = max(den)
+    inv = ar.inv(den[lead])
+    caps = [max(col) - max(dcol) for col, dcol in zip(zip(*num), zip(*den))]
+    r, quo = dict(num), {}
+    while r:
+        top = max(r)
+        s = tuple(a - b for a, b in zip(top, lead))
+        if any(not 0 <= a <= cap for a, cap in zip(s, caps)):
+            return None
+        c = quo[s] = ar.mul(r[top], inv)
+        for e, dc in den.items():
+            k = tuple(a + b for a, b in zip(s, e))
+            v = ar.sub(r.get(k, ar.zero), ar.mul(c, dc))
+            if v:
+                r[k] = v
+            else:
+                r.pop(k, None)
+    return quo
+
+
+def _proper_factor(t, terms, a, ar):
+    """a as a ResiduePoly beside T when a divides T's terms exactly and
+    neither a nor the quotient is constant, else None: every reducible
+    answer of a fast path passes through this check."""
+    quo = _exact_quotient(terms, a, ar)
+    if quo is None or not any(map(any, a)) or not any(map(any, quo)):
+        return None
+    field = t.field
+    return ResiduePoly(field, t.nvars, a if ar.field else {
+        e: field.from_int(c) for e, c in a.items()})
+
+
+def _setup(t):
+    """T's field arithmetic, its terms in that representation, and the
+    variables in which it has positive degree."""
+    ar = _Arith(t.field.p, t.field)
+    terms = {e: ar.element(c) for e, c in t.terms.items()}
+    return ar, terms, [i for i in range(t.nvars) if t.degree_in(i) > 0]
+
+
+def _exps(n, x, a, y, b):
+    """The exponent vector with a at position x, b at y, 0 elsewhere."""
+    return tuple(a if j == x else b if j == y else 0 for j in range(n))
+
+
+def _rows(terms, x, y, ar):
+    """T as a polynomial in Z_x over F_q[Z_y], for a T in Z_x and Z_y
+    only: rows[a] is the coefficient list, in Z_y, of Z_x^a."""
+    rows = [[] for _ in range(max(e[x] for e in terms) + 1)]
+    for e, c in terms.items():
+        row = rows[e[x]]
+        row.extend([ar.zero] * (e[y] + 1 - len(row)))
+        row[e[y]] = c
+    return rows
+
+
+def _content(rows, ar):
+    """The monic gcd, in F_q[Z_y], of the rows, shortest first, so that
+    a nonzero constant row ends it at once."""
+    g = []
+    for row in sorted(rows, key=len):
+        g = _gcd(g, row, ar) if g else row
+        if len(g) == 1:
+            return [ar.one]
+    return _monic(g, ar) if g else g
+
+
+def monomial_factor(t: ResiduePoly):
+    """A variable Z_i that divides every term of T, when T is not c*Z_i,
+    as a checked factor of T; otherwise None."""
+    ar, terms, _ = _setup(t)
+    for i in range(t.nvars):
+        if all(e[i] for e in terms):
+            a = _proper_factor(t, terms, {_exps(t.nvars, i, 1, i, 1): ar.one},
+                               ar)
+            if a is not None:
+                return a
+    return None
+
+
+def pth_power_factor(t: ResiduePoly):
+    """S with T = S^p, when every exponent of T is divisible by p, as a
+    checked factor of T; otherwise None.  S has exponents e/p and
+    coefficients c^(q/p): Frobenius c -> c^p is a bijection of F_q,
+    and this is its inverse."""
+    p = t.field.p
+    if any(a % p for e in t.terms for a in e):
+        return None
+    ar, terms, _ = _setup(t)
+    root = {}
+    for e, c in terms.items():
+        r, k = ar.one, ar.q // p
+        while k:
+            if k & 1:
+                r = ar.mul(r, c)
+            c, k = ar.mul(c, c), k >> 1
+        root[tuple(a // p for a in e)] = r
+    return _proper_factor(t, terms, root, ar)
+
+
+def content_factor(t: ResiduePoly):
+    """For a T in exactly two variables, a content of positive degree:
+    the gcd over F_q[Z_j] of T's Z_i-coefficients, for i the first and
+    then the second variable, as a checked factor of T; otherwise None."""
+    ar, terms, pair = _setup(t)
+    if len(pair) != 2:
+        return None
+    for x, y in (pair, pair[::-1]):
+        g = _content(_rows(terms, x, y, ar), ar)
+        if len(g) > 1:
+            return _proper_factor(t, terms, {
+                _exps(t.nvars, x, 0, y, k): c for k, c in enumerate(g) if c},
+                ar)
+    return None
+
+
+def factor_witness(t: ResiduePoly):
+    """The first checked factor of T that the cheap witnesses find, a
+    monomial factor, a p-th root or a content, or None."""
+    for route in (monomial_factor, pth_power_factor, content_factor):
+        a = route(t)
+        if a is not None:
+            return a
+    return None
+
+
+def _taylor(a, c, ar):
+    """The coefficients of a(Y + c), by Horner's rule."""
+    out = []
+    for coef in reversed(a):
+        out = _add(_mul(out, [c, ar.one], ar), [coef], ar)
+    return out
+
+
+def _series_mul(a, b, k, ar):
+    """a*b mod Y^k for lists of Y-coefficients that are polynomials in X."""
+    out = []
+    for m in range(min(k, len(a) + len(b) - 1)):
+        c = []
+        for i in range(max(0, m - len(b) + 1), min(m + 1, len(a))):
+            c = _add(c, _mul(a[i], b[m - i], ar), ar)
+        out.append(c)
+    return out
+
+
+def _hensel(rows, c, k, factors, ar):
+    """Lift the monic factors g_i of T(X, c)/lc(c) to monic G_i, as lists
+    of Y-coefficients that are polynomials in X, with T(X, Y + c) =
+    lc(Y + c) * prod G_i mod Y^k, where lc is T's X-leading coefficient.
+
+    Linear lifting, one power of Y at a time: with s_i = (prod_{j != i}
+    g_j)^-1 mod g_i, the error E of degree below deg T in X at Y^m is
+    E = sum_i (s_i E mod g_i) prod_{j != i} g_j, so G_i gains the term
+    (s_i E mod g_i) Y^m.  The Y^m coefficients of the partial products
+    G_1...G_j are kept, so each step costs one pass over them."""
+    shifted = [_taylor(row, c, ar) for row in rows]
+    lc = shifted[-1]
+    inv = [ar.inv(lc[0])]  # 1/lc(Y + c) mod Y^k
+    for m in range(1, k):
+        acc = ar.zero
+        for i in range(1, min(m, len(lc) - 1) + 1):
+            acc = ar.add(acc, ar.mul(lc[i], inv[m - i]))
+        inv.append(ar.mul(ar.sub(ar.zero, acc), inv[0]))
+    monic = [_mul(row, inv, ar)[:k] for row in shifted]
+    # T(X, Y + c)/lc(Y + c) mod Y^k, by powers of Y
+    target = [_trim([row[m] if m < len(row) else ar.zero for row in monic])
+              for m in range(k)]
+    f0 = target[0]
+    cofactors = [_inverse_mod(_divmod(f0, g, ar)[0], g, ar) for g in factors]
+    lifted = [[g] for g in factors]
+    partial = [[g] for g in itertools.accumulate(
+        factors, lambda a, b: _mul(a, b, ar))]
+
+    def coefficient(m):
+        # Y^m coefficient of each partial product, from the terms of the
+        # G_i known so far
+        first = lifted[0]
+        out = [first[m] if m < len(first) else []]
+        for j, g in enumerate(lifted[1:], 1):
+            cur = []
+            for a in range(m + 1):
+                if m - a < len(g):
+                    low = out[-1] if a == m else partial[j - 1][a]
+                    cur = _add(cur, _mul(low, g[m - a], ar), ar)
+            out.append(cur)
+        return out
+
+    for m in range(1, k):
+        error = _sub(target[m], coefficient(m)[-1], ar)
+        for g, s, big in zip(factors, cofactors, lifted):
+            big.append(_rem(_mul(s, error, ar), g, ar))
+        for p, coef in zip(partial, coefficient(m)):
+            p.append(coef)
+    return lc, lifted
+
+
+def lifting_route(t: ResiduePoly, budget):
+    """Decide a T in exactly two variables by specialising one of them,
+    factoring and Hensel lifting: (i, c, A) with A a checked factor of T,
+    or (i, c, None) when T is irreducible, or None when undecided within
+    budget.  Z_i is the main variable X, the other variable is Y, and c
+    is the point for Y.
+
+    For X the first and then the second variable, with d = deg_X T and
+    e = deg_Y T, and only when T is primitive in X (its content is
+    `content_factor`'s) and what is left of budget covers d^3 * bitlen(q)
+    + d^2 * (e + 1)^2, the field operations of factoring and of lifting
+    up to a constant factor, which it then pays:
+    - the points c are tried in the order of `ResidueField.elements()`
+      until T's X-leading coefficient lc(c) != 0 and T(X, c) is
+      squarefree.  The points where either fails are roots of lc or of
+      the resultant of T and dT/dX, at most 2*d*e of them unless that
+      resultant is 0, so the search stops after 2*d*e + 1 such points;
+    - T(X, c) is factored over F_q, and the factors are lifted
+      (Y - c)-adically to precision k = e + 1, with T's leading
+      coefficient imposed (P. S. Wang, Math. Comp. 32, 1978);
+    - for each subset S of the lifted factors, of size at most half
+      their number, the primitive part in X of lc * prod_S G_i, with Y's
+      powers below k, is tried as a divisor of T.
+
+    If T = A*B, both have positive X-degree since T is primitive, and
+    A(X, c) is the product of some subset of T(X, c)'s factors, whose
+    lifts are unique; lc * prod_S G_i = lc(B) * A mod (Y - c)^k, and
+    lc(B) * A has Y-degree at most e, so it is that polynomial, whose
+    primitive part is A.  One of A and B has at most half the factors.
+    So when no subset gives a divisor, T is irreducible.  Every point
+    counts one against budget, and every subset d^2 * (e + 1)^2, the
+    field operations of its product and trial division up to a constant
+    factor; the route is undecided when budget runs out.
+    """
+    ar, terms, pair = _setup(t)
+    if len(pair) != 2:
+        return None
+    left = budget
+    for x, y in (pair, pair[::-1]):
+        rows = _rows(terms, x, y, ar)
+        d, e = len(rows) - 1, max(map(len, rows)) - 1
+        lift = d * d * (e + 1) ** 2
+        work = d ** 3 * ar.q.bit_length() + lift
+        if work > left or len(_content(rows, ar)) > 1:
+            continue
+        left -= work
+        bad = 0
+        for c in ar.elements:
+            if left <= 0 or bad > 2 * d * e:
+                break
+            left -= 1
+            ev = _evaluate(terms, [c] * t.nvars, (x,), ar)
+            f = [ev.get((a,), ar.zero) for a in range(d + 1)]
+            slope = [ar.mul(ar.from_int(a), f[a]) for a in range(1, d + 1)]
+            if not f[d] or len(_gcd(f, slope, ar)) > 1:
+                bad += 1
+                continue
+            point = c if ar.field else t.field.from_int(c)
+            factors = _factor_squarefree(_monic(f, ar), ar)
+            lc, lifted = _hensel(rows, c, e + 1, factors, ar)
+            back = ar.sub(ar.zero, c)
+            for size in range(1, len(factors) // 2 + 1):
+                for subset in itertools.combinations(lifted, size):
+                    if left < lift:
+                        return None
+                    left -= lift
+                    prod = [_trim([v]) for v in lc]
+                    for big in subset:
+                        prod = _series_mul(prod, big, e + 1, ar)
+                    cols = [_taylor(_trim([m[a] if a < len(m) else ar.zero
+                                           for m in prod]), back, ar)
+                            for a in range(max(map(len, prod)))]
+                    g = _content(cols, ar)
+                    a = _proper_factor(t, terms, {
+                        _exps(t.nvars, x, i, y, j): v
+                        for i, col in enumerate(cols)
+                        for j, v in enumerate(_divmod(col, g, ar)[0]) if v},
+                        ar)
+                    if a is not None:
+                        return x, point, a
+            return x, point, None
+    return None
+
+
 def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
     """Whether T is irreducible over its residue field F_q, by the
     routes of the module docstring.  A T with positive degree in one
@@ -605,21 +1018,26 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
         for e, c in t.terms.items():
             f[sum(e)] = ar.element(c)
         return _irreducible_univariate(_monic(f, ar), ar, limit)
+    if factor_witness(t) is not None:
+        return False
     slots, leads = _divisor_slots(t)
     if not slots:
         return True
-    q = field.q
-    total = 0
+    total = 0  # the unpruned search's candidates, until they pass limit
     for lead in leads:
         below = sum(1 for e in slots if e < lead) + 1  # + constant slot
-        total += q ** below
+        total += field.q ** below
         if total > limit:
-            raise ResourceLimitExceeded(
-                "multivariate divisor candidates", limit, total
-            )
-    if specialisation_witness(t, total) is not None:
-        return True
-    return _divisor_search(t)
+            break
+    if total <= limit:
+        if specialisation_witness(t, total) is not None:
+            return True
+        return _divisor_search(t)
+    decided = lifting_route(t, limit)
+    if decided is None:
+        raise ResourceLimitExceeded(
+            "multivariate divisor candidates", limit, total)
+    return decided[2] is None
 
 
 def _divisor_slots(t: ResiduePoly):

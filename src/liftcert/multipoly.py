@@ -194,16 +194,36 @@ class MultiPoly:
             k >>= 1
         return result
 
-    def shift(self, i: int, a) -> "MultiPoly":
+    def shift(self, i: int, a, limit=DEFAULT_CANDIDATE_LIMIT) -> "MultiPoly":
         """x_i -> x_i + a, on ints.  With a = u/v, D the common denominator
         of the coefficients and K the top degree in x_i, a term
         (n/D)*x_i^k adds n*comb(k, j)*u^(k-j)*v^(K-k+j) / (D*v^K) to
-        x_i^j; each comb(k, j) comes from the one before it."""
+        x_i^j; each comb(k, j) comes from the one before it.
+
+        The work is counted against limit before it starts
+        (ResourceLimitExceeded, "Taylor shift work"): a term of degree k
+        makes k + 1 updates, each counting 1 + b // 1024 for the b =
+        k + bitlen(n) + bitlen(D/d) + (K - k)*bitlen(v) + k*bitlen(u)
+        bits, d the term's own denominator, that bound its operands.  So
+        the count grows with the square of the degree, as the work does,
+        and an update of operands below 1,024 bits counts one, as a row
+        operation of `_divide` does.
+        """
         if a == 0 or not self.terms:
             return self
         u, v = a.numerator, a.denominator
         den = math.lcm(*[c.denominator for c in self.terms.values()])
         top = self.degree_in(i)
+        ubits, vbits = abs(u).bit_length(), v.bit_length()
+        needed = 0
+        for exps, c in self.terms.items():
+            k = exps[i]
+            bits = (k + abs(c.numerator).bit_length()
+                    + (den // c.denominator).bit_length()
+                    + (top - k) * vbits + k * ubits)
+            needed += (k + 1) * (1 + bits // 1024)
+        if needed > limit:
+            raise ResourceLimitExceeded("Taylor shift work", limit, needed)
         sums = {}
         for exps, c in self.terms.items():
             k, head, tail = exps[i], exps[:i], exps[i + 1:]
@@ -300,8 +320,9 @@ def phi_expand(f: MultiPoly, phis,
                limit=DEFAULT_CANDIDATE_LIMIT) -> PhiExpansion:
     """Expand f in base (phi_1, ..., phi_n), where phi_j is a monic
     univariate coefficient list (low-to-high) in x_j.  A linear phi_j =
-    x_j - c is the Taylor shift x_j -> x_j + c; then each phi_j of
-    degree m_j >= 2 rewrites the terms through `_divide`, under limit.
+    x_j - c is the Taylor shift x_j -> x_j + c, under limit; then each
+    phi_j of degree m_j >= 2 rewrites the terms through `_divide`, under
+    limit.
     An exponent k*m_j + r of x_j now stands for x_j^r * phi_j^k, and the
     digit at index I collects the terms whose exponents split into I.
     """
@@ -312,7 +333,7 @@ def phi_expand(f: MultiPoly, phis,
         if len(phi) < 2 or phi[-1] != 1:
             raise ValueError("each phi must be monic of degree >= 1")
         if len(phi) == 2 and phi[0]:
-            f = f.shift(j, -phi[0])
+            f = f.shift(j, -phi[0], limit)
     terms = f.terms
     for j, phi in enumerate(phis):
         if len(phi) > 2:
@@ -332,7 +353,7 @@ def reconstruct(expansion: PhiExpansion,
     """sum_I a_I * prod_j phi_j^{i_j}, as phi_expand run backwards: a
     term x^r of a_I goes to the exponent i_j*m_j + r_j of each x_j (an
     r_j >= m_j raises ValueError), `_divide` undoes each inert division
-    under limit, and a shift by -c undoes each centre c."""
+    under limit, and a shift by -c, under limit, undoes each centre c."""
     n, phis = expansion.nvars, expansion.phis
     ms = [len(phi) - 1 for phi in phis]
     terms = {}
@@ -347,7 +368,7 @@ def reconstruct(expansion: PhiExpansion,
     f = MultiPoly(n, terms)
     for j, phi in enumerate(phis):
         if ms[j] == 1 and phi[0]:
-            f = f.shift(j, phi[0])
+            f = f.shift(j, phi[0], limit)
     return f
 
 

@@ -164,6 +164,33 @@ class TestCertify:
         assert code == EXIT_GUARD
         assert "Rabin work limit exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify", "expand"])
+    def test_taylor_shift_guard_exit_5(self, pairs_file, capsys, command):
+        # the shift of x^40000 + 3 to the centre 1 would take seconds
+        # and hundreds of MB; its work is counted first
+        pairs = pairs_file({"prime": 3, "pairs": [
+            {"kind": "rational_center", "center": "1", "delta": "0"}]})
+        start = time.perf_counter()
+        code = main([command, "--vars", "x", "--pairs", pairs, "x^40000+3"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert "Taylor shift work limit exceeded" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("prime,expr", [
+        ("3", "x^6*y^6 + 1"),
+        ("1000000007", "x^2*y^2 + x^2*y + x*y^2 + 4*x*y + 2*x + y + 2"),
+    ], ids=["cube-p3", "gauss-p1000000007"])
+    def test_residue_above_the_guard_decided_exit_3(
+            self, pairs_file, capsys, prime, expr):
+        # the ceiling probes: T = (Z1^2 Z2^2 + 1)^3 is a cube, and T =
+        # (Z1 Z2 + Z1 + 1)(Z1 Z2 + Z2 + 2) is factored by lifting
+        pairs = pairs_file({"prime": int(prime), "pairs": GAUSS2["pairs"]})
+        code = main(["certify", "--vars", "x,y", "--pairs", pairs, expr])
+        assert code == EXIT_RESIDUE_EXCLUDED
+        assert "verdict: ResidueReducible" in capsys.readouterr().out
+
     @pytest.mark.parametrize("as_json", [False, True])
     @pytest.mark.parametrize("expr", [
         "x^2 + 3^10000", "(3^5000*x + 1)^2", "9" * 100 + "^100000*x",

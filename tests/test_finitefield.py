@@ -1,7 +1,9 @@
-"""Residue fields: univariate irreducibility, the composite field, the
-specialisation witness and the exhaustive divisor search for residue
-polynomials."""
+"""Residue fields: univariate irreducibility and factorisation, the
+composite field, and the routes that decide residue polynomials: the
+reducibility witnesses, the specialisation witness, the exhaustive
+divisor search and the lifting route."""
 
+import collections
 import gc
 import itertools
 import random
@@ -325,8 +327,12 @@ class TestMultivariateIrreducibility:
         assert is_irreducible_multivariate(t)  # 2 is not a square mod 1021
 
     def test_guard(self):
-        f5 = ResidueField(5, [])
-        t = _poly(f5, {(4, 4): 1, (0, 0): 2})
+        # Z1^2 Z2^2 Z3^2 + Z1 Z2 Z3 + 1 over F_2 has no monomial factor
+        # and is no square, and the content and lifting routes take two
+        # variables only, so no route decides it above the limit
+        f2 = ResidueField(2, [])
+        one = f2.one
+        t = ResiduePoly(f2, 3, {(2, 2, 2): one, (1, 1, 1): one, (0, 0, 0): one})
         with pytest.raises(ResourceLimitExceeded):
             is_irreducible_multivariate(t, limit=10)
 
@@ -353,18 +359,19 @@ class TestMultivariateIrreducibility:
             assert not is_irreducible_multivariate(prod)
 
 
-def _divides(g, t):
-    """Whether g divides T, by lex leading-term reduction in element
-    arithmetic; g's lex-leading coefficient is 1."""
+def _quotient(g, t):
+    """T / g as {exponents: element}, by lex leading-term reduction in
+    element arithmetic, or None when g does not divide T."""
     lead = max(g)
+    inv = g[lead].inverse()
     zero = t.field.zero
-    r = dict(t.terms)
+    r, quo = dict(t.terms), {}
     while r:
         top = max(r)
         shift = tuple(a - b for a, b in zip(top, lead))
         if min(shift) < 0:
-            return False
-        c = r[top]
+            return None
+        c = quo[shift] = r[top] * inv
         for e, gc in g.items():
             k = tuple(a + b for a, b in zip(shift, e))
             v = r.get(k, zero) - c * gc
@@ -372,7 +379,39 @@ def _divides(g, t):
                 r.pop(k, None)
             else:
                 r[k] = v
-    return True
+    return quo
+
+
+def _divides(g, t):
+    """Whether g divides T."""
+    return _quotient(g, t) is not None
+
+
+def _assert_proper_factor(t, a):
+    """A and T/A are not constant, and A * (T/A) = T."""
+    quo = _quotient(a.terms, t)
+    assert quo is not None
+    assert a.degree() >= 1 and max(map(sum, quo)) >= 1
+    assert a * ResiduePoly(t.field, t.nvars, quo) == t
+
+
+def _route_answers(t):
+    """{route: answer} for each route that decides T: False for a factor,
+    checked here by multiplication, True for irreducible."""
+    answers = {}
+    for name in ("monomial_factor", "pth_power_factor", "content_factor"):
+        a = getattr(finitefield, name)(t)
+        if a is not None:
+            _assert_proper_factor(t, a)
+            answers[name] = False
+    decided = finitefield.lifting_route(t, 10 ** 6)
+    if decided is not None:
+        i, c, a = decided
+        assert c.field == t.field and t.degree_in(i) >= 1
+        if a is not None:
+            _assert_proper_factor(t, a)
+        answers["lifting_route"] = a is None
+    return answers
 
 
 def _reference_irreducible(t):
@@ -441,7 +480,18 @@ class TestSpecialisationWitness:
         field = ResidueField(p, gens)
         polys = list(_corner_family(field, box))
         fast = [is_irreducible_multivariate(t) for t in polys]
-        assert fast == _exhaustive(polys)
+        reference = _exhaustive(polys)
+        assert fast == reference
+        # every route that decides a T agrees with the searches
+        routes = collections.Counter()
+        for t, answer in zip(polys, reference):
+            answers = _route_answers(t)
+            assert set(answers.values()) <= {answer}, (answers, t)
+            assert not answers or finitefield._divisor_search(t) == answer
+            routes.update(answers.keys())
+        assert routes["monomial_factor"]
+        assert len(box) != 2 or (
+            routes["content_factor"] and routes["lifting_route"])
         replays = []
         for t in polys:
             witness = finitefield.specialisation_witness(t, 10 ** 6)
@@ -567,10 +617,12 @@ class TestDivisorSearch:
             t = ResiduePoly(field, n, terms)
             assert finitefield._divisor_search(t) == _reference_irreducible(t)
 
-    def test_guard_counts_the_unpruned_candidates(self):
+    def test_guard_counts_the_unpruned_candidates(self, monkeypatch):
         # the ceiling probes: (Z1^2 Z2^2 + 1)^3 over F_3, and the Gauss
-        # probe's T at p = 10^9 + 7, trip the guard on the same counts as
-        # an unpruned search would try
+        # probe's T at p = 10^9 + 7, are above the guard on the same
+        # counts as an unpruned search would try.  The p-th power witness
+        # and the lifting route decide them reducible; with both patched
+        # off they trip the guard
         f3 = ResidueField(3, [])
         base = _poly(f3, {(2, 2): 1, (0, 0): 1})
         big = ResidueField(10 ** 9 + 7, [])
@@ -578,8 +630,17 @@ class TestDivisorSearch:
             e: big.from_int(c) for e, c in {
                 (2, 2): 1, (2, 1): 1, (1, 2): 1, (1, 1): 4, (1, 0): 2,
                 (0, 1): 1, (0, 0): 2}.items()})
-        for t, needed in ((base * base * base, 2_391_483),
-                          (probe, 1_000_000_007)):
+        cube = base * base * base
+        assert finitefield.pth_power_factor(cube) == base
+        i, c, a = finitefield.lifting_route(probe, 10 ** 6)
+        assert a is not None
+        _assert_proper_factor(probe, a)
+        for t in (cube, probe):
+            assert not is_irreducible_multivariate(t)
+        monkeypatch.setattr(finitefield, "factor_witness", lambda t: None)
+        monkeypatch.setattr(finitefield, "lifting_route",
+                            lambda t, budget: None)
+        for t, needed in ((cube, 2_391_483), (probe, 1_000_000_007)):
             with pytest.raises(ResourceLimitExceeded) as exc:
                 is_irreducible_multivariate(t)
             assert exc.value.bound_name == "multivariate divisor candidates"
@@ -587,6 +648,24 @@ class TestDivisorSearch:
             assert str(exc.value) == (
                 "multivariate divisor candidates limit exceeded: "
                 f"need {needed}, limit is 1000000")
+
+    def test_undecided_above_the_limit_raises_as_before(self):
+        # Z1^2 Z2^2 Z3^2 + Z1 + Z2 + Z3 + 1 over F_3: three variables, no
+        # monomial factor, not a cube, so every route is undecided and
+        # the guard raises with the count and message it always had
+        f3 = ResidueField(3, [])
+        one = f3.one
+        t = ResiduePoly(f3, 3, {(2, 2, 2): one, (1, 0, 0): one,
+                                (0, 1, 0): one, (0, 0, 1): one,
+                                (0, 0, 0): one})
+        assert finitefield.factor_witness(t) is None
+        assert finitefield.lifting_route(t, 10 ** 6) is None
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            is_irreducible_multivariate(t)
+        assert str(exc.value) == (
+            "multivariate divisor candidates limit exceeded: "
+            f"need {exc.value.needed}, limit is 1000000")
+        assert exc.value.needed > 10 ** 6
 
     def test_witnessless_pool_residues_decide_quickly(self, monkeypatch):
         # the benchmark's gauss3-33 and inert9-ramified residues, decided
@@ -607,3 +686,105 @@ class TestDivisorSearch:
         assert is_irreducible_multivariate(gauss)
         assert is_irreducible_multivariate(inert)
         assert time.process_time() - start < 1.0
+
+
+class TestReducibilityRoutes:
+    # two-variable factors as in TestDivisorSearch, so the reference's
+    # enumeration stays small
+    @pytest.mark.parametrize("name,box,top", [
+        ("F_2", (2, 1), 3), ("F_3", (1, 1), 2), ("F_5", (1, 1), 1),
+        ("F_4", (1, 1), 2), ("F_9", (1, 1), 1),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_products_and_products_plus_one(self, name, box, top):
+        # every route that decides a random product, or the product with
+        # 1 added to its constant term, agrees with the pruned search and
+        # with the unpruned enumeration
+        field = ResidueField(*FIELDS[name])
+        rng = random.Random(f"routes-{name}")
+        polys = []
+        for _ in range(6):
+            t = (_random_poly(field, rng, box, top)
+                 * _random_poly(field, rng, box, top))
+            terms = dict(t.terms)
+            terms[(0, 0)] = t.coeff((0, 0)) + field.one
+            polys += [t, ResiduePoly(field, 2, terms)]
+        polys = [t for t in polys if t.degree_in(0) and t.degree_in(1)]
+        decided = 0
+        for t in polys:
+            answer = _reference_irreducible(t)
+            assert finitefield._divisor_search(t) == answer
+            for verdict in _route_answers(t).values():
+                assert verdict == answer
+                decided += 1
+        assert decided
+
+    def test_lifting_route_decides_above_the_guard(self):
+        # (Z1 Z2 + Z1 + 1)(Z1 Z2 + Z2 + 2) over F_997 and the same plus 1:
+        # far above the guard, decided at the first point where T keeps
+        # its Z1-degree and T(c) is squarefree
+        f = ResidueField(997, [])
+        one = f.one
+        a = ResiduePoly(f, 2, {(1, 1): one, (1, 0): one, (0, 0): one})
+        b = ResiduePoly(f, 2, {(1, 1): one, (0, 1): one,
+                               (0, 0): f.from_int(2)})
+        t = a * b
+        i, c, factor = finitefield.lifting_route(t, 10 ** 6)
+        assert factor in (a, b) and (i, c) == (0, one)
+        assert not is_irreducible_multivariate(t)
+        terms = dict(t.terms)
+        terms[(0, 0)] += one
+        plus_one = ResiduePoly(f, 2, terms)
+        assert finitefield.lifting_route(plus_one, 10 ** 6)[2] is None
+        assert is_irreducible_multivariate(plus_one)
+
+    def test_budget_counts_work_points_and_subsets(self):
+        # over F_5, Z1 is tried first and pays 2^3 * bitlen(5) + 2^2 *
+        # 3^2 = 60; a point costs 1 and a subset 2^2 * 3^2 = 36.  Z1^2
+        # Z2^2 + 1 = (Z1 Z2 + 2)(Z1 Z2 + 3): the point 0 drops the
+        # Z1-degree, the point 1 gives (Z1 + 2)(Z1 + 3), and the first
+        # subset gives a factor, 60 + 2 + 36 in all.  In Z1^2 Z2^2 + Z1
+        # Z2 + Z1 + 1 the point 1 gives (Z1 + 1)^2 and the point 2 an
+        # irreducible quadratic, with no subset to try: 60 + 3
+        f5 = ResidueField(5, [])
+        reducible = _poly(f5, {(2, 2): 1, (0, 0): 1})
+        irreducible = _poly(f5, {(2, 2): 1, (1, 1): 1, (1, 0): 1, (0, 0): 1})
+        for t, point, needed, answer in ((reducible, 1, 98, False),
+                                         (irreducible, 2, 63, True)):
+            assert finitefield.factor_witness(t) is None
+            assert finitefield.lifting_route(t, needed - 1) is None
+            i, c, a = finitefield.lifting_route(t, needed)
+            assert (i, c) == (0, f5.from_int(point))
+            assert (a is None) == answer == _reference_irreducible(t)
+
+    @pytest.mark.parametrize("name", ["F_2", "F_3", "F_4", "F_9", "F_997"])
+    def test_factoriser_multiplies_back(self, name):
+        # random monic squarefree polynomials of degree 1 to 8: the
+        # factors are monic and irreducible, their product is the input,
+        # and the linear ones are as many as the roots
+        p, gens = FIELDS.get(name, (997, []))
+        field = ResidueField(p, gens)
+        ar = finitefield._Arith(p, field)
+        elems = ar.elements
+        rng = random.Random(f"factor-{name}")
+        tried = 0
+        while tried < 40:
+            f = [rng.choice(elems) for _ in range(rng.randint(1, 8))]
+            f.append(ar.one)
+            slope = [ar.mul(ar.from_int(k), c) for k, c in enumerate(f)][1:]
+            if len(finitefield._gcd(f, slope, ar)) > 1:
+                continue
+            tried += 1
+            factors = finitefield._factor_squarefree(f, ar)
+            prod = [ar.one]
+            for g in factors:
+                assert g[-1] == ar.one and finitefield._ben_or(g, ar)
+                prod = finitefield._mul(prod, g, ar)
+            assert prod == f
+            roots = 0
+            for x in (elems if ar.q < 100 else []):
+                value = ar.zero
+                for c in reversed(f):
+                    value = ar.add(ar.mul(value, x), c)
+                roots += not value
+            if ar.q < 100:
+                assert sum(len(g) == 2 for g in factors) == roots

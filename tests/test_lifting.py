@@ -635,6 +635,15 @@ class TestDeskScaleSoundness:
                     certified.add((p, kind))
         assert len(certified) == 8
 
+    def test_v4_quartic_is_never_certified(self):
+        # x^4 - 60x^2 + 16, the minimal polynomial of sqrt(13) + sqrt(17),
+        # is irreducible over Q but splits over every Q_p, so no lifting
+        # certificate exists for it; its residues run through the
+        # distinct-degree loop behind Ben-Or's test
+        f = P("x^4 - 60*x^2 + 16", ("x",))
+        for p in (p for p in range(2, 100) if exactnum.is_prime(p)):
+            assert not certify_irreducible(f, gauss_config(p, 1)).certified
+
 
 INERT_PHI = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1), 7: (1, 0, 1)}
 

@@ -1,11 +1,13 @@
 """Sparse polynomial arithmetic, phi-adic expansion, and contents."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from liftcert import MultiPoly, multipoly, phi_expand, reconstruct
+from liftcert.errors import ResourceLimitExceeded
 from liftcert.multipoly import (
     PhiExpansion,
     VariableMismatch,
@@ -215,6 +217,31 @@ class TestPhiExpansion:
             digits = {idx: a.constant_value()
                       for idx, a in phi_expand(f, phis).terms.items()}
             assert multipoly._divide(f.terms, i, phis[i], 10 ** 9) == digits
+
+    def test_shift_work_is_counted_before_it_starts(self):
+        # x^3 + 1 to the centre 1/2 (u = 1, v = 2): x^3 makes 4 updates
+        # of 3 + 1 + 1 + 0*2 + 3*1 bits, the constant one of 0 + 1 + 1 +
+        # 3*2 + 0 bits, each counting 1.  reconstruct shifts x^3 + 3/2x^2
+        # + 3/4x + 9/8 back: 4 + 3 + 2 + 1 updates
+        f = P("x^3 + 1", ("x",))
+        phis = [[Fraction(-1, 2), Fraction(1)]]
+        expansion = phi_expand(f, phis, limit=5)
+        assert reconstruct(expansion, limit=10) == f
+        for run, needed in ((lambda: phi_expand(f, phis, limit=4), 5),
+                            (lambda: reconstruct(expansion, limit=9), 10)):
+            with pytest.raises(ResourceLimitExceeded) as exc:
+                run()
+            assert exc.value.bound_name == "Taylor shift work"
+            assert exc.value.needed == needed
+        # x^40000 + 3 to the centre 1: x^40000 makes 40,001 updates of
+        # 80,002 bits, counting 1 + 78 each, and the constant one of
+        # 40,003 bits, counting 1 + 39; refused at once
+        f = P("x^40000 + 3", ("x",))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            phi_expand(f, [[Fraction(-1), Fraction(1)]])
+        assert exc.value.needed == 40001 * 79 + 40
+        assert time.perf_counter() - start < 0.5
 
     def test_expansion_is_unique(self, rng):
         # two polynomials with the same expansion table are equal

@@ -68,14 +68,16 @@ No verdict comes from a truncated search.
 One field arithmetic, `_Arith`, serves every route: plain residues mod
 p for a prime field, ResidueElements for an extension field.  Points
 and candidate coefficients are drawn from its elements in the order of
-`ResidueField.elements()`; a prime field's are range(p).  An extension
-field's q elements are listed on first use, once by each route that
-draws them, and the field does not keep them.
+`ResidueField.elements()`, the base-p digits of an index; a prime
+field's are range(p).  Above the limit q itself is unbounded (x^2 + 1
+is inert at p = 10^9 + 7, so q is about 10^18), so there elements are
+only drawn lazily, and Cantor-Zassenhaus draws a random one by its
+index.  Below it q is at most the count, and the specialisation witness
+and the divisor search list the elements they draw from.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -124,9 +126,9 @@ class _Arith:
     """Field operations for every route: plain residues mod p for a
     prime field, ResidueElements for an extension field.  Zero is falsy
     in both.  `element` converts a ResidueElement to this
-    representation, `from_int` an integer; `norm` reduces the result of
-    + - * on representatives; `elements` lists the q elements in the
-    order of `ResidueField.elements()`, and `random` draws one.
+    representation, `from_int` an integer; `elements` iterates lazily
+    over the q elements in the order of `ResidueField.elements()`, and
+    `random` draws one.
     """
 
     def __init__(self, p, field=None):
@@ -137,7 +139,7 @@ class _Arith:
             self.sub = lambda a, b: (a - b) % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
-            self.from_int = self.norm = lambda k: k % p
+            self.from_int = lambda k: k % p
             self.element = lambda a: a.coeffs.get((), 0)
         else:
             self.field = field
@@ -145,16 +147,16 @@ class _Arith:
             self.add, self.sub = operator.add, operator.sub
             self.mul, self.inv = operator.mul, ResidueElement.inverse
             self.from_int = field.from_int
-            self.element = self.norm = lambda a: a
+            self.element = lambda a: a
 
-    @functools.cached_property
     def elements(self):
         if self.field is None:
             return range(self.q)
-        return list(self.field.elements())
+        return self.field.elements()
 
     def random(self, rng):
-        return self.elements[rng.randrange(self.q)]
+        k = rng.randrange(self.q)
+        return k if self.field is None else self.field.element_at(k)
 
 
 def _trim(a):
@@ -180,39 +182,29 @@ def _sub(a, b, ar):
         a, b, fillvalue=ar.zero)])
 
 
-# the inner loops of Ben-Or's test and the factoriser use + - * directly
-# and reduce with ar.norm only where a value is read: ints mod p once at
-# the end, ResidueElements (whose norm is the identity) at each operation
-
-
-def _product(a, b, ar):
-    """a*b, unreduced."""
+def _mul(a, b, ar):
     if not a or not b:
         return []
     prod = [ar.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return prod
-
-
-def _mul(a, b, ar):
-    return _trim(list(map(ar.norm, _product(a, b, ar))))
+                prod[i + j] = ar.add(prod[i + j], ar.mul(x, y))
+    return _trim(prod)
 
 
 def _divmod(a, f, ar):
-    """Quotient and remainder of a, possibly unreduced, by a monic f."""
+    """Quotient and remainder of a by a monic f."""
     r = list(a)
     n = len(f) - 1
     quo = []
     for k in range(len(r) - 1, n - 1, -1):
-        c = ar.norm(r[k])
+        c = r[k]
         quo.append(c)
         if c:
             for j in range(n):
-                r[k - n + j] -= c * f[j]
-    return _trim(quo[::-1]), _trim(list(map(ar.norm, r[:n])))
+                r[k - n + j] = ar.sub(r[k - n + j], ar.mul(c, f[j]))
+    return _trim(quo[::-1]), _trim(r[:n])
 
 
 def _rem(a, f, ar):
@@ -221,7 +213,7 @@ def _rem(a, f, ar):
 
 
 def _mulmod(a, b, f, ar):
-    return _rem(_product(a, b, ar), f, ar)
+    return _rem(_mul(a, b, ar), f, ar)
 
 
 def _powmod(a, e, f, ar):
@@ -344,6 +336,7 @@ class ResidueField:
 
     Elements are canonical representatives: dicts from exponent tuples
     (componentwise below the generator degrees) to integers in 1..p-1.
+    `basis` lists those exponent tuples in lexicographic order.
     """
 
     def __init__(self, p, generators, limit=DEFAULT_CANDIDATE_LIMIT):
@@ -369,6 +362,7 @@ class ResidueField:
         self.extension_degree = math.prod(self.degrees)
         self.q = p ** self.extension_degree
         self.nyvars = len(self.generators)
+        self.basis = list(itertools.product(*map(range, self.degrees)))
 
     # zero and one are built on each access: a stored element would point
     # back at the field, and the cycle would keep a dropped field alive
@@ -438,14 +432,20 @@ class ResidueField:
         return {e: c for e, c in done.items() if c}
 
     def elements(self):
-        """Iterate over all q field elements (q is small by design): the
-        coefficient vectors on the monomials below the generator degrees,
-        in lexicographic order."""
-        basis = list(itertools.product(*(range(m) for m in self.degrees)))
-        for digits in itertools.product(range(self.p), repeat=len(basis)):
-            yield ResidueElement(
-                self, {e: d for e, d in zip(basis, digits) if d}
-            )
+        """Iterate lazily over the q field elements: the coefficient
+        vectors on the monomials below the generator degrees, in
+        lexicographic order."""
+        return map(self.element_at, range(self.q))
+
+    def element_at(self, k):
+        """The element at index k, 0 <= k < q, of `elements()`: its
+        coefficients on the monomials below the generator degrees, in
+        lexicographic order, are the base-p digits of k, most significant
+        first."""
+        coeffs = {}
+        for e in reversed(self.basis):
+            k, coeffs[e] = divmod(k, self.p)
+        return ResidueElement(self, {e: d for e, d in coeffs.items() if d})
 
 
 class ResidueElement:
@@ -659,13 +659,15 @@ def specialisation_witness(t: ResiduePoly, budget):
     ar = _Arith(field.p, field)
     n = t.nvars
     terms = {e: ar.element(c) for e, c in t.terms.items()}
+    # no point draws an element past the first budget of them
+    elements = tuple(itertools.islice(ar.elements(), budget))
     left = budget
 
     def points(k, holes):
         # the points of F_q^k, spread over the variables with None at the
         # holes
         nonlocal left
-        for point in itertools.product(ar.elements, repeat=k):
+        for point in itertools.product(elements, repeat=k):
             if left <= 0:
                 return
             left -= 1
@@ -722,21 +724,27 @@ def specialisation_witness(t: ResiduePoly, budget):
 
 def _exact_quotient(num, den, ar):
     """num / den for polynomials as {exponents: coefficient} in ar's
-    representation, or None when den does not divide num: lex
-    leading-term reduction, which stops at the first quotient monomial
-    outside the box of num's degrees less den's."""
+    representation, den with lex-leading coefficient 1, or None when den
+    does not divide num: lex leading-term reduction.  Each monomial s it
+    adds to the quotient is one of the quotient's, whose degrees and
+    lex-trailing monomial are num's less den's, since they add under
+    multiplication; so it stops at the first s with s_i > deg_i num -
+    deg_i den, |s| > deg num - deg den or s <lex trail(num) -
+    trail(den)."""
     lead = max(den)
-    inv = ar.inv(den[lead])
-    caps = [max(col) - max(dcol) for col, dcol in zip(zip(*num), zip(*den))]
+    caps = list(map(operator.sub, map(max, zip(*num)), map(max, zip(*den))))
+    room = max(map(sum, num)) - max(map(sum, den))
+    floor = tuple(map(operator.sub, min(num), min(den)))
     r, quo = dict(num), {}
     while r:
         top = max(r)
-        s = tuple(a - b for a, b in zip(top, lead))
-        if any(not 0 <= a <= cap for a, cap in zip(s, caps)):
+        s = tuple(map(operator.sub, top, lead))
+        if (s < floor or sum(s) > room
+                or any(not 0 <= a <= cap for a, cap in zip(s, caps))):
             return None
-        c = quo[s] = ar.mul(r[top], inv)
+        c = quo[s] = r[top]
         for e, dc in den.items():
-            k = tuple(a + b for a, b in zip(s, e))
+            k = tuple(map(operator.add, s, e))
             v = ar.sub(r.get(k, ar.zero), ar.mul(c, dc))
             if v:
                 r[k] = v
@@ -746,9 +754,12 @@ def _exact_quotient(num, den, ar):
 
 
 def _proper_factor(t, terms, a, ar):
-    """a as a ResiduePoly beside T when a divides T's terms exactly and
-    neither a nor the quotient is constant, else None: every reducible
-    answer of a fast path passes through this check."""
+    """a, scaled to lex-leading coefficient 1, as a ResiduePoly beside T
+    when it divides T's terms exactly and neither it nor the quotient is
+    constant, else None: every reducible answer of a fast path passes
+    through this check."""
+    inv = ar.inv(a[max(a)])
+    a = {e: ar.mul(inv, c) for e, c in a.items()}
     quo = _exact_quotient(terms, a, ar)
     if quo is None or not any(map(any, a)) or not any(map(any, quo)):
         return None
@@ -921,23 +932,27 @@ def _hensel(rows, c, k, factors, ar):
     return lc, lifted
 
 
+# lifting_route's answer when it cannot decide T within its budget
+UNDECIDED = object()
+
+
 def lifting_route(t: ResiduePoly, budget):
     """Decide a T in exactly two variables by specialising one of them,
-    factoring and Hensel lifting: (i, c, A) with A a checked factor of T,
-    or (i, c, None) when T is irreducible, or None when undecided within
-    budget.  Z_i is the main variable X, the other variable is Y, and c
-    is the point for Y.
+    factoring and Hensel lifting: a checked factor of T, None when T is
+    irreducible, or UNDECIDED when budget runs out first or T is not in
+    exactly two variables.
 
-    For X the first and then the second variable, with d = deg_X T and
-    e = deg_Y T, and only when T is primitive in X (its content is
-    `content_factor`'s) and what is left of budget covers d^3 * bitlen(q)
-    + d^2 * (e + 1)^2, the field operations of factoring and of lifting
-    up to a constant factor, which it then pays:
-    - the points c are tried in the order of `ResidueField.elements()`
-      until T's X-leading coefficient lc(c) != 0 and T(X, c) is
-      squarefree.  The points where either fails are roots of lc or of
-      the resultant of T and dT/dX, at most 2*d*e of them unless that
-      resultant is 0, so the search stops after 2*d*e + 1 such points;
+    For X the first and then the second variable, with Y the other, d =
+    deg_X T and e = deg_Y T, and only when T is primitive in X and what
+    is left of budget covers d^3 * bitlen(q) + d^2 * (e + 1)^2, the
+    field operations of factoring and of lifting up to a constant
+    factor, which it then pays:
+    - the points c for Y are drawn lazily in the order of
+      `ResidueField.elements()` until T's X-leading coefficient lc(c) !=
+      0 and T(X, c) is squarefree.  The points where either fails are
+      roots of lc or of the resultant of T and dT/dX, at most 2*d*e of
+      them unless that resultant is 0, so the search stops after 2*d*e
+      + 1 such points;
     - T(X, c) is factored over F_q, and the factors are lifted
       (Y - c)-adically to precision k = e + 1, with T's leading
       coefficient imposed (P. S. Wang, Math. Comp. 32, 1978);
@@ -953,11 +968,14 @@ def lifting_route(t: ResiduePoly, budget):
     So when no subset gives a divisor, T is irreducible.  Every point
     counts one against budget, and every subset d^2 * (e + 1)^2, the
     field operations of its product and trial division up to a constant
-    factor; the route is undecided when budget runs out.
+    factor.  `is_irreducible_multivariate` sends T here only once
+    `content_factor` has found no content, so there the primitivity
+    check is repeated work; it stays because the argument needs it on
+    a direct call.
     """
     ar, terms, pair = _setup(t)
     if len(pair) != 2:
-        return None
+        return UNDECIDED
     left = budget
     for x, y in (pair, pair[::-1]):
         rows = _rows(terms, x, y, ar)
@@ -968,7 +986,7 @@ def lifting_route(t: ResiduePoly, budget):
             continue
         left -= work
         bad = 0
-        for c in ar.elements:
+        for c in ar.elements():
             if left <= 0 or bad > 2 * d * e:
                 break
             left -= 1
@@ -978,14 +996,13 @@ def lifting_route(t: ResiduePoly, budget):
             if not f[d] or len(_gcd(f, slope, ar)) > 1:
                 bad += 1
                 continue
-            point = c if ar.field else t.field.from_int(c)
             factors = _factor_squarefree(_monic(f, ar), ar)
             lc, lifted = _hensel(rows, c, e + 1, factors, ar)
             back = ar.sub(ar.zero, c)
             for size in range(1, len(factors) // 2 + 1):
                 for subset in itertools.combinations(lifted, size):
                     if left < lift:
-                        return None
+                        return UNDECIDED
                     left -= lift
                     prod = [_trim([v]) for v in lc]
                     for big in subset:
@@ -1000,9 +1017,9 @@ def lifting_route(t: ResiduePoly, budget):
                         for j, v in enumerate(_divmod(col, g, ar)[0]) if v},
                         ar)
                     if a is not None:
-                        return x, point, a
-            return x, point, None
-    return None
+                        return a
+            return None
+    return UNDECIDED
 
 
 def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
@@ -1033,11 +1050,11 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
         if specialisation_witness(t, total) is not None:
             return True
         return _divisor_search(t)
-    decided = lifting_route(t, limit)
-    if decided is None:
+    factor = lifting_route(t, limit)
+    if factor is UNDECIDED:
         raise ResourceLimitExceeded(
             "multivariate divisor candidates", limit, total)
-    return decided[2] is None
+    return factor is None
 
 
 def _divisor_slots(t: ResiduePoly):
@@ -1071,39 +1088,17 @@ def _divisor_search(t: ResiduePoly):
       |H|, since deg_i g = deg_i T - deg_i h and deg_i h >= H_i, and
       likewise for the total degree; each lead's candidates use only
       the slots within both bounds;
-    - every quotient monomial s of the lex division is a monomial of h,
-      so it has s_i <= deg_i T - deg_i g, |s| <= deg T - deg g and s
-      >=lex trail(T) - trail(g), lex-trailing monomials adding as the
-      leading ones do; the division stops at the first s that does not.
+    - every quotient monomial of the lex division is a monomial of h,
+      and `_exact_quotient` stops at the first that does not fit h's
+      degrees or lex-trailing monomial.
     """
     slots, leads = _divisor_slots(t)
     box = [t.degree_in(i) for i in range(t.nvars)]
     deg = t.degree()
     t_lead, t_trail = t.lex_leading(), min(t.terms)
     ar = _Arith(t.field.p, t.field)
-    sub, mul, zero = ar.sub, ar.mul, ar.zero
     tt = {e: ar.element(c) for e, c in t.terms.items()}
-
-    def divides(g_items, lead, caps, room, floor):
-        # lex leading-term reduction; g's lead coefficient is 1, and each
-        # quotient monomial s must fit the bounds on h's monomials
-        r = dict(tt)
-        while r:
-            rl = max(r)
-            s = tuple(a - b for a, b in zip(rl, lead))
-            if (s < floor or sum(s) > room
-                    or any(not 0 <= a <= b for a, b in zip(s, caps))):
-                return False
-            c = r[rl]
-            for ge, gc in g_items:
-                e = tuple(a + b for a, b in zip(s, ge))
-                v = sub(r.get(e, zero), mul(c, gc))
-                if v:
-                    r[e] = v
-                else:
-                    r.pop(e, None)
-        return True
-
+    elements = tuple(ar.elements())
     zero_exp = (0,) * t.nvars
     for lead in leads:
         h_lead = [a - b for a, b in zip(t_lead, lead)]
@@ -1114,16 +1109,11 @@ def _divisor_search(t: ResiduePoly):
             if e < lead and sum(e) <= top
             and all(a <= b for a, b in zip(e, fits))
         ]
-        for combo in itertools.product(ar.elements, repeat=len(lower)):
-            g_items = [(lead, ar.one)]
-            g_items += [(e, c) for e, c in zip(lower, combo) if c]
-            monos = [e for e, _ in g_items]
-            trail = min(monos)
-            if any(a > b for a, b in zip(trail, t_trail)):
+        for combo in itertools.product(elements, repeat=len(lower)):
+            g = {lead: ar.one}
+            g.update((e, c) for e, c in zip(lower, combo) if c)
+            if any(a > b for a, b in zip(min(g), t_trail)):
                 continue
-            caps = [b - max(col) for b, col in zip(box, zip(*monos))]
-            room = deg - max(map(sum, monos))
-            floor = tuple(a - b for a, b in zip(t_trail, trail))
-            if divides(g_items, lead, caps, room, floor):
+            if _exact_quotient(tt, g, ar) is not None:
                 return False
     return True

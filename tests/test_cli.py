@@ -191,6 +191,28 @@ class TestCertify:
         assert code == EXIT_RESIDUE_EXCLUDED
         assert "verdict: ResidueReducible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prime", [10007, 1000000007])
+    @pytest.mark.parametrize("nvars,expr,expected", [
+        (2, "(x^2+1)*y + {p}", EXIT_OK),  # T = Z1*Z2 + 1
+        (2, "(x^2+1)^2*y^2 + {p}^2", EXIT_RESIDUE_EXCLUDED),  # Z1^2*Z2^2 + 1
+        (3, "(x^2+1)*y*z + {p}", EXIT_GUARD),  # Z1*Z2*Z3 + 1
+    ], ids=["irreducible", "reducible", "three-variables"])
+    def test_inert_residue_field_above_the_guard(
+            self, pairs_file, capsys, prime, nvars, expr, expected):
+        # x^2 + 1 is inert at both primes, so the residue field F_(p^2)
+        # has about 10^8 or 10^18 elements; its points are drawn lazily
+        # and never listed, so each answer comes at once
+        pairs = pairs_file({"prime": prime, "pairs": [
+            {"kind": "inert", "phi": [1, 0, 1], "delta": "1"}] + [
+            {"kind": "rational_center", "center": "0", "delta": "0"}]
+            * (nvars - 1)})
+        start = time.perf_counter()
+        code = main(["certify", "--vars", ",".join("xyz"[:nvars]),
+                     "--pairs", pairs, expr.format(p=prime)])
+        assert time.perf_counter() - start < 1
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("as_json", [False, True])
     @pytest.mark.parametrize("expr", [
         "x^2 + 3^10000", "(3^5000*x + 1)^2", "9" * 100 + "^100000*x",

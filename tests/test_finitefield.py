@@ -125,6 +125,23 @@ class TestResidueField:
         assert f64.q == 64
         assert f64.extension_degree == 6
 
+    def test_elements_in_digit_order_and_lazy(self):
+        # the k-th element's coefficients on 1, y2, y2^2, y1, y1*y2,
+        # y1*y2^2 are k's base-p digits, most significant first; a field
+        # of about 10^18 elements yields its first ones at once
+        f64 = ResidueField(2, [(1, 1, 1), (1, 1, 0, 1)])
+        elems = list(f64.elements())
+        assert len(set(elems)) == 64
+        assert elems == [f64.element_at(k) for k in range(64)]
+        assert elems[1] == f64.element({(1, 2): 1})
+        assert elems[32] == f64.one
+        big = ResidueField(10 ** 9 + 7, [(1, 0, 1)])
+        y = big.element({(1,): 1})
+        first = list(itertools.islice(big.elements(), 3))
+        assert first == [big.zero, y, y + y]
+        assert big.element_at(big.q - 1) == big.element(
+            {(0,): -1, (1,): -1})
+
     def test_reducible_generator_rejected(self):
         with pytest.raises(GeneratorReducible):
             ResidueField(2, [(1, 0, 1)])  # x^2+1 = (x+1)^2 mod 2
@@ -404,10 +421,8 @@ def _route_answers(t):
         if a is not None:
             _assert_proper_factor(t, a)
             answers[name] = False
-    decided = finitefield.lifting_route(t, 10 ** 6)
-    if decided is not None:
-        i, c, a = decided
-        assert c.field == t.field and t.degree_in(i) >= 1
+    a = finitefield.lifting_route(t, 10 ** 6)
+    if a is not finitefield.UNDECIDED:
         if a is not None:
             _assert_proper_factor(t, a)
         answers["lifting_route"] = a is None
@@ -632,14 +647,14 @@ class TestDivisorSearch:
                 (0, 1): 1, (0, 0): 2}.items()})
         cube = base * base * base
         assert finitefield.pth_power_factor(cube) == base
-        i, c, a = finitefield.lifting_route(probe, 10 ** 6)
-        assert a is not None
+        a = finitefield.lifting_route(probe, 10 ** 6)
+        assert a not in (None, finitefield.UNDECIDED)
         _assert_proper_factor(probe, a)
         for t in (cube, probe):
             assert not is_irreducible_multivariate(t)
         monkeypatch.setattr(finitefield, "factor_witness", lambda t: None)
         monkeypatch.setattr(finitefield, "lifting_route",
-                            lambda t, budget: None)
+                            lambda t, budget: finitefield.UNDECIDED)
         for t, needed in ((cube, 2_391_483), (probe, 1_000_000_007)):
             with pytest.raises(ResourceLimitExceeded) as exc:
                 is_irreducible_multivariate(t)
@@ -659,7 +674,7 @@ class TestDivisorSearch:
                                 (0, 1, 0): one, (0, 0, 1): one,
                                 (0, 0, 0): one})
         assert finitefield.factor_witness(t) is None
-        assert finitefield.lifting_route(t, 10 ** 6) is None
+        assert finitefield.lifting_route(t, 10 ** 6) is finitefield.UNDECIDED
         with pytest.raises(ResourceLimitExceeded) as exc:
             is_irreducible_multivariate(t)
         assert str(exc.value) == (
@@ -721,20 +736,25 @@ class TestReducibilityRoutes:
     def test_lifting_route_decides_above_the_guard(self):
         # (Z1 Z2 + Z1 + 1)(Z1 Z2 + Z2 + 2) over F_997 and the same plus 1:
         # far above the guard, decided at the first point where T keeps
-        # its Z1-degree and T(c) is squarefree
+        # its Z1-degree and T(c) is squarefree.  For T, Z1 is tried first
+        # and pays 2^3 * bitlen(997) + 2^2 * 3^2 = 116; the point 0 is a
+        # root of the Z1-leading coefficient Z2^2 + Z2, the point 1 gives
+        # two linear factors, and the first subset, of 36, is a factor
         f = ResidueField(997, [])
         one = f.one
         a = ResiduePoly(f, 2, {(1, 1): one, (1, 0): one, (0, 0): one})
         b = ResiduePoly(f, 2, {(1, 1): one, (0, 1): one,
                                (0, 0): f.from_int(2)})
         t = a * b
-        i, c, factor = finitefield.lifting_route(t, 10 ** 6)
-        assert factor in (a, b) and (i, c) == (0, one)
+        assert finitefield.lifting_route(t, 10 ** 6) in (a, b)
+        assert finitefield.lifting_route(t, 116 + 2 + 36) in (a, b)
+        assert (finitefield.lifting_route(t, 116 + 2 + 35)
+                is finitefield.UNDECIDED)
         assert not is_irreducible_multivariate(t)
         terms = dict(t.terms)
         terms[(0, 0)] += one
         plus_one = ResiduePoly(f, 2, terms)
-        assert finitefield.lifting_route(plus_one, 10 ** 6)[2] is None
+        assert finitefield.lifting_route(plus_one, 10 ** 6) is None
         assert is_irreducible_multivariate(plus_one)
 
     def test_budget_counts_work_points_and_subsets(self):
@@ -744,16 +764,17 @@ class TestReducibilityRoutes:
         # Z1-degree, the point 1 gives (Z1 + 2)(Z1 + 3), and the first
         # subset gives a factor, 60 + 2 + 36 in all.  In Z1^2 Z2^2 + Z1
         # Z2 + Z1 + 1 the point 1 gives (Z1 + 1)^2 and the point 2 an
-        # irreducible quadratic, with no subset to try: 60 + 3
+        # irreducible quadratic, with no subset to try: 60 + 3.  One unit
+        # less leaves each undecided
         f5 = ResidueField(5, [])
         reducible = _poly(f5, {(2, 2): 1, (0, 0): 1})
         irreducible = _poly(f5, {(2, 2): 1, (1, 1): 1, (1, 0): 1, (0, 0): 1})
-        for t, point, needed, answer in ((reducible, 1, 98, False),
-                                         (irreducible, 2, 63, True)):
+        for t, needed, answer in ((reducible, 98, False),
+                                  (irreducible, 63, True)):
             assert finitefield.factor_witness(t) is None
-            assert finitefield.lifting_route(t, needed - 1) is None
-            i, c, a = finitefield.lifting_route(t, needed)
-            assert (i, c) == (0, f5.from_int(point))
+            assert (finitefield.lifting_route(t, needed - 1)
+                    is finitefield.UNDECIDED)
+            a = finitefield.lifting_route(t, needed)
             assert (a is None) == answer == _reference_irreducible(t)
 
     @pytest.mark.parametrize("name", ["F_2", "F_3", "F_4", "F_9", "F_997"])
@@ -764,7 +785,7 @@ class TestReducibilityRoutes:
         p, gens = FIELDS.get(name, (997, []))
         field = ResidueField(p, gens)
         ar = finitefield._Arith(p, field)
-        elems = ar.elements
+        elems = list(ar.elements())
         rng = random.Random(f"factor-{name}")
         tried = 0
         while tried < 40:

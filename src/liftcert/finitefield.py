@@ -33,16 +33,30 @@ variables is decided by these routes, in this order:
    positive degree, the gcd over F_q[Z_j] of T's Z_i-coefficients.
    They run on every such T and cost a few gcds.
 2. The candidate divisors of an exhaustive search are counted, lead by
-   lead, until the count passes the limit.  At or below it, a
-   specialisation witness is sought: if T is primitive in a main
-   variable Z_i and a point c for the other variables keeps T's
-   Z_i-degree and makes T(c) irreducible by Ben-Or's test, then T is
-   irreducible, because a factorisation of T would specialise to one of
-   T(c) or put a non-unit in T's content.  The points tried, over all
-   main variables, are at most the count.  Only if no witness is found,
-   the exhaustive divisor search decides; it decides every reducible T.
-   It tries only candidates g that fit T's degrees, which leaves every
-   answer as it is:
+   lead, until the count passes the limit.
+3. A T in exactly two variables goes, at every size, to one route,
+   factor-by-lifting (`lifting_route`, with a budget of the limit):
+   specialise one variable at points where T keeps its degree in the
+   other and T(c) is squarefree, and factor T(c).  A T(c) with one
+   factor proves T irreducible, as T is primitive; otherwise Hensel-lift
+   the factors at the point with the fewest, with T's leading
+   coefficient imposed, and try the subsets of them as factors of T.
+   The lifts of a factorisation's parts are unique, so when no subset
+   divides T, T is irreducible.  At or below the limit it scans up to
+   d + 1 good points, d being T's degree in the variable it keeps, and
+   above it only the first.  Its docstring gives the argument, the scan
+   and what the budget counts.
+4. A T in three or more variables, at or below the limit, is tried for
+   a specialisation witness: if T is primitive in a main variable Z_i
+   and a point c for the other variables keeps T's Z_i-degree and makes
+   T(c) irreducible by Ben-Or's test, then T is irreducible, because a
+   factorisation of T would specialise to one of T(c) or put a non-unit
+   in T's content.  The points tried, over all main variables, are at
+   most the count.
+5. What steps 3 and 4 leave undecided goes, at or below the limit, to
+   the exhaustive divisor search, which decides every T.  It tries only
+   candidates g that fit T's degrees, which leaves every answer as it
+   is:
    - a g with lex-leading monomial L has only monomials e with e_i <=
      deg_i T - H_i and |e| <= deg T - |H|, where H = lead(T) - L,
      because the cofactor T/g leads with H and degrees add under
@@ -52,17 +66,8 @@ variables is decided by these routes, in this order:
      trail(T) - trail(g), because every quotient monomial is one of
      the cofactor's, whose degrees and lex-trailing monomial are those
      differences.
-3. Above the limit, a T in two variables goes to factor-by-lifting,
-   `lifting_route`, with a budget of the limit: specialise one
-   variable at the first point where T keeps its degree in the other
-   and T(c) is squarefree, factor T(c), Hensel-lift the factors with
-   T's leading coefficient imposed, and try each subset of them as a
-   factor of T.  The lifts of a factorisation's parts are unique, so
-   when no subset divides T, T is irreducible.  Its docstring gives the
-   argument and what the budget counts.
-4. Only when no route has decided within its budget does T raise
-   ResourceLimitExceeded("multivariate divisor candidates") with the
-   count of step 2.
+   Above the limit, T raises ResourceLimitExceeded("multivariate
+   divisor candidates") with the count of step 2.
 No verdict comes from a truncated search.
 
 One field arithmetic, `_Arith`, serves every route: plain residues mod
@@ -936,42 +941,58 @@ def _hensel(rows, c, k, factors, ar):
 UNDECIDED = object()
 
 
-def lifting_route(t: ResiduePoly, budget):
+def lifting_route(t: ResiduePoly, budget, below_guard=False):
     """Decide a T in exactly two variables by specialising one of them,
     factoring and Hensel lifting: a checked factor of T, None when T is
     irreducible, or UNDECIDED when budget runs out first or T is not in
     exactly two variables.
 
     For X the first and then the second variable, with Y the other, d =
-    deg_X T and e = deg_Y T, and only when T is primitive in X and what
-    is left of budget covers d^3 * bitlen(q) + d^2 * (e + 1)^2, the
-    field operations of factoring and of lifting up to a constant
-    factor, which it then pays:
+    deg_X T and e = deg_Y T, and only when T is primitive in X:
     - the points c for Y are drawn lazily in the order of
-      `ResidueField.elements()` until T's X-leading coefficient lc(c) !=
-      0 and T(X, c) is squarefree.  The points where either fails are
-      roots of lc or of the resultant of T and dT/dX, at most 2*d*e of
-      them unless that resultant is 0, so the search stops after 2*d*e
-      + 1 such points;
-    - T(X, c) is factored over F_q, and the factors are lifted
-      (Y - c)-adically to precision k = e + 1, with T's leading
-      coefficient imposed (P. S. Wang, Math. Comp. 32, 1978);
+      `ResidueField.elements()`.  A point is good when T's X-leading
+      coefficient lc(c) != 0 and T(X, c) is squarefree.  The points
+      where either fails are roots of lc or of the resultant of T and
+      dT/dX, at most 2*d*e of them unless that resultant is 0, so the
+      walk stops after 2*d*e + 1 such points;
+    - T(X, c) is factored over F_q at each good point.  If it has one
+      factor, T is irreducible and no lifting runs: a factorisation T =
+      A*B would have both parts of positive X-degree, since T is
+      primitive in X, and A(X, c)*B(X, c) would then factor T(X, c),
+      whose X-degree is d since lc(c) != 0.  Otherwise the walk
+      goes on to the next good point, up to d + 1 of them when
+      below_guard (the candidate count of the exhaustive search is
+      within the limit, so q is too and factoring is cheap) and just
+      the first above it, where q is unbounded;
+    - at the scanned point with the fewest factors, the first on ties,
+      the factors are lifted (Y - c)-adically to precision k = e + 1,
+      with T's leading coefficient imposed (P. S. Wang, Math. Comp. 32,
+      1978);
     - for each subset S of the lifted factors, of size at most half
-      their number, the primitive part in X of lc * prod_S G_i, with Y's
-      powers below k, is tried as a divisor of T.
+      their number r, the primitive part in X of lc * prod_S G_i, with
+      Y's powers below k, is tried as a divisor of T.  A subset of size
+      r/2 is tried only if it holds the first lifted factor, because
+      its complement gives the same split.
 
-    If T = A*B, both have positive X-degree since T is primitive, and
-    A(X, c) is the product of some subset of T(X, c)'s factors, whose
-    lifts are unique; lc * prod_S G_i = lc(B) * A mod (Y - c)^k, and
-    lc(B) * A has Y-degree at most e, so it is that polynomial, whose
-    primitive part is A.  One of A and B has at most half the factors.
-    So when no subset gives a divisor, T is irreducible.  Every point
-    counts one against budget, and every subset d^2 * (e + 1)^2, the
-    field operations of its product and trial division up to a constant
-    factor.  `is_irreducible_multivariate` sends T here only once
-    `content_factor` has found no content, so there the primitivity
-    check is repeated work; it stays because the argument needs it on
-    a direct call.
+    If T = A*B, both have positive X-degree, and A(X, c) is the product
+    of some subset of T(X, c)'s factors, whose lifts are unique; lc *
+    prod_S G_i = lc(B) * A mod (Y - c)^k, and lc(B) * A has Y-degree at
+    most e, so it is that polynomial, whose primitive part is A.  One
+    of A and B has at most half the factors.  So when no subset gives a
+    divisor, T is irreducible.
+
+    The budget counts, each when it runs: one per point drawn; d^3 *
+    bitlen(q) per factorisation, the field operations of Rabin's test
+    up to a constant factor; and d^2 * (e + 1)^2 for the lifting and
+    for each subset, the field operations of the lifting, and of a
+    subset's product and trial division, up to a constant factor.  A
+    factorisation the budget cannot pay ends the walk in X, and a
+    lifting it cannot pay, or a walk that factored no point, sends the
+    route on to the other variable, whose charges may be lower.  A
+    subset it cannot pay leaves T undecided.  `is_irreducible_multivariate`
+    sends T here only once `content_factor` has found no content, so
+    there the primitivity check is repeated work; it stays because the
+    argument needs it on a direct call.
     """
     ar, terms, pair = _setup(t)
     if len(pair) != 2:
@@ -980,14 +1001,14 @@ def lifting_route(t: ResiduePoly, budget):
     for x, y in (pair, pair[::-1]):
         rows = _rows(terms, x, y, ar)
         d, e = len(rows) - 1, max(map(len, rows)) - 1
-        lift = d * d * (e + 1) ** 2
-        work = d ** 3 * ar.q.bit_length() + lift
-        if work > left or len(_content(rows, ar)) > 1:
+        if len(_content(rows, ar)) > 1:
             continue
-        left -= work
+        factoring = d ** 3 * ar.q.bit_length()
+        scan = d + 1 if below_guard else 1
+        scanned = []  # (factors, c) at each good point factored
         bad = 0
         for c in ar.elements():
-            if left <= 0 or bad > 2 * d * e:
+            if left <= 0 or bad > 2 * d * e or len(scanned) == scan:
                 break
             left -= 1
             ev = _evaluate(terms, [c] * t.nvars, (x,), ar)
@@ -996,29 +1017,47 @@ def lifting_route(t: ResiduePoly, budget):
             if not f[d] or len(_gcd(f, slope, ar)) > 1:
                 bad += 1
                 continue
+            if left < factoring:
+                break
+            left -= factoring
             factors = _factor_squarefree(_monic(f, ar), ar)
-            lc, lifted = _hensel(rows, c, e + 1, factors, ar)
-            back = ar.sub(ar.zero, c)
-            for size in range(1, len(factors) // 2 + 1):
-                for subset in itertools.combinations(lifted, size):
-                    if left < lift:
-                        return UNDECIDED
-                    left -= lift
-                    prod = [_trim([v]) for v in lc]
-                    for big in subset:
-                        prod = _series_mul(prod, big, e + 1, ar)
-                    cols = [_taylor(_trim([m[a] if a < len(m) else ar.zero
-                                           for m in prod]), back, ar)
-                            for a in range(max(map(len, prod)))]
-                    g = _content(cols, ar)
-                    a = _proper_factor(t, terms, {
-                        _exps(t.nvars, x, i, y, j): v
-                        for i, col in enumerate(cols)
-                        for j, v in enumerate(_divmod(col, g, ar)[0]) if v},
-                        ar)
-                    if a is not None:
-                        return a
-            return None
+            if len(factors) == 1:
+                return None
+            scanned.append((factors, c))
+        if not scanned:
+            continue
+        factors, c = min(scanned, key=lambda s: len(s[0]))
+        lift = d * d * (e + 1) ** 2
+        if left < lift:
+            continue
+        left -= lift
+        lc, lifted = _hensel(rows, c, e + 1, factors, ar)
+        back = ar.sub(ar.zero, c)
+        r = len(lifted)
+        for size in range(1, r // 2 + 1):
+            subsets = itertools.combinations(lifted, size)
+            if 2 * size == r:
+                subsets = ((lifted[0],) + rest for rest in
+                           itertools.combinations(lifted[1:], size - 1))
+            for subset in subsets:
+                if left < lift:
+                    return UNDECIDED
+                left -= lift
+                prod = [_trim([v]) for v in lc]
+                for big in subset:
+                    prod = _series_mul(prod, big, e + 1, ar)
+                cols = [_taylor(_trim([m[a] if a < len(m) else ar.zero
+                                       for m in prod]), back, ar)
+                        for a in range(max(map(len, prod)))]
+                g = _content(cols, ar)
+                a = _proper_factor(t, terms, {
+                    _exps(t.nvars, x, i, y, j): v
+                    for i, col in enumerate(cols)
+                    for j, v in enumerate(_divmod(col, g, ar)[0]) if v},
+                    ar)
+                if a is not None:
+                    return a
+        return None
     return UNDECIDED
 
 
@@ -1029,7 +1068,8 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
     if t.is_zero or t.degree() < 1:
         raise ValueError("T must be nonzero of total degree >= 1")
     field = t.field
-    if sum(t.degree_in(i) > 0 for i in range(t.nvars)) == 1:
+    used = sum(t.degree_in(i) > 0 for i in range(t.nvars))
+    if used == 1:
         ar = _Arith(field.p, field)
         f = [ar.zero] * (t.degree() + 1)
         for e, c in t.terms.items():
@@ -1046,15 +1086,16 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
         total += field.q ** below
         if total > limit:
             break
-    if total <= limit:
-        if specialisation_witness(t, total) is not None:
-            return True
-        return _divisor_search(t)
-    factor = lifting_route(t, limit)
-    if factor is UNDECIDED:
+    if used == 2:
+        factor = lifting_route(t, limit, total <= limit)
+        if factor is not UNDECIDED:
+            return factor is None
+    elif total <= limit and specialisation_witness(t, total) is not None:
+        return True
+    if total > limit:
         raise ResourceLimitExceeded(
             "multivariate divisor candidates", limit, total)
-    return factor is None
+    return _divisor_search(t)
 
 
 def _divisor_slots(t: ResiduePoly):

@@ -520,6 +520,28 @@ class TestSpecialisationWitness:
         assert replays
         assert all(_exhaustive(replays))
 
+    @pytest.mark.parametrize("p,gens,box", [
+        (2, [], (2, 2)),
+        (3, [], (2, 1)),
+        (2, [(1, 1, 1)], (1, 1)),
+        (2, [], (3, 1)),
+    ], ids=["F_2-2x2", "F_3-2x1", "F_4-1x1", "F_2-3x1"])
+    def test_lifting_route_keeps_its_reach(self, p, gens, box, monkeypatch):
+        # on the two-variable boxes above, every T that the witness
+        # decides is decided irreducible without the search, and the
+        # witness is never asked about a T in two variables
+        field = ResidueField(p, gens)
+        witnessed = [t for t in _corner_family(field, box)
+                     if finitefield.specialisation_witness(t, 10 ** 6)]
+        assert witnessed
+
+        def refuse(*args):
+            raise AssertionError("the witness or the search ran")
+
+        for name in ("_divisor_search", "specialisation_witness"):
+            monkeypatch.setattr(finitefield, name, refuse)
+        assert all(is_irreducible_multivariate(t) for t in witnessed)
+
     def test_no_witness_for_a_content_factor(self):
         # Y*Z + Y = Y*(Z + 1) is not primitive in Z, and every
         # specialisation in Y keeps the factor Z + 1
@@ -653,8 +675,9 @@ class TestDivisorSearch:
         for t in (cube, probe):
             assert not is_irreducible_multivariate(t)
         monkeypatch.setattr(finitefield, "factor_witness", lambda t: None)
-        monkeypatch.setattr(finitefield, "lifting_route",
-                            lambda t, budget: finitefield.UNDECIDED)
+        monkeypatch.setattr(
+            finitefield, "lifting_route",
+            lambda t, budget, below_guard: finitefield.UNDECIDED)
         for t, needed in ((cube, 2_391_483), (probe, 1_000_000_007)):
             with pytest.raises(ResourceLimitExceeded) as exc:
                 is_irreducible_multivariate(t)
@@ -685,8 +708,9 @@ class TestDivisorSearch:
     def test_witnessless_pool_residues_decide_quickly(self, monkeypatch):
         # the benchmark's gauss3-33 and inert9-ramified residues, decided
         # by the search alone: about 4 s unpruned, about 0.05 s pruned
-        monkeypatch.setattr(finitefield, "specialisation_witness",
-                            lambda t, budget: None)
+        monkeypatch.setattr(
+            finitefield, "lifting_route",
+            lambda t, budget, below_guard: finitefield.UNDECIDED)
         f3 = ResidueField(3, [])
         gauss = _poly(f3, {
             (3, 3): 1, (3, 2): 2, (2, 3): 2, (3, 1): 1, (2, 2): 2, (1, 3): 1,
@@ -736,10 +760,11 @@ class TestReducibilityRoutes:
     def test_lifting_route_decides_above_the_guard(self):
         # (Z1 Z2 + Z1 + 1)(Z1 Z2 + Z2 + 2) over F_997 and the same plus 1:
         # far above the guard, decided at the first point where T keeps
-        # its Z1-degree and T(c) is squarefree.  For T, Z1 is tried first
-        # and pays 2^3 * bitlen(997) + 2^2 * 3^2 = 116; the point 0 is a
-        # root of the Z1-leading coefficient Z2^2 + Z2, the point 1 gives
-        # two linear factors, and the first subset, of 36, is a factor
+        # its Z1-degree and T(c) is squarefree.  For T, Z1 is tried
+        # first: the point 0 is a root of the Z1-leading coefficient Z2^2
+        # + Z2, and the point 1 gives two linear factors; the two points
+        # cost 2, the factorisation 2^3 * bitlen(997) = 80, the lifting
+        # 2^2 * 3^2 = 36 and the first subset, a factor, 36 more
         f = ResidueField(997, [])
         one = f.one
         a = ResiduePoly(f, 2, {(1, 1): one, (1, 0): one, (0, 0): one})
@@ -747,8 +772,8 @@ class TestReducibilityRoutes:
                                (0, 0): f.from_int(2)})
         t = a * b
         assert finitefield.lifting_route(t, 10 ** 6) in (a, b)
-        assert finitefield.lifting_route(t, 116 + 2 + 36) in (a, b)
-        assert (finitefield.lifting_route(t, 116 + 2 + 35)
+        assert finitefield.lifting_route(t, 2 + 80 + 36 + 36) in (a, b)
+        assert (finitefield.lifting_route(t, 2 + 80 + 36 + 35)
                 is finitefield.UNDECIDED)
         assert not is_irreducible_multivariate(t)
         terms = dict(t.terms)
@@ -758,24 +783,89 @@ class TestReducibilityRoutes:
         assert is_irreducible_multivariate(plus_one)
 
     def test_budget_counts_work_points_and_subsets(self):
-        # over F_5, Z1 is tried first and pays 2^3 * bitlen(5) + 2^2 *
-        # 3^2 = 60; a point costs 1 and a subset 2^2 * 3^2 = 36.  Z1^2
-        # Z2^2 + 1 = (Z1 Z2 + 2)(Z1 Z2 + 3): the point 0 drops the
-        # Z1-degree, the point 1 gives (Z1 + 2)(Z1 + 3), and the first
-        # subset gives a factor, 60 + 2 + 36 in all.  In Z1^2 Z2^2 + Z1
-        # Z2 + Z1 + 1 the point 1 gives (Z1 + 1)^2 and the point 2 an
-        # irreducible quadratic, with no subset to try: 60 + 3.  One unit
-        # less leaves each undecided
+        # over F_5, Z1 is tried first; a point costs 1, a factorisation
+        # 2^3 * bitlen(5) = 24, the lifting and each subset 2^2 * 3^2 =
+        # 36.  Z1^2 Z2^2 + 1 = (Z1 Z2 + 2)(Z1 Z2 + 3): the point 0 drops
+        # the Z1-degree, the point 1 gives (Z1 + 2)(Z1 + 3), and the
+        # first subset gives a factor, 2 + 24 + 36 + 36 in all.  Below
+        # the guard the walk factors d + 1 = 3 good points, 1, 2 and 3,
+        # each with two factors, before it lifts at the first: 4 + 3 * 24
+        # + 36 + 36.  In Z1^2 Z2^2 + Z1 Z2 + Z1 + 1 the point 1 gives (Z1
+        # + 1)^2 and the point 2 an irreducible quadratic, which decides
+        # T with no lifting: 3 + 24.  One unit less leaves each undecided
         f5 = ResidueField(5, [])
         reducible = _poly(f5, {(2, 2): 1, (0, 0): 1})
         irreducible = _poly(f5, {(2, 2): 1, (1, 1): 1, (1, 0): 1, (0, 0): 1})
-        for t, needed, answer in ((reducible, 98, False),
-                                  (irreducible, 63, True)):
+        for t, below_guard, needed, answer in (
+                (reducible, False, 98, False),
+                (reducible, True, 148, False),
+                (irreducible, False, 27, True),
+                (irreducible, True, 27, True)):
             assert finitefield.factor_witness(t) is None
-            assert (finitefield.lifting_route(t, needed - 1)
+            assert (finitefield.lifting_route(t, needed - 1, below_guard)
                     is finitefield.UNDECIDED)
-            a = finitefield.lifting_route(t, needed)
+            a = finitefield.lifting_route(t, needed, below_guard)
             assert (a is None) == answer == _reference_irreducible(t)
+
+    def test_criterion_4_family_rarely_reaches_the_search(self, monkeypatch):
+        # the residues Z1^2 Z2^2 + a Z1 Z2 + b Z1 + c Z2 + d of the
+        # criterion-4 family over F_3: the lifting route decides all but
+        # six, the four with no squarefree point in F_3 in either
+        # variable and the squares (Z1 Z2 -+ 1)^2, and every answer
+        # agrees with the unpruned enumeration
+        f3 = ResidueField(3, [])
+        search = finitefield._divisor_search
+        seen = []
+
+        def spy(t):
+            seen.append(t)
+            return search(t)
+
+        def refuse(*args):
+            raise AssertionError("the witness ran on a T in two variables")
+
+        monkeypatch.setattr(finitefield, "_divisor_search", spy)
+        monkeypatch.setattr(finitefield, "specialisation_witness", refuse)
+        polys = {}
+        for a, b, c, d in itertools.product(range(3), repeat=4):
+            polys[a, b, c, d] = _poly(f3, {(2, 2): 1, (1, 1): a, (1, 0): b,
+                                           (0, 1): c, (0, 0): d})
+        answers = [is_irreducible_multivariate(t) for t in polys.values()]
+        assert answers == _exhaustive(polys.values())
+        six = [polys[k] for k in ((1, 1, 2, 2), (1, 2, 1, 2), (2, 1, 1, 2),
+                                  (2, 2, 2, 2), (1, 0, 0, 1), (2, 0, 0, 1))]
+        assert len(seen) <= 6 and all(t in six for t in seen)
+
+    def test_factors_with_positive_degree_everywhere_below_the_guard(
+            self, monkeypatch):
+        # (Z1 + Z2 + 1)(Z1 + 2 Z2 + 3) over F_997: the unpruned count,
+        # 997^2 = 994,009, is below the guard, and the route lifts two
+        # linear factors at its first good point; neither the witness nor
+        # the search runs
+        f = ResidueField(997, [])
+        a = _poly(f, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+        b = _poly(f, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
+        t = a * b
+        factor = finitefield.lifting_route(t, 10 ** 6, True)
+        assert factor in (a, b)
+        _assert_proper_factor(t, factor)
+
+        def refuse(*args):
+            raise AssertionError("the witness or the search ran")
+
+        for name in ("_divisor_search", "specialisation_witness"):
+            monkeypatch.setattr(finitefield, name, refuse)
+        start = time.process_time()
+        assert not is_irreducible_multivariate(t)
+        assert time.process_time() - start < 0.25
+        # the count is the guard's: one below it, with the route patched
+        # off, the guard trips on it
+        monkeypatch.setattr(
+            finitefield, "lifting_route",
+            lambda t, budget, below_guard: finitefield.UNDECIDED)
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            is_irreducible_multivariate(t, 994_008)
+        assert exc.value.needed == 994_009
 
     @pytest.mark.parametrize("name", ["F_2", "F_3", "F_4", "F_9", "F_997"])
     def test_factoriser_multiplies_back(self, name):

@@ -412,6 +412,15 @@ def _assert_proper_factor(t, a):
     assert a * ResiduePoly(t.field, t.nvars, quo) == t
 
 
+def _refuse(*args):
+    raise AssertionError("a route patched to refuse ran")
+
+
+def _undecided(t, budget, below_guard):
+    """`lifting_route` patched off."""
+    return finitefield.UNDECIDED
+
+
 def _route_answers(t):
     """{route: answer} for each route that decides T: False for a factor,
     checked here by multiplication, True for irreducible."""
@@ -534,12 +543,8 @@ class TestSpecialisationWitness:
         witnessed = [t for t in _corner_family(field, box)
                      if finitefield.specialisation_witness(t, 10 ** 6)]
         assert witnessed
-
-        def refuse(*args):
-            raise AssertionError("the witness or the search ran")
-
         for name in ("_divisor_search", "specialisation_witness"):
-            monkeypatch.setattr(finitefield, name, refuse)
+            monkeypatch.setattr(finitefield, name, _refuse)
         assert all(is_irreducible_multivariate(t) for t in witnessed)
 
     def test_no_witness_for_a_content_factor(self):
@@ -675,9 +680,7 @@ class TestDivisorSearch:
         for t in (cube, probe):
             assert not is_irreducible_multivariate(t)
         monkeypatch.setattr(finitefield, "factor_witness", lambda t: None)
-        monkeypatch.setattr(
-            finitefield, "lifting_route",
-            lambda t, budget, below_guard: finitefield.UNDECIDED)
+        monkeypatch.setattr(finitefield, "lifting_route", _undecided)
         for t, needed in ((cube, 2_391_483), (probe, 1_000_000_007)):
             with pytest.raises(ResourceLimitExceeded) as exc:
                 is_irreducible_multivariate(t)
@@ -708,9 +711,7 @@ class TestDivisorSearch:
     def test_witnessless_pool_residues_decide_quickly(self, monkeypatch):
         # the benchmark's gauss3-33 and inert9-ramified residues, decided
         # by the search alone: about 4 s unpruned, about 0.05 s pruned
-        monkeypatch.setattr(
-            finitefield, "lifting_route",
-            lambda t, budget, below_guard: finitefield.UNDECIDED)
+        monkeypatch.setattr(finitefield, "lifting_route", _undecided)
         f3 = ResidueField(3, [])
         gauss = _poly(f3, {
             (3, 3): 1, (3, 2): 2, (2, 3): 2, (3, 1): 1, (2, 2): 2, (1, 3): 1,
@@ -821,11 +822,8 @@ class TestReducibilityRoutes:
             seen.append(t)
             return search(t)
 
-        def refuse(*args):
-            raise AssertionError("the witness ran on a T in two variables")
-
         monkeypatch.setattr(finitefield, "_divisor_search", spy)
-        monkeypatch.setattr(finitefield, "specialisation_witness", refuse)
+        monkeypatch.setattr(finitefield, "specialisation_witness", _refuse)
         polys = {}
         for a, b, c, d in itertools.product(range(3), repeat=4):
             polys[a, b, c, d] = _poly(f3, {(2, 2): 1, (1, 1): a, (1, 0): b,
@@ -849,20 +847,14 @@ class TestReducibilityRoutes:
         factor = finitefield.lifting_route(t, 10 ** 6, True)
         assert factor in (a, b)
         _assert_proper_factor(t, factor)
-
-        def refuse(*args):
-            raise AssertionError("the witness or the search ran")
-
         for name in ("_divisor_search", "specialisation_witness"):
-            monkeypatch.setattr(finitefield, name, refuse)
+            monkeypatch.setattr(finitefield, name, _refuse)
         start = time.process_time()
         assert not is_irreducible_multivariate(t)
         assert time.process_time() - start < 0.25
         # the count is the guard's: one below it, with the route patched
         # off, the guard trips on it
-        monkeypatch.setattr(
-            finitefield, "lifting_route",
-            lambda t, budget, below_guard: finitefield.UNDECIDED)
+        monkeypatch.setattr(finitefield, "lifting_route", _undecided)
         with pytest.raises(ResourceLimitExceeded) as exc:
             is_irreducible_multivariate(t, 994_008)
         assert exc.value.needed == 994_009

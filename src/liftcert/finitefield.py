@@ -38,14 +38,14 @@ variables is decided by these routes, in this order:
    factor-by-lifting (`lifting_route`, with a budget of the limit):
    specialise one variable at points where T keeps its degree in the
    other and T(c) is squarefree, and factor T(c).  A T(c) with one
-   factor proves T irreducible, as T is primitive; otherwise Hensel-lift
-   the factors at the point with the fewest, with T's leading
-   coefficient imposed, and try the subsets of them as factors of T.
-   The lifts of a factorisation's parts are unique, so when no subset
-   divides T, T is irreducible.  At or below the limit it scans up to
-   d + 1 good points, d being T's degree in the variable it keeps, and
-   above it only the first.  Its docstring gives the argument, the scan
-   and what the budget counts.
+   factor proves T irreducible, as T is primitive.  While a
+   factorisation costs no more than a lifting, it looks for such a
+   point among a few good points; otherwise it Hensel-lifts the factors
+   at the first good point, with T's leading coefficient imposed, and
+   tries the subsets of them as factors of T.  The lifts of a
+   factorisation's parts are unique, so when no subset divides T, T is
+   irreducible.  Its docstring gives the argument, the scan and what
+   the budget counts.
 4. A T in three or more variables, at or below the limit, is tried for
    a specialisation witness: if T is primitive in a main variable Z_i
    and a point c for the other variables keeps T's Z_i-degree and makes
@@ -941,7 +941,7 @@ def _hensel(rows, c, k, factors, ar):
 UNDECIDED = object()
 
 
-def lifting_route(t: ResiduePoly, budget, below_guard=False):
+def lifting_route(t: ResiduePoly, budget):
     """Decide a T in exactly two variables by specialising one of them,
     factoring and Hensel lifting: a checked factor of T, None when T is
     irreducible, or UNDECIDED when budget runs out first or T is not in
@@ -959,14 +959,13 @@ def lifting_route(t: ResiduePoly, budget, below_guard=False):
       factor, T is irreducible and no lifting runs: a factorisation T =
       A*B would have both parts of positive X-degree, since T is
       primitive in X, and A(X, c)*B(X, c) would then factor T(X, c),
-      whose X-degree is d since lc(c) != 0.  Otherwise the walk
-      goes on to the next good point, up to d + 1 of them when
-      below_guard (the candidate count of the exhaustive search is
-      within the limit, so q is too and factoring is cheap) and just
-      the first above it, where q is unbounded;
-    - at the scanned point with the fewest factors, the first on ties,
-      the factors are lifted (Y - c)-adically to precision k = e + 1,
-      with T's leading coefficient imposed (P. S. Wang, Math. Comp. 32,
+      whose X-degree is d since lc(c) != 0.  The walk factors up to d +
+      1 good points when a factorisation is charged no more than the
+      lifting it may save (see the charges below), as over a small
+      field, and only the first otherwise, as when q is large;
+    - when none of them has one factor, the factors at the first good
+      point are lifted (Y - c)-adically to precision k = e + 1, with
+      T's leading coefficient imposed (P. S. Wang, Math. Comp. 32,
       1978);
     - for each subset S of the lifted factors, of size at most half
       their number r, the primitive part in X of lc * prod_S G_i, with
@@ -1004,11 +1003,12 @@ def lifting_route(t: ResiduePoly, budget, below_guard=False):
         if len(_content(rows, ar)) > 1:
             continue
         factoring = d ** 3 * ar.q.bit_length()
-        scan = d + 1 if below_guard else 1
-        scanned = []  # (factors, c) at each good point factored
-        bad = 0
+        lift = d * d * (e + 1) ** 2
+        scan = d + 1 if factoring <= lift else 1
+        first = None
+        bad = good = 0
         for c in ar.elements():
-            if left <= 0 or bad > 2 * d * e or len(scanned) == scan:
+            if left <= 0 or bad > 2 * d * e or good == scan:
                 break
             left -= 1
             ev = _evaluate(terms, [c] * t.nvars, (x,), ar)
@@ -1020,14 +1020,15 @@ def lifting_route(t: ResiduePoly, budget, below_guard=False):
             if left < factoring:
                 break
             left -= factoring
+            good += 1
             factors = _factor_squarefree(_monic(f, ar), ar)
             if len(factors) == 1:
                 return None
-            scanned.append((factors, c))
-        if not scanned:
+            if first is None:
+                first = factors, c
+        if first is None:
             continue
-        factors, c = min(scanned, key=lambda s: len(s[0]))
-        lift = d * d * (e + 1) ** 2
+        factors, c = first
         if left < lift:
             continue
         left -= lift
@@ -1087,7 +1088,7 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
         if total > limit:
             break
     if used == 2:
-        factor = lifting_route(t, limit, total <= limit)
+        factor = lifting_route(t, limit)
         if factor is not UNDECIDED:
             return factor is None
     elif total <= limit and specialisation_witness(t, total) is not None:

@@ -416,7 +416,7 @@ def _refuse(*args):
     raise AssertionError("a route patched to refuse ran")
 
 
-def _undecided(t, budget, below_guard):
+def _undecided(t, budget):
     """`lifting_route` patched off."""
     return finitefield.UNDECIDED
 
@@ -765,7 +765,9 @@ class TestReducibilityRoutes:
         # first: the point 0 is a root of the Z1-leading coefficient Z2^2
         # + Z2, and the point 1 gives two linear factors; the two points
         # cost 2, the factorisation 2^3 * bitlen(997) = 80, the lifting
-        # 2^2 * 3^2 = 36 and the first subset, a factor, 36 more
+        # 2^2 * 3^2 = 36 and the first subset, a factor, 36 more.  The
+        # factorisation costs more than the lifting, so no second point
+        # is factored
         f = ResidueField(997, [])
         one = f.one
         a = ResiduePoly(f, 2, {(1, 1): one, (1, 0): one, (0, 0): one})
@@ -786,27 +788,28 @@ class TestReducibilityRoutes:
     def test_budget_counts_work_points_and_subsets(self):
         # over F_5, Z1 is tried first; a point costs 1, a factorisation
         # 2^3 * bitlen(5) = 24, the lifting and each subset 2^2 * 3^2 =
-        # 36.  Z1^2 Z2^2 + 1 = (Z1 Z2 + 2)(Z1 Z2 + 3): the point 0 drops
-        # the Z1-degree, the point 1 gives (Z1 + 2)(Z1 + 3), and the
-        # first subset gives a factor, 2 + 24 + 36 + 36 in all.  Below
-        # the guard the walk factors d + 1 = 3 good points, 1, 2 and 3,
-        # each with two factors, before it lifts at the first: 4 + 3 * 24
-        # + 36 + 36.  In Z1^2 Z2^2 + Z1 Z2 + Z1 + 1 the point 1 gives (Z1
-        # + 1)^2 and the point 2 an irreducible quadratic, which decides
-        # T with no lifting: 3 + 24.  One unit less leaves each undecided
+        # 36.  A factorisation costs no more than the lifting, so the
+        # walk factors up to d + 1 = 3 good points.  Z1^2 Z2^2 + 1 =
+        # (Z1 Z2 + 2)(Z1 Z2 + 3): the point 0 drops the Z1-degree, the
+        # points 1, 2 and 3 each give two linear factors, and the lifting
+        # at the first of them and its first subset give a factor, 4 + 3
+        # * 24 + 36 + 36 in all.  In Z1^2 Z2^2 + Z1 Z2 + Z1 + 1 the point
+        # 1 gives (Z1 + 1)^2 and the point 2 an irreducible quadratic,
+        # which decides T with no lifting: 3 + 24.  One unit less leaves
+        # each undecided
         f5 = ResidueField(5, [])
         reducible = _poly(f5, {(2, 2): 1, (0, 0): 1})
         irreducible = _poly(f5, {(2, 2): 1, (1, 1): 1, (1, 0): 1, (0, 0): 1})
-        for t, below_guard, needed, answer in (
-                (reducible, False, 98, False),
-                (reducible, True, 148, False),
-                (irreducible, False, 27, True),
-                (irreducible, True, 27, True)):
+        for t, needed, answer in ((reducible, 148, False),
+                                  (irreducible, 27, True)):
             assert finitefield.factor_witness(t) is None
-            assert (finitefield.lifting_route(t, needed - 1, below_guard)
+            assert (finitefield.lifting_route(t, needed - 1)
                     is finitefield.UNDECIDED)
-            a = finitefield.lifting_route(t, needed, below_guard)
+            a = finitefield.lifting_route(t, needed)
+            assert a is not finitefield.UNDECIDED
             assert (a is None) == answer == _reference_irreducible(t)
+            if a is not None:
+                _assert_proper_factor(t, a)
 
     def test_criterion_4_family_rarely_reaches_the_search(self, monkeypatch):
         # the residues Z1^2 Z2^2 + a Z1 Z2 + b Z1 + c Z2 + d of the
@@ -844,7 +847,7 @@ class TestReducibilityRoutes:
         a = _poly(f, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
         b = _poly(f, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
         t = a * b
-        factor = finitefield.lifting_route(t, 10 ** 6, True)
+        factor = finitefield.lifting_route(t, 10 ** 6)
         assert factor in (a, b)
         _assert_proper_factor(t, factor)
         for name in ("_divisor_search", "specialisation_witness"):

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitExceeded
@@ -49,7 +50,7 @@ class GenerationError(ConfigError):
     """The requested residue polynomial admits no lifting as given."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     lhs: str
@@ -159,7 +160,9 @@ class LiftingCertificate:
     """Full audit record of the lifting checks and the final verdict.
 
     It keeps f, the configuration and the names unprinted: to_json
-    prints the input, the pairs and the per-variable table."""
+    prints the input, the pairs and the per-variable table.  On a
+    lifting it holds the residue's ResidueRecord, shared by every
+    certificate of the same residue."""
 
     f: MultiPoly
     config: PairConfig
@@ -169,7 +172,7 @@ class LiftingCertificate:
     checks: list
     verdict: str
     reason: str = None
-    residue_texts: dict = None  # residue.coefficient_texts(), from certify
+    record: ResidueRecord = None  # the residue's, on a lifting
 
     @property
     def certified(self):
@@ -184,19 +187,16 @@ class LiftingCertificate:
         one pass.  The "prime", "pairs" and "variables" members depend
         only on the configuration and the names: json.dumps renders
         them when either is new, and their text is kept on the
-        configuration for the names last rendered.  The check rows and
-        T's rows are filled into fixed templates; T's rows and text come
-        from the coefficient texts that certify printed once for the
-        residue checks."""
+        configuration for the names last rendered.  The check rows are
+        filled into a fixed template, and the "T" member is the residue
+        record's block, printed once per residue."""
         config, names = self.config, self.names
         header = config.rendered_header
         if header is None or header[0] != names:
             header = names, _header_text(config, names)
             config.rendered_header = header
         encode = encode_basestring_ascii
-        residue = self.residue
-        t_json = "null" if residue is None else residue_json(
-            residue, self.residue_texts, "\n  ")
+        record = self.record
         checks = ",\n    ".join([
             _CHECK_ROW % (encode(c.name), encode(c.lhs), encode(c.rhs),
                           "true" if c.passed else "false")
@@ -207,7 +207,7 @@ class LiftingCertificate:
             '{\n  "input": ', encode(self.f.to_str(names)), ",", header[1],
             ',\n  "t": ',
             "null" if self.t is None else _int_list(self.t, "\n  "),
-            ',\n  "T": ', t_json,
+            ',\n  "T": ', "null" if record is None else record.t_json,
             ',\n  "checks": ',
             "[\n    " + checks + "\n  ]" if checks else "[]",
             ',\n  "verdict": ', encode(self.verdict),
@@ -258,47 +258,62 @@ def _int_list(values, newline):
 def certify_irreducible(
     f: MultiPoly, config: PairConfig, *, names=None
 ) -> LiftingCertificate:
-    """Run the lifting checks and, on a lifting, decide irreducibility
-    of the residue within config.limit; a Certified verdict means f is
-    irreducible over the p-adics and hence over the rationals."""
+    """Run the lifting checks and, on a lifting, append the residue
+    record's rows: T is not a coordinate Z_i, and T is irreducible
+    within config.limit.  A Certified verdict means f is irreducible
+    over the p-adics and hence over the rationals."""
     report = check_lifting(f, config)
-    verdict, reason, texts = VERDICT_CERTIFIED, None, None
+    names = None if names is None else tuple(names)
     if not report.ok:
-        verdict, reason = VERDICT_NOT_A_LIFTING, report.reason
-    else:
-        residue = report.residue
-        texts = residue.coefficient_texts()
-        text = residue_text(config.nvars, texts)
-        for i in range(config.nvars):
-            excluded = residue.is_single_variable(i)
-            report.checks.append(CheckResult(
-                f"residue_not_Z{i + 1}", text, f"!= Z{i + 1}", not excluded))
-            if excluded:
-                verdict = VERDICT_RESIDUE_IS_VARIABLE
-                reason = f"residue is the excluded coordinate Z{i + 1}"
-                break
-        else:
-            irreducible = _cached_irreducible(residue, config.limit)
-            report.checks.append(CheckResult(
-                "residue_irreducible", text, "irreducible", irreducible))
-            if not irreducible:
-                verdict = VERDICT_RESIDUE_REDUCIBLE
-                reason = "residue polynomial factors over the residue field"
-    return LiftingCertificate(
-        f, config, None if names is None else tuple(names),
-        report.t, report.residue, report.checks, verdict, reason,
-        residue_texts=texts,
-    )
+        return LiftingCertificate(f, config, names, report.t, None,
+                                  report.checks, VERDICT_NOT_A_LIFTING,
+                                  report.reason)
+    record = _residue_record(report.residue, config.limit)
+    report.checks.extend(record.checks)
+    return LiftingCertificate(f, config, names, report.t, report.residue,
+                              report.checks, record.verdict, record.reason,
+                              record)
+
+
+class ResidueRecord(NamedTuple):
+    """What a certificate derives from its residue T alone: the
+    residue_not_Z and residue_irreducible rows, the verdict and reason
+    they give, and the certificate's "T" member."""
+
+    checks: tuple
+    verdict: str
+    reason: str
+    t_json: str
 
 
 RESIDUE_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE)
-def _cached_irreducible(residue: ResiduePoly, limit: int) -> bool:
+def _residue_record(residue: ResiduePoly, limit: int) -> ResidueRecord:
     # residues recur across large corpora (they only depend on f mod p);
-    # the bound keeps a long run's memory flat
-    return is_irreducible_multivariate(residue, limit)
+    # the bound keeps a long run's memory flat, and a guard trip raises
+    # out of the decider uncached
+    texts = residue.coefficient_texts()
+    text = residue_text(residue.nvars, texts)
+    checks, verdict, reason = [], VERDICT_CERTIFIED, None
+    for i in range(residue.nvars):
+        excluded = residue.is_single_variable(i)
+        checks.append(CheckResult(
+            f"residue_not_Z{i + 1}", text, f"!= Z{i + 1}", not excluded))
+        if excluded:
+            verdict = VERDICT_RESIDUE_IS_VARIABLE
+            reason = f"residue is the excluded coordinate Z{i + 1}"
+            break
+    else:
+        irreducible = is_irreducible_multivariate(residue, limit)
+        checks.append(CheckResult(
+            "residue_irreducible", text, "irreducible", irreducible))
+        if not irreducible:
+            verdict = VERDICT_RESIDUE_REDUCIBLE
+            reason = "residue polynomial factors over the residue field"
+    return ResidueRecord(tuple(checks), verdict, reason,
+                         residue_json(residue, texts, "\n  "))
 
 
 # ---------------------------------------------------------------------

@@ -60,17 +60,16 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text):
+    """(kind, text, position) of each token, in one pass: every match
+    but the last holds a token, and the last only whitespace."""
     tokens = []
-    pos = 0
-    while True:
-        m = _TOKEN.match(text, pos)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind is None:  # only whitespace is left
             return tokens
         if kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
         tokens.append((kind, m[kind], m.start(kind)))
-        pos = m.end()
 
 
 def _check_size(name, bound, needed):

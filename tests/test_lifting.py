@@ -1,5 +1,6 @@
 """Lifting verification, certificates, generation, and suggestions."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -263,9 +264,10 @@ class TestCertify:
             "x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
 
     def test_residue_coefficients_printed_once(self, monkeypatch):
-        # certify prints each coefficient of T once, and the certificate's
-        # T rows and text reuse those texts; check_lifting prints the
-        # leading one for its residue_monic row
+        # a new residue's record prints each coefficient of T once, and
+        # its rows and T block reuse those texts; check_lifting prints
+        # the leading one for its residue_monic row, which is all that a
+        # residue seen before costs
         calls = []
         to_str = ResidueElement.to_str
 
@@ -274,12 +276,22 @@ class TestCertify:
             return to_str(self)
 
         monkeypatch.setattr(ResidueElement, "to_str", counted)
-        cert = certify_irreducible(
-            P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"), gauss_config(3, 2))
+        lifting._residue_record.cache_clear()
+        f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+        cert = certify_irreducible(f, gauss_config(3, 2))
         doc = cert.to_json_dict()
         assert len(calls) == len(cert.residue.terms) + 1
+        calls.clear()
+        certify_irreducible(f, gauss_config(3, 2)).to_json()
+        assert len(calls) == 1
         monkeypatch.undo()
         assert doc["T"] == residue_to_json(cert.residue)
+
+    def test_check_rows_are_frozen(self):
+        # every certificate of one residue shares its record's rows
+        cert = certify_irreducible(P("x^2*y^2 + 1"), gauss_config(3, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.checks[-1].passed = False
 
     def test_limit_comes_from_config(self):
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
@@ -395,7 +407,8 @@ class TestCertificateWriter:
 class TestResidueCache:
     def test_cache_is_bounded(self, monkeypatch):
         # more distinct residues than the cache holds: it keeps at most
-        # its size, and every miss goes through the module global
+        # its size, and every miss goes through the module global (from
+        # c = 1: Z1 + 0 is the excluded coordinate, never decided)
         misses = []
 
         def fake(residue, limit):
@@ -406,19 +419,78 @@ class TestResidueCache:
         field = ResidueField(2003, [])
         residues = [
             ResiduePoly(field, 1, {(1,): field.one, (0,): field.from_int(c)})
-            for c in range(lifting.RESIDUE_CACHE_SIZE + 10)
+            for c in range(1, lifting.RESIDUE_CACHE_SIZE + 11)
         ]
-        cached = lifting._cached_irreducible
+        cached = lifting._residue_record
         cached.cache_clear()
         try:
             for residue in residues:
-                assert cached(residue, 10)
+                assert cached(residue, 10).verdict == VERDICT_CERTIFIED
             assert cached.cache_info().currsize == lifting.RESIDUE_CACHE_SIZE
-            assert cached(residues[-1], 10)  # a hit
-            assert cached(residues[0], 10)  # evicted, so a miss
+            # the last is a hit; the first was evicted, so it is a miss
+            assert cached(residues[-1], 10).verdict == VERDICT_CERTIFIED
+            assert cached(residues[0], 10).verdict == VERDICT_CERTIFIED
             assert misses == residues + [residues[0]]
         finally:
             cached.cache_clear()
+
+    # (verdict, config, [(f, names)]): several f and names, one residue
+    SHARED = [
+        (VERDICT_CERTIFIED, gauss_config(3, 2), [
+            (P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"), ["x", "y"]),
+            (P("x^2*y^2 + 1"), ["x", "y"]),
+            (P("x^2*y^2 + 1"), ["a", "b"]),
+            (P("x^2*y^2 + 1"), None),
+        ]),
+        (VERDICT_RESIDUE_REDUCIBLE, gauss_config(3, 2), [
+            (P("x^2*y^2 - 1"), ["x", "y"]),
+            (P("x^2*y^2 + 3*x*y - 1"), None),
+            (P("x^2*y^2 + 3*x*y - 1"), ["u", "v"]),
+        ]),
+        (VERDICT_RESIDUE_IS_VARIABLE, eisenstein_config(2, 2), [
+            (P("x^2 + 2*x + 4", ("x",)), ["x"]),
+            (P("x^2 + 4*x + 12", ("x",)), None),
+            (P("x^2 + 4*x + 12", ("x",)), ["t"]),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("verdict,config,cases", SHARED,
+                             ids=[case[0] for case in SHARED])
+    def test_hit_matches_a_cleared_cache(self, verdict, config, cases):
+        cached = lifting._residue_record
+        cold = []
+        for f, names in cases:
+            cached.cache_clear()
+            cold.append(certify_irreducible(f, config, names=names))
+        cached.cache_clear()
+        first = certify_irreducible(cases[0][0], config)  # the one miss
+        for (f, names), miss in zip(cases, cold):
+            hit = certify_irreducible(f, config, names=names)
+            assert hit.verdict == verdict
+            assert hit.record is first.record
+            assert hit.checks == miss.checks
+            assert hit.to_json() == miss.to_json()
+        info = cached.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, len(cases))
+
+    def test_guard_trip_is_not_cached(self, monkeypatch):
+        calls = []
+
+        def counted(residue, limit):
+            calls.append(limit)
+            return is_irreducible_multivariate(residue, limit)
+
+        monkeypatch.setattr(lifting, "is_irreducible_multivariate", counted)
+        f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
+        specs = [RationalCenter(Fraction(0), Fraction(0))] * 2
+        lifting._residue_record.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ResourceLimitExceeded):
+                certify_irreducible(f, PairConfig(specs, 3, limit=1))
+        assert calls == [1, 1]
+        assert lifting._residue_record.cache_info().currsize == 0
+        assert certify_irreducible(f, PairConfig(specs, 3)).certified
+        assert len(calls) == 3
 
 
 class TestGenerate:

@@ -67,6 +67,24 @@ def test_unexpected_character():
         parse_polynomial("x + 1.5", ["x"])
 
 
+def test_bad_character_after_whitespace():
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("x + \t $", ["x"])
+    assert exc.value.position == 6
+    assert "'$'" in str(exc.value)
+
+
+def test_trailing_whitespace():
+    assert parse_polynomial("x + 1 \n\t", ["x"]) == parse_polynomial(
+        "x + 1", ["x"])
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("x +   ", ["x"])
+    assert exc.value.position == 6  # the end of the text
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("x 1  ", ["x"])
+    assert exc.value.position == 2
+
+
 def test_trailing_tokens():
     with pytest.raises(ParseError):
         parse_polynomial("x 1", ["x"])

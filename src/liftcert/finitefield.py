@@ -34,27 +34,24 @@ variables is decided by these routes, in this order:
    They run on every such T and cost a few gcds.
 2. The candidate divisors of an exhaustive search are counted, lead by
    lead, until the count passes the limit.
-3. A T in exactly two variables goes, at every size, to one route,
-   factor-by-lifting (`lifting_route`, with a budget of the limit):
-   specialise one variable at points where T keeps its degree in the
-   other and T(c) is squarefree, and factor T(c).  A T(c) with one
-   factor proves T irreducible, as T is primitive.  While a
-   factorisation costs no more than a lifting, it looks for such a
-   point among a few good points; otherwise it Hensel-lifts the factors
-   at the first good point, with T's leading coefficient imposed, and
-   tries the subsets of them as factors of T.  The lifts of a
-   factorisation's parts are unique, so when no subset divides T, T is
-   irreducible.  Its docstring gives the argument, the scan and what
-   the budget counts.
-4. A T in three or more variables, at or below the limit, is tried for
-   a specialisation witness: if T is primitive in a main variable Z_i
-   and a point c for the other variables keeps T's Z_i-degree and makes
-   T(c) irreducible by Ben-Or's test, then T is irreducible, because a
-   factorisation of T would specialise to one of T(c) or put a non-unit
-   in T's content.  The points tried, over all main variables, are at
-   most the count.
-5. What steps 3 and 4 leave undecided goes, at or below the limit, to
-   the exhaustive divisor search, which decides every T.  It tries only
+3. One specialisation route (`lifting_route`, with a budget of the
+   limit) takes a T in two variables at every size, and a T in three
+   or more at or below the limit.  If T is primitive in a main variable
+   Z_i and a point c for the other variables keeps T's Z_i-degree and
+   makes T(c) irreducible by Ben-Or's test, then T is irreducible,
+   because a factorisation of T would specialise to one of T(c) or put
+   a non-unit in T's content.  In two variables the route tests only
+   points where T(c) is squarefree; while a test costs no more than a
+   lifting, it looks for such a point among a few good points,
+   otherwise it Hensel-lifts the factors at the first good point, with
+   T's leading coefficient imposed, and tries the subsets of them as
+   factors of T.  The lifts of a factorisation's parts are unique, so
+   when no subset divides T, T is irreducible.  In three or more
+   variables it walks the points until its budget or the points run
+   out.  Its docstring gives the argument, the walk and what the
+   budget counts.
+4. What step 3 leaves undecided goes, at or below the limit, to the
+   exhaustive divisor search, which decides every T.  It tries only
    candidates g that fit T's degrees, which leaves every answer as it
    is:
    - a g with lex-leading monomial L has only monomials e with e_i <=
@@ -77,8 +74,8 @@ and candidate coefficients are drawn from its elements in the order of
 field's are range(p).  Above the limit q itself is unbounded (x^2 + 1
 is inert at p = 10^9 + 7, so q is about 10^18), so there elements are
 only drawn lazily, and Cantor-Zassenhaus draws a random one by its
-index.  Below it q is at most the count, and the specialisation witness
-and the divisor search list the elements they draw from.
+index.  Below it q is at most the count, and the divisor search lists
+the elements it draws from.
 """
 
 from __future__ import annotations
@@ -310,13 +307,13 @@ def _equal_degree(g, k, ar, rng):
                     + _equal_degree(_divmod(g, d, ar)[0], k, ar, rng))
 
 
-def _factor_squarefree(f, ar):
-    """The monic irreducible factors of a monic squarefree f over F_q:
-    distinct-degree factorisation, then equal-degree splitting with a
-    fixed seed, so the same f always gives the same list."""
+def _factor_squarefree(parts, ar):
+    """The monic irreducible factors of a monic squarefree f over F_q,
+    from the pairs (k, g) of its distinct-degree factorisation, by
+    equal-degree splitting with a fixed seed, so the same f always gives
+    the same list."""
     rng = random.Random(0)
-    return [h for k, g in _distinct_degree(f, ar)
-            for h in _equal_degree(g, k, ar, rng)]
+    return [h for k, g in parts for h in _equal_degree(g, k, ar, rng)]
 
 
 def _irreducible_univariate(f, ar, limit):
@@ -539,7 +536,9 @@ class ResidueElement:
 class ResiduePoly:
     """Sparse polynomial in Z_1..Z_n with residue-field coefficients."""
 
-    __slots__ = ("field", "nvars", "terms")
+    # nothing changes terms after construction, so the hash, which the
+    # residue cache takes on every certify, is computed once
+    __slots__ = ("field", "nvars", "terms", "_hash")
 
     def __init__(self, field, nvars, terms=None):
         self.field = field
@@ -550,6 +549,7 @@ class ResiduePoly:
                 if not c.is_zero:
                     clean[tuple(e)] = c
         self.terms = clean
+        self._hash = None
 
     @property
     def is_zero(self):
@@ -577,9 +577,10 @@ class ResiduePoly:
         )
 
     def __hash__(self):
-        return hash((self.field, self.nvars, tuple(sorted(
-            (e, c._key()) for e, c in self.terms.items()
-        ))))
+        if self._hash is None:
+            self._hash = hash((self.field, self.nvars, tuple(sorted(
+                (e, c._key()) for e, c in self.terms.items()))))
+        return self._hash
 
     def __mul__(self, other):
         out = {}
@@ -645,86 +646,8 @@ def _evaluate(terms, values, keep, ar):
     return out
 
 
-def specialisation_witness(t: ResiduePoly, budget):
-    """A pair (i, c) that proves T irreducible, or None.
-
-    T is primitive in Z_i, and the point c (one element for each other
-    variable, in index order) keeps T's Z_i-degree and makes T(c)
-    irreducible over F_q by Ben-Or's test.  A factorisation T = A*B then
-    cannot exist: if A and B both have positive Z_i-degree, T(c) =
-    A(c)*B(c) is a product of two polynomials of positive degree; if A
-    has Z_i-degree 0, it divides the content of T in Z_i and is a unit.
-
-    Main variables are tried in ascending order and, for each, the
-    points in lexicographic order of `ResidueField.elements()`.  Every
-    point tried, for the primitivity check or for the specialisation,
-    counts against budget.
-    """
-    field = t.field
-    ar = _Arith(field.p, field)
-    n = t.nvars
-    terms = {e: ar.element(c) for e, c in t.terms.items()}
-    # no point draws an element past the first budget of them
-    elements = tuple(itertools.islice(ar.elements(), budget))
-    left = budget
-
-    def points(k, holes):
-        # the points of F_q^k, spread over the variables with None at the
-        # holes
-        nonlocal left
-        for point in itertools.product(elements, repeat=k):
-            if left <= 0:
-                return
-            left -= 1
-            it = iter(point)
-            yield point, [None if j in holes else next(it) for j in range(n)]
-
-    def primitive(i):
-        # The content C of T in Z_i divides every Z_i-coefficient a_k.
-        # For each other variable Y_j, take the a_s of least Y_j-degree:
-        # C has Y_j-degree 0 if that degree is 0, or if at some point b
-        # of the remaining variables a_s(b) keeps its Y_j-degree and the
-        # a_k(b) have gcd 1.  Otherwise C(b) would divide that gcd and
-        # keep a positive Y_j-degree, since C's Y_j-leading coefficient
-        # divides a_s's.
-        for j in range(n):
-            if j == i:
-                continue
-            degs = {}  # k -> Y_j-degree of a_k
-            for e in terms:
-                degs[e[i]] = max(degs.get(e[i], 0), e[j])
-            s = min(degs, key=degs.get)
-            if degs[s] == 0:
-                continue
-            for _, values in points(n - 2, (i, j)):
-                ev = _evaluate(terms, values, (i, j), ar)
-                if not ev.get((s, degs[s])):
-                    continue
-                g = []
-                for k, top in degs.items():
-                    g = _gcd(g, [ev.get((k, m), ar.zero)
-                                 for m in range(top + 1)], ar)
-                if len(g) == 1:
-                    break
-            else:
-                return False
-        return True
-
-    for i in range(n):
-        d = t.degree_in(i)
-        if d < 1 or not primitive(i):
-            continue
-        for point, values in points(n - 1, (i,)):
-            ev = _evaluate(terms, values, (i,), ar)
-            f = [ev.get((k,), ar.zero) for k in range(d + 1)]
-            if f[d] and _ben_or(_monic(f, ar), ar):
-                return i, tuple(x if ar.field else field.from_int(x)
-                                for x in point)
-    return None
-
-
 # ---------------------------------------------------------------------
-# reducibility witnesses and the factor-by-lifting route
+# reducibility witnesses and the specialisation and lifting route
 
 
 def _exact_quotient(num, den, ar):
@@ -942,103 +865,164 @@ UNDECIDED = object()
 
 
 def lifting_route(t: ResiduePoly, budget):
-    """Decide a T in exactly two variables by specialising one of them,
-    factoring and Hensel lifting: a checked factor of T, None when T is
-    irreducible, or UNDECIDED when budget runs out first or T is not in
-    exactly two variables.
+    """Decide a T in n >= 2 variables by specialising all but one: a
+    checked factor of T, None when T is irreducible, or UNDECIDED when
+    budget runs out first or T is in fewer than two variables.
 
-    For X the first and then the second variable, with Y the other, d =
-    deg_X T and e = deg_Y T, and only when T is primitive in X:
-    - the points c for Y are drawn lazily in the order of
-      `ResidueField.elements()`.  A point is good when T's X-leading
-      coefficient lc(c) != 0 and T(X, c) is squarefree.  The points
-      where either fails are roots of lc or of the resultant of T and
-      dT/dX, at most 2*d*e of them unless that resultant is 0, so the
-      walk stops after 2*d*e + 1 such points;
-    - T(X, c) is factored over F_q at each good point.  If it has one
-      factor, T is irreducible and no lifting runs: a factorisation T =
-      A*B would have both parts of positive X-degree, since T is
-      primitive in X, and A(X, c)*B(X, c) would then factor T(X, c),
-      whose X-degree is d since lc(c) != 0.  The walk factors up to d +
-      1 good points when a factorisation is charged no more than the
-      lifting it may save (see the charges below), as over a small
-      field, and only the first otherwise, as when q is large;
-    - when none of them has one factor, the factors at the first good
-      point are lifted (Y - c)-adically to precision k = e + 1, with
-      T's leading coefficient imposed (P. S. Wang, Math. Comp. 32,
-      1978);
+    Let T be primitive in a main variable X, and let c be a point for
+    the other variables where T's X-leading coefficient lc(c) != 0.  A
+    factorisation T = A*B has both parts of positive X-degree, so
+    A(c)*B(c) would factor T(c), whose X-degree is d = deg_X T; so a
+    T(c) with one factor proves T irreducible.  For each X in turn:
+    - primitivity.  For n = 2 it is the content of T in X.  For n >= 3,
+      for each other variable Y, T's content C in X has Y-degree 0 if
+      some X-coefficient a_k has Y-degree 0, or if at some point b for
+      the remaining n - 2 variables the a_s of least Y-degree keeps its
+      Y-degree and the a_k(b) have gcd 1 over F_q[Y]: C(b) divides that
+      gcd, and keeps C's Y-degree since C's Y-leading coefficient
+      divides a_s's.  X is passed over when the test fails;
+    - the points c of F_q^(n-1) are drawn lazily, each variable's values
+      in the order of `ResidueField.elements()`, the first variable's
+      the most significant.  A point is good when lc(c) != 0 and, for
+      n = 2, T(X, c) is squarefree.  Ben-Or's test, the first step of
+      `_distinct_degree`, runs at each good point, and a T(X, c) with
+      one factor ends the route.
+
+    For n >= 3 the walk goes on until the budget or the points run out.
+    For n = 2, with e = deg_Y T for the other variable Y:
+    - the points that are not good are roots of lc or of the resultant
+      of T and dT/dX, at most 2*d*e of them unless that resultant is 0,
+      so the walk stops after 2*d*e + 1 of them.  It tests up to d + 1
+      good points when a test is charged no more than the lifting it
+      may save, as over a small field, and only the first otherwise;
+    - when none has one factor, the distinct-degree factorisation at
+      the first good point runs on from its first step and is split,
+      and the factors are lifted (Y - c)-adically to precision k = e +
+      1, with T's leading coefficient imposed (P. S. Wang, Math. Comp.
+      32, 1978);
     - for each subset S of the lifted factors, of size at most half
       their number r, the primitive part in X of lc * prod_S G_i, with
-      Y's powers below k, is tried as a divisor of T.  A subset of size
-      r/2 is tried only if it holds the first lifted factor, because
-      its complement gives the same split.
+      Y's powers below k, is tried as a divisor of T; a subset of size
+      r/2 only if it holds the first factor, as its complement gives
+      the same split.  If T = A*B, A(X, c) is the product of a subset
+      of T(X, c)'s factors, whose lifts are unique, and lc * prod_S G_i
+      = lc(B) * A mod (Y - c)^k; lc(B) * A has Y-degree at most e, so
+      it is the truncated product, with primitive part A.  One of A and
+      B has at most half the factors, so when no subset divides T, T is
+      irreducible.
 
-    If T = A*B, both have positive X-degree, and A(X, c) is the product
-    of some subset of T(X, c)'s factors, whose lifts are unique; lc *
-    prod_S G_i = lc(B) * A mod (Y - c)^k, and lc(B) * A has Y-degree at
-    most e, so it is that polynomial, whose primitive part is A.  One
-    of A and B has at most half the factors.  So when no subset gives a
-    divisor, T is irreducible.
+    The budget counts, each when it runs: one per point drawn, by the
+    walk or the primitivity test; d^3 * bitlen(q) per good point, the
+    field operations of Rabin's test up to a constant factor, which
+    bound Ben-Or's test and the factorisation; and d^2 * (e + 1)^2 for
+    the lifting and for each subset, their field operations up to a
+    constant factor.  A test the budget cannot pay ends the walk in X;
+    a lifting it cannot pay, or a walk with no good point, moves on to
+    the next X, whose charges may be lower; a subset it cannot pay
+    leaves T undecided.
 
-    The budget counts, each when it runs: one per point drawn; d^3 *
-    bitlen(q) per factorisation, the field operations of Rabin's test
-    up to a constant factor; and d^2 * (e + 1)^2 for the lifting and
-    for each subset, the field operations of the lifting, and of a
-    subset's product and trial division, up to a constant factor.  A
-    factorisation the budget cannot pay ends the walk in X, and a
-    lifting it cannot pay, or a walk that factored no point, sends the
-    route on to the other variable, whose charges may be lower.  A
-    subset it cannot pay leaves T undecided.  `is_irreducible_multivariate`
-    sends T here only once `content_factor` has found no content, so
-    there the primitivity check is repeated work; it stays because the
-    argument needs it on a direct call.
+    `is_irreducible_multivariate` sends a T in n >= 3 variables here
+    only when the exhaustive search's count, and so q, is within the
+    limit, because only the budget bounds the walk, not what a unit of
+    it costs.  The content Z3 + 1 of (Z1*Z2 + 1)*(Z3 + 1) makes the
+    primitivity test draw every point of Z2: over F_(p^2) with p = 10^9
+    + 7 each took about 0.3 ms on a shared 2-core x86-64 host (12 us
+    over F_p), so a budget of 10^6 would run for minutes.
     """
-    ar, terms, pair = _setup(t)
-    if len(pair) != 2:
+    ar, terms, used = _setup(t)
+    n = len(used)
+    if n < 2:
         return UNDECIDED
     left = budget
-    for x, y in (pair, pair[::-1]):
-        rows = _rows(terms, x, y, ar)
-        d, e = len(rows) - 1, max(map(len, rows)) - 1
-        if len(_content(rows, ar)) > 1:
+    bits = ar.q.bit_length()
+
+    def points(variables):
+        # the points for variables, drawn lazily in the walk's order, as
+        # values of all of T's variables (None elsewhere); each costs 1
+        nonlocal left
+        values = [None] * t.nvars
+
+        def walk(k):
+            if k == len(variables):
+                yield values
+                return
+            for c in ar.elements():
+                values[variables[k]] = c
+                yield from walk(k + 1)
+
+        for point in walk(0):
+            if left <= 0:
+                return
+            left -= 1
+            yield point
+
+    def primitive(x, rest):
+        for y in rest:
+            degs = {}  # k -> Y-degree of a_k
+            for e in terms:
+                degs[e[x]] = max(degs.get(e[x], 0), e[y])
+            s = min(degs, key=degs.get)
+            if degs[s] == 0:
+                continue
+            for values in points([j for j in rest if j != y]):
+                ev = {k: c for k, c in _evaluate(terms, values, (x, y),
+                                                 ar).items() if c}
+                if ((s, degs[s]) in ev
+                        and len(_content(_rows(ev, 0, 1, ar), ar)) == 1):
+                    break
+            else:
+                return False
+        return True
+
+    for x in used:
+        rest = [j for j in used if j != x]
+        if n == 2:
+            y, = rest
+            rows = _rows(terms, x, y, ar)
+            if len(_content(rows, ar)) > 1:
+                continue
+            d, e = len(rows) - 1, max(map(len, rows)) - 1
+            testing, lift = d ** 3 * bits, d * d * (e + 1) ** 2
+            most_bad, scan = 2 * d * e, d + 1 if testing <= lift else 1
+        elif primitive(x, rest):
+            d = t.degree_in(x)
+            testing, most_bad, scan = d ** 3 * bits, math.inf, math.inf
+        else:
             continue
-        factoring = d ** 3 * ar.q.bit_length()
-        lift = d * d * (e + 1) ** 2
-        scan = d + 1 if factoring <= lift else 1
         first = None
         bad = good = 0
-        for c in ar.elements():
-            if left <= 0 or bad > 2 * d * e or good == scan:
-                break
-            left -= 1
-            ev = _evaluate(terms, [c] * t.nvars, (x,), ar)
+        for values in points(rest):
+            ev = _evaluate(terms, values, (x,), ar)
             f = [ev.get((a,), ar.zero) for a in range(d + 1)]
-            slope = [ar.mul(ar.from_int(a), f[a]) for a in range(1, d + 1)]
-            if not f[d] or len(_gcd(f, slope, ar)) > 1:
+            if not f[d] or n == 2 and len(_gcd(f, [
+                    ar.mul(ar.from_int(a), f[a])
+                    for a in range(1, d + 1)], ar)) > 1:
                 bad += 1
-                continue
-            if left < factoring:
+            elif left < testing:
                 break
-            left -= factoring
-            good += 1
-            factors = _factor_squarefree(_monic(f, ar), ar)
-            if len(factors) == 1:
-                return None
-            if first is None:
-                first = factors, c
-        if first is None:
-            continue
-        factors, c = first
-        if left < lift:
+            else:
+                left -= testing
+                good += 1
+                parts = _distinct_degree(_monic(f, ar), ar)
+                k, g = next(parts)
+                if k == d:
+                    return None
+                if n == 2 and first is None:
+                    first = itertools.chain([(k, g)], parts), values[y]
+            if bad > most_bad or good == scan:
+                break
+        if n > 2 or first is None or left < lift:
             continue
         left -= lift
-        lc, lifted = _hensel(rows, c, e + 1, factors, ar)
+        parts, c = first
+        lc, lifted = _hensel(rows, c, e + 1, _factor_squarefree(parts, ar),
+                             ar)
         back = ar.sub(ar.zero, c)
         r = len(lifted)
         for size in range(1, r // 2 + 1):
             subsets = itertools.combinations(lifted, size)
             if 2 * size == r:
-                subsets = ((lifted[0],) + rest for rest in
+                subsets = ((lifted[0],) + others for others in
                            itertools.combinations(lifted[1:], size - 1))
             for subset in subsets:
                 if left < lift:
@@ -1087,12 +1071,10 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
         total += field.q ** below
         if total > limit:
             break
-    if used == 2:
+    if used == 2 or total <= limit:
         factor = lifting_route(t, limit)
         if factor is not UNDECIDED:
             return factor is None
-    elif total <= limit and specialisation_witness(t, total) is not None:
-        return True
     if total > limit:
         raise ResourceLimitExceeded(
             "multivariate divisor candidates", limit, total)

@@ -1,7 +1,7 @@
 """Residue fields: univariate irreducibility and factorisation, the
 composite field, and the routes that decide residue polynomials: the
-reducibility witnesses, the specialisation witness, the exhaustive
-divisor search and the lifting route."""
+reducibility witnesses, the specialisation and lifting route and the
+exhaustive divisor search."""
 
 import collections
 import gc
@@ -24,6 +24,7 @@ from liftcert.errors import ConfigError, ResourceLimitExceeded
 from liftcert.finitefield import (
     DegreesNotCoprime,
     GeneratorReducible,
+    ResidueElement,
     fp_normalize,
 )
 
@@ -193,11 +194,30 @@ class TestResidueField:
         with pytest.raises(ZeroDivisionError):
             ResidueField(3, []).zero.inverse()
 
+    def test_equal_residues_hash_equal_in_any_term_order(self):
+        # the hash is kept after its first use; equal residues built with
+        # their terms, and their coefficients' monomials, in other orders
+        # hash equal, and so does the same residue built as a product
+        # (Z1 + 1 + y)(Z2 + 2y) over F_9 = F_3[y]/(y^2 + 1)
+        f9 = ResidueField(3, [(1, 0, 1)])
+        terms = {(1, 1): f9.one, (1, 0): f9.element({(1,): 2}),
+                 (0, 1): f9.element({(0,): 1, (1,): 1}),
+                 (0, 0): f9.element({(0,): 1, (1,): 2})}
+        a = ResiduePoly(f9, 2, terms)
+        hash(a)
+        backwards = {e: ResidueElement(f9, dict(reversed(c.coeffs.items())))
+                     for e, c in reversed(terms.items())}
+        b = ResiduePoly(f9, 2, backwards)
+        product = (ResiduePoly(f9, 2, {(1, 0): f9.one, (0, 0): terms[0, 1]})
+                   * ResiduePoly(f9, 2, {(0, 1): f9.one, (0, 0): terms[1, 0]}))
+        for other in (b, product):
+            assert other == a and hash(other) == hash(a)
+        assert {a: 1}[product] == 1
+
 
 def _poly(field, terms):
-    return ResiduePoly(
-        field, 2, {e: field.from_int(c) for e, c in terms.items()}
-    )
+    return ResiduePoly(field, len(next(iter(terms))),
+                       {e: field.from_int(c) for e, c in terms.items()})
 
 
 class TestMultivariateIrreducibility:
@@ -271,13 +291,13 @@ class TestMultivariateIrreducibility:
 
     def test_one_variable_never_reaches_the_search(self, monkeypatch):
         # Ben-Or's test decides a T with positive degree in one variable:
-        # no candidate count, witness or divisor search runs, so Z^30 +
-        # Z + 2 over F_3, whose count is 3 + ... + 3^15, is decided too
+        # no candidate count, specialisation route or divisor search runs,
+        # so Z^30 + Z + 2 over F_3, whose count is 3 + ... + 3^15, is
+        # decided too
         def refuse(*args):
             raise AssertionError("the multivariate decision ran")
 
-        for name in ("_divisor_slots", "_divisor_search",
-                     "specialisation_witness"):
+        for name in ("_divisor_slots", "_divisor_search", "lifting_route"):
             monkeypatch.setattr(finitefield, name, refuse)
         f3 = ResidueField(3, [])
         two = f3.from_int(2)
@@ -345,8 +365,9 @@ class TestMultivariateIrreducibility:
 
     def test_guard(self):
         # Z1^2 Z2^2 Z3^2 + Z1 Z2 Z3 + 1 over F_2 has no monomial factor
-        # and is no square, and the content and lifting routes take two
-        # variables only, so no route decides it above the limit
+        # and is no square, the content witness takes two variables only,
+        # and the specialisation route a T in three only within the
+        # limit, so no route decides it above the limit
         f2 = ResidueField(2, [])
         one = f2.one
         t = ResiduePoly(f2, 3, {(2, 2, 2): one, (1, 1, 1): one, (0, 0, 0): one})
@@ -476,6 +497,19 @@ def _specialise(t, i, c):
     return ResiduePoly(field, 1, out)
 
 
+def _has_single_factor_point(t):
+    """Whether some point c for all variables but one, Z_i, keeps T's
+    Z_i-degree and leaves T(c) irreducible, by enumeration."""
+    elems = list(t.field.elements())
+    for i in range(t.nvars):
+        for c in itertools.product(elems, repeat=t.nvars - 1):
+            tc = _specialise(t, i, c)
+            if (tc.degree_in(0) == t.degree_in(i) >= 1
+                    and is_irreducible_multivariate(tc)):
+                return True
+    return False
+
+
 def _corner_family(field, box):
     """Every T on the degree box whose coefficient on the box's corner is
     1 and whose other coefficients range over the field."""
@@ -514,20 +548,8 @@ class TestSpecialisationWitness:
             assert not answers or finitefield._divisor_search(t) == answer
             routes.update(answers.keys())
         assert routes["monomial_factor"]
-        assert len(box) != 2 or (
-            routes["content_factor"] and routes["lifting_route"])
-        replays = []
-        for t in polys:
-            witness = finitefield.specialisation_witness(t, 10 ** 6)
-            if witness is None:
-                continue
-            i, c = witness
-            assert len(c) == t.nvars - 1
-            tc = _specialise(t, i, c)
-            assert tc.degree_in(0) == t.degree_in(i)
-            replays.append(tc)
-        assert replays
-        assert all(_exhaustive(replays))
+        assert len(box) != 2 or routes["content_factor"]
+        assert len(box) == 1 or routes["lifting_route"]
 
     @pytest.mark.parametrize("p,gens,box", [
         (2, [], (2, 2)),
@@ -536,33 +558,47 @@ class TestSpecialisationWitness:
         (2, [], (3, 1)),
     ], ids=["F_2-2x2", "F_3-2x1", "F_4-1x1", "F_2-3x1"])
     def test_lifting_route_keeps_its_reach(self, p, gens, box, monkeypatch):
-        # on the two-variable boxes above, every T that the witness
-        # decides is decided irreducible without the search, and the
-        # witness is never asked about a T in two variables
+        # on the two-variable boxes above, every irreducible T with a
+        # single-factor point, a point for one variable that keeps T's
+        # degree in the other and leaves T irreducible, is decided
+        # without the search
         field = ResidueField(p, gens)
-        witnessed = [t for t in _corner_family(field, box)
-                     if finitefield.specialisation_witness(t, 10 ** 6)]
+        pointed = [t for t in _corner_family(field, box)
+                   if _has_single_factor_point(t)]
+        witnessed = [t for t, irreducible in zip(pointed, _exhaustive(pointed))
+                     if irreducible]
         assert witnessed
-        for name in ("_divisor_search", "specialisation_witness"):
-            monkeypatch.setattr(finitefield, name, _refuse)
+        monkeypatch.setattr(finitefield, "_divisor_search", _refuse)
         assert all(is_irreducible_multivariate(t) for t in witnessed)
 
     def test_no_witness_for_a_content_factor(self):
         # Y*Z + Y = Y*(Z + 1) is not primitive in Z, and every
-        # specialisation in Y keeps the factor Z + 1
+        # specialisation in Y keeps the factor Z + 1; nor is (Z1 + 1)(Z2
+        # + Z3 + 1) primitive in any variable
         f3 = ResidueField(3, [])
-        t = _poly(f3, {(1, 1): 1, (1, 0): 1})
-        assert finitefield.specialisation_witness(t, 10 ** 6) is None
-        assert not is_irreducible_multivariate(t)
+        for t in (_poly(f3, {(1, 1): 1, (1, 0): 1}),
+                  _poly(f3, {(1, 0, 0): 1, (0, 0, 0): 1})
+                  * _poly(f3, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})):
+            assert finitefield.lifting_route(t, 10 ** 6) is not None
+            assert not is_irreducible_multivariate(t)
 
-    def test_budget_bounds_points_tried(self):
-        # Y^2 Z^2 + 1 over F_3: primitive in Z_1, and T(0) = 1 drops the
-        # degree, so the first witness is at the second point
+    def test_budget_counts_three_variable_points_and_tests(self):
+        # Z1^2 Z2 Z3 + Z2 + Z3 over F_3.  In Z1, the primitivity test
+        # draws Z3 = 0, where the Z1^2-coefficient Z2 Z3 loses its
+        # Z2-degree, and Z3 = 1, and likewise two values of Z2: 4.  The
+        # walk's points (0, 0), (0, 1), (0, 2) and (1, 0) are roots of
+        # the leading coefficient Z2 Z3, and at (1, 1) a Ben-Or test,
+        # 2^3 * bitlen(3) = 16, cannot be paid: 5.  In Z2 the test draws
+        # Z1 = 0 and 1, and the point (0, 0) gives the linear T(0, Z2,
+        # 0) = Z2, whose test costs 1 * 2: 2 + 1 + 2.  One unit less
+        # leaves the last test unpaid, and Z3's primitivity test then
+        # runs out of budget
         f3 = ResidueField(3, [])
-        t = _poly(f3, {(2, 2): 1, (0, 0): 1})
-        assert finitefield.specialisation_witness(t, 1) is None
-        i, c = finitefield.specialisation_witness(t, 3)
-        assert i == 0 and c == (f3.from_int(1),)
+        t = _poly(f3, {(2, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+        assert finitefield.factor_witness(t) is None
+        assert finitefield.lifting_route(t, 4 + 5 + 5) is None
+        assert finitefield.lifting_route(t, 4 + 5 + 4) is finitefield.UNDECIDED
+        assert _reference_irreducible(t)
 
     def test_large_prime_field_without_tables(self):
         # -1 is not a square mod 100003 (100003 = 3 mod 4)
@@ -629,8 +665,12 @@ class TestDivisorSearch:
             for polys in (products, draws))
         assert products and draws
         pruned = [finitefield._divisor_search(t) for t in products + draws]
-        assert pruned == _exhaustive(products + draws)
+        reference = _exhaustive(products + draws)
+        assert pruned == reference
         assert not any(pruned[:len(products)])
+        # and every route that decides a T agrees with the reference
+        for t, answer in zip(products + draws, reference):
+            assert set(_route_answers(t).values()) <= {answer}, t
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_factors_on_the_bounds(self, name):
@@ -692,15 +732,16 @@ class TestDivisorSearch:
 
     def test_undecided_above_the_limit_raises_as_before(self):
         # Z1^2 Z2^2 Z3^2 + Z1 + Z2 + Z3 + 1 over F_3: three variables, no
-        # monomial factor, not a cube, so every route is undecided and
-        # the guard raises with the count and message it always had
+        # monomial factor, not a cube.  The route, called directly,
+        # decides it; above the limit it is not called, so the guard
+        # raises with the count and message it always had
         f3 = ResidueField(3, [])
         one = f3.one
         t = ResiduePoly(f3, 3, {(2, 2, 2): one, (1, 0, 0): one,
                                 (0, 1, 0): one, (0, 0, 1): one,
                                 (0, 0, 0): one})
         assert finitefield.factor_witness(t) is None
-        assert finitefield.lifting_route(t, 10 ** 6) is finitefield.UNDECIDED
+        assert finitefield.lifting_route(t, 10 ** 6) is None
         with pytest.raises(ResourceLimitExceeded) as exc:
             is_irreducible_multivariate(t)
         assert str(exc.value) == (
@@ -826,7 +867,6 @@ class TestReducibilityRoutes:
             return search(t)
 
         monkeypatch.setattr(finitefield, "_divisor_search", spy)
-        monkeypatch.setattr(finitefield, "specialisation_witness", _refuse)
         polys = {}
         for a, b, c, d in itertools.product(range(3), repeat=4):
             polys[a, b, c, d] = _poly(f3, {(2, 2): 1, (1, 1): a, (1, 0): b,
@@ -841,8 +881,7 @@ class TestReducibilityRoutes:
             self, monkeypatch):
         # (Z1 + Z2 + 1)(Z1 + 2 Z2 + 3) over F_997: the unpruned count,
         # 997^2 = 994,009, is below the guard, and the route lifts two
-        # linear factors at its first good point; neither the witness nor
-        # the search runs
+        # linear factors at its first good point; the search does not run
         f = ResidueField(997, [])
         a = _poly(f, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
         b = _poly(f, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
@@ -850,8 +889,7 @@ class TestReducibilityRoutes:
         factor = finitefield.lifting_route(t, 10 ** 6)
         assert factor in (a, b)
         _assert_proper_factor(t, factor)
-        for name in ("_divisor_search", "specialisation_witness"):
-            monkeypatch.setattr(finitefield, name, _refuse)
+        monkeypatch.setattr(finitefield, "_divisor_search", _refuse)
         start = time.process_time()
         assert not is_irreducible_multivariate(t)
         assert time.process_time() - start < 0.25
@@ -880,7 +918,8 @@ class TestReducibilityRoutes:
             if len(finitefield._gcd(f, slope, ar)) > 1:
                 continue
             tried += 1
-            factors = finitefield._factor_squarefree(f, ar)
+            factors = finitefield._factor_squarefree(
+                finitefield._distinct_degree(f, ar), ar)
             prod = [ar.one]
             for g in factors:
                 assert g[-1] == ar.one and finitefield._ben_or(g, ar)

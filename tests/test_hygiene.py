@@ -1,14 +1,17 @@
-"""Leftovers in the package source, found by reading it with ast, and
-the README's lists of verdicts and exit codes.
+"""Leftovers in the package source, found by reading it with ast and
+tokenize, and the README's lists of verdicts and exit codes.
 
-Two kinds of leftover fail: a module that imports a name it never uses,
-and a module-level private function or class (one named _x) that nothing
-in the package references outside its own body.  The re-exports of
-__init__.py are exempt.
+Three kinds of leftover fail: a module that imports a name it never
+uses; a module-level private function or class (one named _x) that
+nothing in the package references outside its own body; and a
+backticked Python name in a docstring or comment that names nothing the
+package defines, such as a deleted function.  The re-exports of
+__init__.py are exempt from the first.
 """
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 from liftcert import cli, lifting
@@ -71,6 +74,49 @@ def test_every_private_definition_is_referenced():
                        for other in modules.values()):
                 unreferenced.append(f"{name}: {node.name}")
     assert unreferenced == []
+
+
+def _defined_names(modules):
+    """Every name the package defines: its modules, and the functions,
+    classes, parameters, variables and attributes that its code binds."""
+    names = {Path(name).stem for name in modules}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)):
+                names.add(node.attr)
+    return names
+
+
+def _docs_and_comments(path, tree):
+    """The docstrings and comments of one module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node)
+            if doc:
+                yield doc
+    with path.open(encoding="utf-8") as source:
+        for token in tokenize.generate_tokens(source.readline):
+            if token.type == tokenize.COMMENT:
+                yield token.string
+
+
+def test_every_backticked_name_is_defined():
+    modules = _modules()
+    defined = _defined_names(modules)
+    stale = []
+    for name, tree in modules.items():
+        for text in _docs_and_comments(PACKAGE / name, tree):
+            for span in re.findall(r"`([A-Za-z_][\w.]*)(?:\(\))?`", text):
+                if not all(part in defined for part in span.split(".")):
+                    stale.append(f"{name}: {span}")
+    assert stale == []
 
 
 def _constants(module, prefix):

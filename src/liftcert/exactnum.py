@@ -1,15 +1,32 @@
-"""Primality and the p-adic valuation of rationals.
+"""Primality, the p-adic valuation of rationals, and their stored form.
 
-Rationals are Python fractions: always reduced, denominator positive,
-zero stored as 0/1.  They serialize as "a/b" or "a" (never decimals).
-Valuations are plain numbers too: vp gives an int, w and its marginals
-are Fractions, and None stands for +infinity, the valuation of 0 and of
-the zero polynomial, which every certify path rejects.
+An exact rational is stored as an int when it is integral and as a
+Fraction otherwise (`rational`); the two compare, hash and print alike,
+as "a" or "a/b", never decimals.  vp gives an int, w and its marginals
+are exact rationals too, and None stands for +infinity, the valuation
+of 0 and of the zero polynomial, which every certify path rejects.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ConfigError
+
+
+def rational(num, den=1):
+    """num/den as it is stored: an int when den divides num, else a
+    Fraction.  Anything but ints and Fractions raises TypeError, above
+    all a float, whose value is already rounded (a stray true division);
+    a zero den raises ZeroDivisionError."""
+    if type(num) is int and type(den) is int and den:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    elif isinstance(num, float):
+        raise TypeError(f"a float is not an exact rational: {num!r}")
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 # Miller-Rabin on the first 13 prime bases, 2..41, is exact below this

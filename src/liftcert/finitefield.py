@@ -466,9 +466,6 @@ class ResidueElement:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _key(self):
-        return tuple(sorted(self.coeffs.items()))
-
     def __eq__(self, other):
         return (
             isinstance(other, ResidueElement)
@@ -477,7 +474,7 @@ class ResidueElement:
         )
 
     def __hash__(self):
-        return hash((self.field, self._key()))
+        return hash((self.field, frozenset(self.coeffs.items())))
 
     def __add__(self, other, sign=1):
         out = dict(self.coeffs)
@@ -578,8 +575,9 @@ class ResiduePoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, self.nvars, tuple(sorted(
-                (e, c._key()) for e, c in self.terms.items()))))
+            self._hash = hash((self.field, self.nvars, frozenset(
+                [(e, frozenset(c.coeffs.items()))
+                 for e, c in self.terms.items()])))
         return self._hash
 
     def __mul__(self, other):

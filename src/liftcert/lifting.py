@@ -21,13 +21,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitExceeded
-from .exactnum import check_prime, vp
+from .exactnum import check_prime, rational, vp
 from .finitefield import ResiduePoly, is_irreducible_multivariate, residue_text
 from .multipoly import MultiPoly, PhiExpansion, reconstruct
 from .parse import MAX_COEFF_BITS, MAX_DEGREE
@@ -378,7 +377,7 @@ def generate_lifting(
         return f
 
     noise = _noise(random.Random(seed), config, t)
-    level = int(config.lifting_target(t)) + 1
+    level = config.lifting_target(t) + 1
     for attempt in range(60):
         g = f + noise.scale(p ** level)
         report = check_lifting(g, config)
@@ -483,13 +482,13 @@ def suggest_pairs(f: MultiPoly, p: int):
             e: c for e, c in f.terms.items()
             if not any(k for j, k in enumerate(e) if j != i)
         })
-        deltas = [Fraction(0)]
+        deltas = [0]
         for slope in _newton_slopes(u, i, p):
             if slope > 0 and slope not in deltas:
                 deltas.append(slope)
         per_var.append(deltas)
     return [
-        [RationalCenter(Fraction(0), delta) for delta in combo]
+        [RationalCenter(0, delta) for delta in combo]
         for combo in itertools.islice(itertools.product(*per_var),
                                       MAX_SUGGESTIONS)
     ]
@@ -513,7 +512,7 @@ def _newton_slopes(u: MultiPoly, i: int, p: int):
         hull.append(pt)
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slopes.append(Fraction(y1 - y2, x2 - x1))
+        slopes.append(rational(y1 - y2, x2 - x1))
     return slopes
 
 

@@ -1,8 +1,9 @@
 """Sparse exact multivariate polynomials over the rationals.
 
 A polynomial in n variables is a map from exponent vectors (tuples of n
-nonnegative integers) to nonzero rational coefficients.  The module also
-provides the canonical phi-adic expansion
+nonnegative integers) to nonzero exact rational coefficients, each an
+int when it is integral and a Fraction otherwise (`rational`).  The
+module also provides the canonical phi-adic expansion
 
     f = sum_I  a_I * phi_1^{i_1} * ... * phi_n^{i_n}
 
@@ -19,19 +20,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import repeat
 
 from .errors import DEFAULT_CANDIDATE_LIMIT, LiftcertError, ResourceLimitExceeded
-from .exactnum import vp
+from .exactnum import rational, vp
 
 
 class VariableMismatch(LiftcertError):
     """Operands disagree on the number of variables."""
-
-
-def _as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def grlex_key(exps):
@@ -64,7 +60,9 @@ def terms_to_str(terms, names) -> str:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients,
+    stored as `rational` returns them: a float coefficient raises
+    TypeError."""
 
     __slots__ = ("nvars", "terms")
 
@@ -73,8 +71,9 @@ class MultiPoly:
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = _as_fraction(c)
-                if c == 0:
+                if type(c) is not int:
+                    c = rational(c)
+                if not c:
                     continue
                 exps = tuple(exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
@@ -99,13 +98,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def from_univariate(cls, nvars: int, i: int, coeffs) -> "MultiPoly":
@@ -119,8 +118,8 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coeff(self, exps):
+        return self.terms.get(tuple(exps), 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -133,7 +132,7 @@ class MultiPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if self.degree() > 0:
             raise ValueError("polynomial is not constant")
         return self.coeff((0,) * self.nvars)
@@ -150,7 +149,7 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
+            s = terms.get(exps, 0) + c
             if s == 0:
                 terms.pop(exps, None)
             else:
@@ -169,7 +168,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
                 else:
@@ -177,8 +176,8 @@ class MultiPoly:
         return MultiPoly(self.nvars, terms)
 
     def scale(self, c) -> "MultiPoly":
-        c = _as_fraction(c)
-        if c == 0:
+        c = rational(c)
+        if not c:
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
 
@@ -236,7 +235,7 @@ class MultiPoly:
                 binom = binom * j // (k - j + 1)
         den *= v ** top
         return MultiPoly._of(self.nvars, {
-            e: Fraction(s) if den == 1 else Fraction(s * v ** e[i], den)
+            e: s if den == 1 else rational(s * v ** e[i], den)
             for e, s in sums.items() if s})
 
     def __eq__(self, other) -> bool:
@@ -312,7 +311,7 @@ def _divide(terms, i: int, phi, limit, undo=False):
                         coeffs[d - m + j] += pj * lead
         for e, c in enumerate(coeffs):
             if c:
-                out[key[:i] + (e,) + key[i + 1:]] = Fraction(c, den)
+                out[key[:i] + (e,) + key[i + 1:]] = rational(c, den)
     return out
 
 

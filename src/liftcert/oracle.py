@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_CANDIDATE_LIMIT, ResourceLimitExceeded
+from .exactnum import rational
 from .multipoly import MultiPoly, grlex_key
 
 WINDOW_EXTRA = 6  # points evaluated beyond the r+1 a degree-r search needs
@@ -49,7 +50,7 @@ MAX_TOTAL_DEGREE = 8
 class FactorizationResult:
     """scalar * prod factors^multiplicities equals the input exactly."""
 
-    scalar: Fraction
+    scalar: Fraction  # an int when integral, as `rational` stores it
     factors: list  # (primitive MultiPoly with positive grlex lead, mult)
 
     @property
@@ -116,8 +117,8 @@ def _primitive_part(f: MultiPoly):
                          for c in f.terms.values()))
     lead_exps = max(f.terms, key=grlex_key)
     sign = -1 if f.terms[lead_exps] < 0 else 1
-    scalar = Fraction(sign * content, denom)
-    return f.scale(1 / scalar), scalar
+    scalar = rational(sign * content, denom)
+    return f.scale(rational(denom, sign * content)), scalar
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly):
@@ -133,7 +134,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly):
         if any(a < b for a, b in zip(r_lead, g_lead)):
             return None
         shift = tuple(a - b for a, b in zip(r_lead, g_lead))
-        term = MultiPoly(f.nvars, {shift: r.terms[r_lead] / g_c})
+        term = MultiPoly(f.nvars, {shift: rational(r.terms[r_lead], g_c)})
         q = q + term
         r = r - term * g
     return q
@@ -158,15 +159,9 @@ def _kron_to_univariate(f: MultiPoly, d_base: int):
 
 
 def _kron_from_univariate(coeffs, d_base: int, nvars: int) -> MultiPoly:
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if nvars == 1:
-            terms[(k,)] = Fraction(c)
-        else:
-            terms[(k % d_base, k // d_base)] = Fraction(c)
-    return MultiPoly(nvars, terms)
+    return MultiPoly(nvars, {
+        (k,) if nvars == 1 else (k % d_base, k // d_base): c
+        for k, c in enumerate(coeffs)})
 
 
 def _factor_primitive(f: MultiPoly, guard: int):

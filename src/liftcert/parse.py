@@ -15,26 +15,26 @@ inside Python's recursion limit.
 A term made of numbers and powers of variables is built directly as an
 exponent tuple and a coefficient (an int, or a Fraction once an "a/b"
 literal appears), and the terms of an expression are summed into one
-dict; MultiPoly arithmetic runs only for parenthesised factors and their
-powers.  Size is checked before any arithmetic: an exponent, a term's
-degree or a product's degree above MAX_DEGREE, or a multiplication that
-would form more than MAX_TERMS term products, raises
-ResourceLimitExceeded.  So does a coefficient above MAX_COEFF_BITS bits
-(of its numerator or denominator): a literal's digits are counted before
-it is converted (parse_number, which pair and residue files share), a
-number's power is checked before it is taken, and every coefficient
-product, sum and multiplication after it, so every coefficient returned
-prints within Python's default 4,300-digit limit on int-to-string
-conversion.
+dict, handed to MultiPoly in `rational`'s form; MultiPoly arithmetic
+runs only for parenthesised factors and their powers.  Size is checked
+before any arithmetic: an exponent, a term's degree or a product's
+degree above MAX_DEGREE, or a multiplication that would form more than
+MAX_TERMS term products, raises ResourceLimitExceeded.  So does a
+coefficient above MAX_COEFF_BITS bits (of its numerator or denominator):
+a literal's digits are counted before it is converted (parse_number,
+which pair and residue files share), a number's power is checked before
+it is taken, and every coefficient product, sum and multiplication after
+it, so every coefficient returned prints within Python's default
+4,300-digit limit on int-to-string conversion.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from .errors import LiftcertError, ResourceLimitExceeded
+from .exactnum import rational
 from .multipoly import MultiPoly
 
 MAX_NESTING = 100
@@ -88,8 +88,8 @@ def check_coeff(c):
 
 
 def parse_number(text):
-    """The number written "a" or "a/b" with an optional sign: an int, or
-    a Fraction for "a/b".  The digits after each part's leading zeros
+    """The number written "a" or "a/b" with an optional sign, as
+    `rational` stores it.  The digits after each part's leading zeros
     are counted before any int is built: more than _MAX_DIGITS of them
     raise ResourceLimitExceeded, and check_coeff decides the numbers at
     the boundary once built.  A zero denominator raises
@@ -100,7 +100,7 @@ def parse_number(text):
     if digits > _MAX_DIGITS:  # 10^(digits - 1) has more bits
         raise ResourceLimitExceeded("coefficient bits", MAX_COEFF_BITS,
                                     int((digits - 1) * math.log2(10)) + 1)
-    number = int(parts[0]) if len(parts) == 1 else Fraction(*map(int, parts))
+    number = rational(*map(int, parts))
     return check_coeff(-number if text.startswith("-") else number)
 
 
@@ -154,7 +154,8 @@ class _Parser:
             self.parse_term(terms, -1 if op == "-" else 1)
             op = self.accept("+-")
             if op is None:
-                return MultiPoly(self.nvars, terms)
+                return MultiPoly._of(self.nvars, {
+                    e: rational(c) for e, c in terms.items() if c})
 
     def parse_term(self, terms, sign):
         """Add sign times the next term into terms, {exponents:

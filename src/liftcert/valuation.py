@@ -38,6 +38,7 @@ from .errors import (
     LiftcertError,
     ResourceLimitExceeded,
 )
+from .exactnum import rational
 from .finitefield import ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 from .parse import MAX_COEFF_BITS, check_coeff, parse_number
@@ -85,14 +86,14 @@ class Inert:
 @dataclass(frozen=True)
 class PairData:
     spec: object  # RationalCenter or Inert
-    phi: tuple  # working polynomial coefficients, low-to-high (Fractions)
+    phi: tuple  # working polynomial coefficients, low-to-high
     m: int
     lam: Fraction
     e: int
     N: int
     y_index: object  # position among inert generators, or None
 
-    def h_of(self, p: int) -> Fraction:
+    def h_of(self, p: int) -> int:
         """h = p^N, refused (ResourceLimitExceeded) above MAX_COEFF_BITS
         bits so that it prints; p^N has more than N*(bitlen(p) - 1)
         bits, which refuses a huge N before the power is formed."""
@@ -100,7 +101,7 @@ class PairData:
         if low >= MAX_COEFF_BITS:
             raise ResourceLimitExceeded("coefficient bits", MAX_COEFF_BITS,
                                         low + 1)
-        return check_coeff(Fraction(p) ** self.N)
+        return check_coeff(p ** self.N)
 
 
 class PairConfig:
@@ -121,12 +122,12 @@ class PairConfig:
             # has content 0, else phi mod p would be a p-th power, and
             # every k >= 2 term is at least k*delta.  e is the smallest
             # integer with e*lambda integral, and N = e*lambda (h = p^N).
-            lam = Fraction(spec.delta)
+            lam = rational(spec.delta)
             if isinstance(spec, RationalCenter):
-                phi = (Fraction(-spec.center), Fraction(1))
+                phi = (rational(-spec.center), 1)
                 y_index = None
             else:
-                phi = tuple(Fraction(c) for c in spec.phi)
+                phi = tuple(spec.phi)
                 y_index = len(inert_gens)
                 inert_gens.append(spec.phi)
             pairs.append(
@@ -180,8 +181,8 @@ class PairConfig:
         variable, where only that variable's lambda is added to the
         coefficient value (the others are evaluated at their centers).
         The walk adds ints scaled by E = lcm(e_i), since lambda_i * E =
-        N_i * E / e_i; the values returned are Fractions, None for the
-        zero polynomial's empty table."""
+        N_i * E / e_i; the values returned are exact rationals, ints
+        when integral, None for the zero polynomial's empty table."""
         scale, steps = self.scale, self.steps
         best = None
         contributing = []
@@ -200,14 +201,14 @@ class PairConfig:
                 contributing.append(idx)
         if best is None:
             return None, contributing, marginals
-        return (Fraction(best, scale), contributing,
-                [Fraction(m, scale) for m in marginals])
+        return (rational(best, scale), contributing,
+                [rational(m, scale) for m in marginals])
 
     # -- residue extraction ---------------------------------------------
 
-    def lifting_target(self, t) -> Fraction:
+    def lifting_target(self, t) -> int:
         """The sum of e_i t_i lambda_i, that is of t_i N_i."""
-        return Fraction(sum(pair.N * ti for pair, ti in zip(self.pairs, t)))
+        return sum(pair.N * ti for pair, ti in zip(self.pairs, t))
 
     def residue(self, table, contributing) -> ResiduePoly:
         """The w-residue of f / prod_i p^(N_i t_i), as a polynomial in
@@ -240,11 +241,14 @@ class PairConfig:
                     y_exp[pair.y_index] = e
             num = q.numerator * num_scale
             den = q.denominator * den_scale
-            g = math.gcd(num, den)
-            if den // g % p == 0:
-                raise FractionalPPower(
-                    f"coefficient {Fraction(num, den)} not p-integral")
-            r = num // g * pow(den // g, -1, p) % p
+            r, rem = divmod(num, den)
+            if rem:  # not an integer: reduce, then invert mod p
+                g = math.gcd(num, den)
+                if den // g % p == 0:
+                    raise FractionalPPower(
+                        f"coefficient {Fraction(num, den)} not p-integral")
+                r = num // g * pow(den // g, -1, p)
+            r %= p
             if r:
                 y_exp = tuple(y_exp)
                 coeffs[y_exp] = (coeffs.get(y_exp, 0) + r) % p
@@ -279,7 +283,7 @@ def _json_number(value, name, integer=False):
     as does any other string.  A value of more than MAX_COEFF_BITS bits
     raises ResourceLimitExceeded; a string is read by parse.parse_number,
     which counts its digits before any int is built.  Returns an int when
-    integer, else a Fraction."""
+    integer, else an exact rational as `rational` stores it."""
     match = _RATIONAL.fullmatch(value) if type(value) is str else None
     if match and not (integer and match[1]):
         value = parse_number(value)
@@ -289,7 +293,7 @@ def _json_number(value, name, integer=False):
         form = '"a"' if integer else '"a" or "a/b"'
         raise ValueError(f"{name} must be a JSON integer or a string "
                          f"{form}, got {json.dumps(value)}")
-    return value if integer else Fraction(value)
+    return value
 
 
 def _json_list(value, name):

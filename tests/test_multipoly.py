@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftcert import MultiPoly, multipoly, phi_expand, reconstruct
 from liftcert.errors import ResourceLimitExceeded
@@ -14,6 +16,7 @@ from liftcert.multipoly import (
     content_valuation,
     grlex_key,
 )
+from liftcert.oracle import exact_divide
 
 from conftest import P, random_poly
 
@@ -270,3 +273,76 @@ class TestContent:
                 assert content_valuation(f * g, p) == content_valuation(
                     f, p
                 ) + content_valuation(g, p)
+
+
+def assert_stored_form(f):
+    """Every coefficient of f is an int, or a Fraction that is not
+    integral: the one form in which an exact rational is stored."""
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+def _text(terms):
+    """{(i, j): (n, d)} as "0 + n/d*x^i*y^j - ...", literals unreduced."""
+    return "0" + "".join(
+        f" {'-' if n < 0 else '+'} {abs(n)}/{d}*x^{i}*y^{j}"
+        for (i, j), (n, d) in terms.items())
+
+
+TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        st.tuples(st.integers(-9, 9), st.integers(1, 4)),
+                        max_size=5)
+RATIONALS = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=4)
+PHIS = [[0, 1], [-2, 1], [Fraction(-1, 2), 1], [1, 0, 1], [1, 1, 1]]
+
+
+class TestStoredForm:
+    """An exact rational is stored as an int when it is integral, and as
+    a Fraction otherwise, through every operation."""
+
+    @settings(deadline=None)
+    @given(TERMS, TERMS, RATIONALS, RATIONALS, st.integers(0, 1),
+           st.sampled_from(PHIS), st.sampled_from(PHIS))
+    def test_every_coefficient_is_an_int_or_a_proper_fraction(
+            self, f_terms, g_terms, c, a, i, phi_x, phi_y):
+        f, g = P(_text(f_terms)), P(_text(g_terms))
+        assert f == MultiPoly(2, {e: Fraction(n, d)
+                                  for e, (n, d) in f_terms.items()})
+        product = P(f"({_text(f_terms)})*({_text(g_terms)})")
+        assert product == f * g
+        expansion = phi_expand(f, [phi_x, phi_y])
+        results = [f, g, product, f + g, f - g, f * g, f.scale(c),
+                   f.shift(i, a), reconstruct(expansion),
+                   *expansion.terms.values()]
+        if not g.is_zero:
+            assert exact_divide(f * g, g) == f
+            results.append(exact_divide(f * g, g))
+            if exact_divide(f, g) is not None:
+                results.append(exact_divide(f, g))
+        for h in results:
+            assert_stored_form(h)
+
+    def test_exact_divide_by_three_times_itself(self):
+        # with int coefficients, a bare / would give the float 0.333...
+        q = exact_divide(P("x + 1"), P("3*x + 3"))
+        assert q.terms == {(0, 0): Fraction(1, 3)}
+        assert_stored_form(q)
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        f = MultiPoly(1, {(1,): Fraction(4, 2), (0,): Fraction(1, 2)})
+        assert type(f.terms[(1,)]) is int
+        assert type((f + f).terms[(0,)]) is int
+        assert type(P("1/2*x + 1/2*x", ("x",)).terms[(1,)]) is int
+
+    @pytest.mark.parametrize("make", [
+        lambda: MultiPoly(1, {(1,): 0.5}),
+        lambda: MultiPoly(1, {(1,): 1.0}),
+        lambda: MultiPoly.constant(2, 3.0),
+        lambda: P("x").scale(0.5),
+        lambda: MultiPoly(1, {(1,): 1 / 3}),
+    ], ids=["half", "integral-float", "constant", "scale", "true-division"])
+    def test_a_float_coefficient_raises(self, make):
+        # a float holds a rounded value, so it fails loudly instead of
+        # being stored as the Fraction of its binary expansion
+        with pytest.raises(TypeError, match="float"):
+            make()

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from liftcert import (
@@ -319,6 +319,20 @@ RAMIFIED = [
 def test_integer_walk_matches_fraction_walk(config, terms):
     table = config.expansion_table(MultiPoly(2, terms))
     assert config.valuation(table) == _fraction_walk(config, table)
+
+
+@given(st.sampled_from(RAMIFIED + [gauss_config(3, 2)]), st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-60, 60) | st.fractions(-20, 20, max_denominator=12),
+    max_size=8), st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_integral_values_are_ints(config, terms, t):
+    # w, the marginals and the lifting target are exact rationals in
+    # their stored form: an int when integral, else a Fraction
+    f = MultiPoly(2, terms)
+    assume(not f.is_zero)
+    w, _, marginals = config.valuation(config.expansion_table(f))
+    for value in [w, *marginals, config.lifting_target(t)]:
+        assert type(value) is int or value.denominator > 1, value
 
 
 class TestValuationLaws:

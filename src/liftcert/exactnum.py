@@ -16,15 +16,18 @@ from .errors import ConfigError
 
 def rational(num, den=1):
     """num/den as it is stored: an int when den divides num, else a
-    Fraction.  Anything but ints and Fractions raises TypeError, above
-    all a float, whose value is already rounded (a stray true division);
-    a zero den raises ZeroDivisionError."""
+    Fraction; a Fraction over 1 comes back as it is.  Anything but ints
+    and Fractions raises TypeError, above all a float, whose value is
+    already rounded (a stray true division); a zero den raises
+    ZeroDivisionError."""
     if type(num) is int and type(den) is int and den:
         q, r = divmod(num, den)
         if not r:
             return q
     elif isinstance(num, float):
         raise TypeError(f"a float is not an exact rational: {num!r}")
+    elif isinstance(num, Fraction) and type(den) is int and den == 1:
+        return num.numerator if num.denominator == 1 else num
     q = Fraction(num, den)
     return q.numerator if q.denominator == 1 else q
 

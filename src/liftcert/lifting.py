@@ -56,6 +56,27 @@ class CheckResult:
     rhs: str
     passed: bool
 
+    @functools.cached_property
+    def json(self):
+        """The row as a certificate prints it, nested at four spaces."""
+        encode = encode_basestring_ascii
+        return _CHECK_ROW % (encode(self.name), encode(self.lhs),
+                             encode(self.rhs),
+                             "true" if self.passed else "false")
+
+
+# the bound of the row and residue caches: it keeps a long run's memory
+# flat
+RESIDUE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE, typed=True)
+def _row(name, lhs, rhs, passed) -> CheckResult:
+    # a passing row's text depends only on the configuration and the
+    # degrees, so a whole family shares its rows, each rendered once;
+    # typed, since an int and an equal bool print differently
+    return CheckResult(name, str(lhs), str(rhs), passed)
+
 
 @dataclass
 class CheckReport:
@@ -98,7 +119,7 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
     report = CheckReport([])
 
     def check(condition, name, lhs, rhs, passed):
-        result = CheckResult(name, str(lhs), str(rhs), passed)
+        result = _row(name, lhs, rhs, passed)
         report.checks.append(result)
         if not passed:
             report.failed, report.condition = result, condition
@@ -147,8 +168,9 @@ def check_lifting(f: MultiPoly, config: PairConfig) -> CheckReport:
         if not check("iii", f"residue_degree_Z{i + 1}", di, ti, di == ti):
             return report
     lead = residue.coeff(t)
-    if not check("iii", "residue_monic", lead.to_str(), "1",
-                 lead == config.field.one):
+    monic = lead == config.field.one
+    if not check("iii", "residue_monic", "1" if monic else lead.to_str(),
+                 "1", monic):
         return report
     report.residue = residue
     return report
@@ -186,9 +208,9 @@ class LiftingCertificate:
         one pass.  The "prime", "pairs" and "variables" members depend
         only on the configuration and the names: json.dumps renders
         them when either is new, and their text is kept on the
-        configuration for the names last rendered.  The check rows are
-        filled into a fixed template, and the "T" member is the residue
-        record's block, printed once per residue."""
+        configuration for the names last rendered.  Each check row
+        carries its own text, rendered once per row, and the "T" member
+        is the residue record's block, printed once per residue."""
         config, names = self.config, self.names
         header = config.rendered_header
         if header is None or header[0] != names:
@@ -196,11 +218,7 @@ class LiftingCertificate:
             config.rendered_header = header
         encode = encode_basestring_ascii
         record = self.record
-        checks = ",\n    ".join([
-            _CHECK_ROW % (encode(c.name), encode(c.lhs), encode(c.rhs),
-                          "true" if c.passed else "false")
-            for c in self.checks
-        ])
+        checks = ",\n    ".join([c.json for c in self.checks])
         reason = self.reason
         return "".join([
             '{\n  "input": ', encode(self.f.to_str(names)), ",", header[1],
@@ -285,14 +303,10 @@ class ResidueRecord(NamedTuple):
     t_json: str
 
 
-RESIDUE_CACHE_SIZE = 1024
-
-
 @functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE)
 def _residue_record(residue: ResiduePoly, limit: int) -> ResidueRecord:
     # residues recur across large corpora (they only depend on f mod p);
-    # the bound keeps a long run's memory flat, and a guard trip raises
-    # out of the decider uncached
+    # a guard trip raises out of the decider uncached
     texts = residue.coefficient_texts()
     text = residue_text(residue.nvars, texts)
     checks, verdict, reason = [], VERDICT_CERTIFIED, None

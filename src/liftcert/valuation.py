@@ -39,7 +39,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .exactnum import rational
-from .finitefield import ResidueField, ResiduePoly
+from .finitefield import ResidueElement, ResidueField, ResiduePoly
 from .multipoly import MultiPoly, content_valuation, phi_expand
 from .parse import MAX_COEFF_BITS, check_coeff, parse_number
 
@@ -143,6 +143,9 @@ class PairConfig:
             )
         self.pairs = pairs
         self.phis = [pair.phi for pair in pairs]
+        # the inert variables' positions, in generator order
+        self.inert = [i for i, pair in enumerate(pairs)
+                      if pair.y_index is not None]
         # the valuation walk's ints: E = lcm(e_i) and lambda_i * E
         self.scale = math.lcm(*(pair.e for pair in pairs))
         self.steps = [pair.N * (self.scale // pair.e) for pair in pairs]
@@ -226,21 +229,22 @@ class PairConfig:
     def _residue_element(self, a: MultiPoly, c: int):
         """Image of the content-0 digit p^(-c) * a in the residue field:
         reduce the coefficients mod p and send each inert x_j to its
-        generator y_j.  p^(-c) is folded into each coefficient's integer
-        numerator and denominator."""
-        p = self.p
+        generator y_j.  A digit's degree in an inert x_j is below deg
+        phi_j, the generator's degree, so the image is already reduced.
+        p^(-c) is folded into each coefficient's integer numerator and
+        denominator."""
+        p, inert = self.p, self.inert
         num_scale, den_scale = (1, p ** c) if c >= 0 else (p ** -c, 1)
         coeffs = {}
         for exps, q in a.terms.items():
-            y_exp = [0] * self.field.nyvars
-            for e, pair in zip(exps, self.pairs):
-                if pair.y_index is None:
-                    # recentred digits are constant in rational-center vars
-                    assert e == 0
-                else:
-                    y_exp[pair.y_index] = e
-            num = q.numerator * num_scale
-            den = q.denominator * den_scale
+            y_exp = tuple([exps[i] for i in inert])
+            # recentred digits are constant in rational-center vars:
+            # exponents are >= 0, so the sums agree only when they are 0
+            assert sum(exps) == sum(y_exp)
+            if type(q) is int:
+                num, den = q * num_scale, den_scale
+            else:
+                num, den = q.numerator * num_scale, q.denominator * den_scale
             r, rem = divmod(num, den)
             if rem:  # not an integer: reduce, then invert mod p
                 g = math.gcd(num, den)
@@ -250,9 +254,8 @@ class PairConfig:
                 r = num // g * pow(den // g, -1, p)
             r %= p
             if r:
-                y_exp = tuple(y_exp)
-                coeffs[y_exp] = (coeffs.get(y_exp, 0) + r) % p
-        return self.field.element(coeffs)
+                coeffs[y_exp] = r
+        return ResidueElement(self.field, coeffs)
 
 
 # ---------------------------------------------------------------------

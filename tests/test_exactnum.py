@@ -8,7 +8,7 @@ import pytest
 
 from liftcert import PairConfig, RationalCenter
 from liftcert.errors import ConfigError
-from liftcert.exactnum import PRIME_BOUND, check_prime, is_prime, vp
+from liftcert.exactnum import PRIME_BOUND, check_prime, is_prime, rational, vp
 
 
 class TestPrimes:
@@ -95,3 +95,22 @@ class TestVp:
                 # on the left, or the other summand's value on both sides
                 if r and s and r + s:
                     assert vp(r + s, p) >= min(vp(r, p), vp(s, p))
+
+
+class TestRational:
+    def test_stored_form(self):
+        assert type(rational(6, 3)) is int and rational(6, 3) == 2
+        assert rational(3, 6) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            rational(0.5)
+        with pytest.raises(ZeroDivisionError):
+            rational(1, 0)
+
+    def test_fraction_comes_back_as_it_is(self):
+        # a Fraction is already reduced: a non-integral one is returned
+        # itself, an integral one as its numerator, with no new Fraction
+        q = Fraction(-7, 3)
+        assert rational(q) is q
+        assert type(rational(Fraction(3))) is int
+        assert rational(Fraction(3)) == 3
+        assert rational(q, 7) == Fraction(-1, 3)

@@ -6,7 +6,9 @@ uses; a module-level private function or class (one named _x) that
 nothing in the package references outside its own body; and a
 backticked Python name in a docstring or comment that names nothing the
 package defines, such as a deleted function.  The re-exports of
-__init__.py are exempt from the first.
+__init__.py are exempt from the first.  A cache without a bound fails
+too: every functools.lru_cache names an int maxsize, and functools.cache
+is not used.
 """
 
 import ast
@@ -117,6 +119,42 @@ def test_every_backticked_name_is_defined():
                 if not all(part in defined for part in span.split(".")):
                     stale.append(f"{name}: {span}")
     assert stale == []
+
+
+def _is_lru_cache(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+            or isinstance(node, ast.Name) and node.id == "lru_cache")
+
+
+def test_every_cache_is_bounded():
+    # no unbounded global state: a maxsize is an int literal or a
+    # module-level name bound to one
+    unbounded = []
+    for name, tree in _modules().items():
+        ints = {target.id for node in tree.body
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int
+                for target in node.targets if isinstance(target, ast.Name)}
+        sized = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _is_lru_cache(node.func):
+                size = {k.arg: k.value for k in node.keywords}.get(
+                    "maxsize", node.args[0] if node.args else None)
+                if (isinstance(size, ast.Constant) and type(size.value) is int
+                        or isinstance(size, ast.Name) and size.id in ints):
+                    sized.add(node.func)
+        for node in ast.walk(tree):
+            if _is_lru_cache(node) and node not in sized:
+                unbounded.append(f"{name}:{node.lineno}: lru_cache")
+            elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "functools"
+                    and any(a.name == "cache" for a in node.names)):
+                unbounded.append(f"{name}:{node.lineno}: functools.cache")
+    assert unbounded == []
 
 
 def _constants(module, prefix):

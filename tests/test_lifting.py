@@ -265,9 +265,9 @@ class TestCertify:
 
     def test_residue_coefficients_printed_once(self, monkeypatch):
         # a new residue's record prints each coefficient of T once, and
-        # its rows and T block reuse those texts; check_lifting prints
-        # the leading one for its residue_monic row, which is all that a
-        # residue seen before costs
+        # its rows and T block reuse those texts; check_lifting's
+        # residue_monic row prints a leading coefficient only when it is
+        # not 1, so a residue seen before costs no printing at all
         calls = []
         to_str = ResidueElement.to_str
 
@@ -280,10 +280,10 @@ class TestCertify:
         f = P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1")
         cert = certify_irreducible(f, gauss_config(3, 2))
         doc = cert.to_json_dict()
-        assert len(calls) == len(cert.residue.terms) + 1
+        assert len(calls) == len(cert.residue.terms)
         calls.clear()
         certify_irreducible(f, gauss_config(3, 2)).to_json()
-        assert len(calls) == 1
+        assert calls == []
         monkeypatch.undo()
         assert doc["T"] == residue_to_json(cert.residue)
 
@@ -402,6 +402,48 @@ class TestCertificateWriter:
         assert config.rendered_header[0] is None
         assert json.loads(certs[0].to_json())["variables"][0]["phi"] == "x"
         assert config.rendered_header[0] == ("x", "y")
+
+
+class TestCheckRows:
+    # two criterion-4 members with different coefficients and residues
+    MEMBERS = [P("x^2*y^2 + 3*x*y + 6*x + 3*y + 1"),
+               P("x^2*y^2 + 2*x*y + x + 5*y + 7")]
+
+    def test_members_share_their_rows(self):
+        a, b = (check_lifting(f, gauss_config(3, 2)) for f in self.MEMBERS)
+        assert a.ok and b.ok and a.residue != b.residue
+        assert len(a.checks) == len(b.checks) == 10
+        assert all(x is y for x, y in zip(a.checks, b.checks))
+
+    def test_failing_row_is_not_the_passing_row(self):
+        config = gauss_config(3, 2)
+        passing = {c.name: c for c in check_lifting(self.MEMBERS[0],
+                                                    config).checks}
+        # two condition (i) failures and one condition (ii) failure
+        for text in ("2*x^2*y^2 + 1", "x^2*y^2 + x^3", "x^2*y^2 + 1/3*x*y"):
+            failed = check_lifting(P(text), config).failed
+            assert not failed.passed
+            assert failed is not passing[failed.name]
+        # the same texts with the other outcome, and equal values of
+        # another type, are rows of their own
+        row = lifting._row
+        assert row("w_total", 0, 0, True) is not row("w_total", 0, 0, False)
+        assert row("w_total", True, 1, True).lhs == "True"
+        assert row("w_total", 1, 1, True).lhs == "1"
+
+    def test_row_json_is_the_indent_2_rendering(self):
+        rows = []
+        for _, config, f, names, *_ in TestCertificateWriter.CASES:
+            rows += certify_irreducible(f, config, names=names).checks
+        rows.append(lifting._row('a"\u00e9', "x\n", "\\", False))
+        for c in rows:
+            fields = {"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
+                      "pass": c.passed}
+            assert c.json == json.dumps(fields, indent=2).replace(
+                "\n", "\n    ")
+
+    def test_row_cache_is_bounded(self):
+        assert lifting._row.cache_info().maxsize == lifting.RESIDUE_CACHE_SIZE
 
 
 class TestResidueCache:

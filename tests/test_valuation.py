@@ -13,6 +13,7 @@ from liftcert import (
     MultiPoly,
     PairConfig,
     RationalCenter,
+    ResiduePoly,
     generate_lifting,
 )
 from liftcert import multipoly, phi_expand
@@ -410,6 +411,63 @@ class TestResidue:
         rg = residue_at(config, g)
         rfg = residue_at(config, f * g)
         assert rfg == rf * rg
+
+
+def _reducing_residue(config, table, contributing):
+    """config.residue built through ResidueField.element, the reducing
+    constructor: each digit p^(-c) * a on Fractions, every inert x_j
+    sent to y_j, and the image reduced by the generators."""
+    p, field = config.p, config.field
+    terms = {}
+    for idx in contributing:
+        a, c = table[idx]
+        coeffs = {}
+        for exps, q in a.terms.items():
+            y = [0] * field.nyvars
+            for e, pair in zip(exps, config.pairs):
+                if pair.y_index is None:
+                    assert e == 0
+                else:
+                    y[pair.y_index] = e
+            value = Fraction(q) / Fraction(p) ** c
+            coeffs[tuple(y)] = value.numerator * pow(value.denominator, -1, p)
+        z = tuple(i // pair.e for i, pair in zip(idx, config.pairs))
+        terms[z] = field.element(coeffs)
+    return ResiduePoly(field, config.nvars, terms)
+
+
+# inert pairs over F_4, F_9 and F_64 = F_4 * F_8, the ramified walks'
+# configurations, and the roundtrip benchmark's five
+IMAGE_CONFIGS = [
+    PairConfig([Inert((1, 1, 1), Fraction(1, 2)),
+                Inert((1, 1, 0, 1), Fraction(1))], 2),
+    PairConfig([Inert((1, 0, 1), Fraction(1, 2))], 3),
+    *RAMIFIED,
+    PairConfig([RationalCenter(Fraction(1), Fraction(1, 2)),
+                RationalCenter(Fraction(-1), Fraction(1))], 3),
+    PairConfig([Inert((1, 0, 1), Fraction(1, 2)),
+                RationalCenter(Fraction(1, 2), Fraction(1, 2))], 3),
+    PairConfig([Inert((1, 1, 1), Fraction(1, 2)),
+                RationalCenter(Fraction(-1), Fraction(1, 3))], 2),
+    PairConfig([RationalCenter(Fraction(1, 2), Fraction(1)),
+                RationalCenter(Fraction(-1), Fraction(1, 2))], 5),
+    PairConfig([RationalCenter(Fraction(1), Fraction(1, 3))], 3),
+]
+
+
+@pytest.mark.parametrize("config", IMAGE_CONFIGS)
+def test_residue_images_need_no_reduction(config, rng):
+    # the images are built unreduced: a digit's degree in an inert x_j
+    # is below the generator's degree
+    for seed in range(12):
+        T, _ = liftable_residue(rng, config)
+        f = generate_lifting(T, config, seed)
+        for g in (f, random_poly(rng, config.nvars, 5, allow_fractions=True)):
+            table = config.expansion_table(g)
+            _, contributing, _ = config.valuation(table)
+            residue = config.residue(table, contributing)
+            assert residue == _reducing_residue(config, table, contributing)
+        assert residue_at(config, f) == T
 
 
 class TestPairJson:

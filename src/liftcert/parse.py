@@ -7,10 +7,18 @@ Grammar (whitespace insignificant):
     factor := base ('^' nonneg-integer)?
     base   := rational | name | '(' expr ')'
 
-Rationals are decimal-free: "a" or "a/b".  Variable names and their
-order are supplied by the caller; the order fixes coordinate indices.
-Parentheses nest at most MAX_NESTING deep, which keeps the descent well
-inside Python's recursion limit.
+Rationals are decimal-free: "a" or "a/b", in the ASCII digits 0-9
+only.  Variable names and their order are supplied by the caller; the
+order fixes coordinate indices, and a repeated name raises ConfigError.
+
+One regular-expression pass splits the text into plain token strings.
+One loop per expression then reads them, with the index, the tokens and
+a name-to-index dict in locals; only a parenthesised factor recurses,
+and parentheses nest at most MAX_NESTING deep, which keeps the descent
+well inside Python's recursion limit.  Tokens carry no positions: a
+ParseError finds the position of the token it names by tokenising
+again.  A character that starts no token is reported first, wherever
+it stands, as if the text were checked before it is parsed.
 
 A term made of numbers and powers of variables is built directly as an
 exponent tuple and a coefficient (an int, or a Fraction once an "a/b"
@@ -30,10 +38,11 @@ it, so every coefficient returned prints within Python's default
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
-from .errors import LiftcertError, ResourceLimitExceeded
+from .errors import ConfigError, LiftcertError, ResourceLimitExceeded
 from .exactnum import rational
 from .multipoly import MultiPoly
 
@@ -53,23 +62,19 @@ class ParseError(LiftcertError):
         super().__init__(f"{message} (at position {position})")
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()])|(?P<bad>.))?", re.DOTALL
-)
+# one token per match; findall skips the whitespace between them, and
+# \S takes a stray character as a token of its own
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^()]|\S")
+# the first character of a stray token
+_STRAY = re.compile(r"[^0-9A-Za-z_()*^+-]")
 
 
-def _tokenize(text):
-    """(kind, text, position) of each token, in one pass: every match
-    but the last holds a token, and the last only whitespace."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # only whitespace is left
-            return tokens
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        tokens.append((kind, m[kind], m.start(kind)))
+def _position(text, k):
+    """Where token k starts in text, or the end of text past the last
+    token."""
+    for m in itertools.islice(_TOKEN.finditer(text), k, None):
+        return m.start()
+    return len(text)
 
 
 def _check_size(name, bound, needed):
@@ -89,19 +94,24 @@ def check_coeff(c):
 
 def parse_number(text):
     """The number written "a" or "a/b" with an optional sign, as
-    `rational` stores it.  The digits after each part's leading zeros
-    are counted before any int is built: more than _MAX_DIGITS of them
-    raise ResourceLimitExceeded, and check_coeff decides the numbers at
-    the boundary once built.  A zero denominator raises
-    ZeroDivisionError."""
-    parts = [part.lstrip("0") or "0"
-             for part in text.lstrip("+-").split("/")]
-    digits = max(map(len, parts))
-    if digits > _MAX_DIGITS:  # 10^(digits - 1) has more bits
-        raise ResourceLimitExceeded("coefficient bits", MAX_COEFF_BITS,
-                                    int((digits - 1) * math.log2(10)) + 1)
-    number = rational(*map(int, parts))
-    return check_coeff(-number if text.startswith("-") else number)
+    `rational` stores it.  A part of fewer than _MAX_DIGITS characters
+    has fewer bits than MAX_COEFF_BITS, so it is converted at once;
+    otherwise the digits after each part's leading zeros are counted
+    before any int is built: more than _MAX_DIGITS of them raise
+    ResourceLimitExceeded, and check_coeff decides the numbers at the
+    boundary once built.  A zero denominator raises ZeroDivisionError."""
+    num, _, den = text.lstrip("+-").partition("/")
+    if len(num) < _MAX_DIGITS > len(den):
+        number = rational(int(num), int(den)) if den else int(num)
+    else:
+        parts = [part.lstrip("0") or "0" for part in (num, den or "1")]
+        digits = max(map(len, parts))
+        if digits > _MAX_DIGITS:  # 10^(digits - 1) has more bits
+            raise ResourceLimitExceeded(
+                "coefficient bits", MAX_COEFF_BITS,
+                int((digits - 1) * math.log2(10)) + 1)
+        number = check_coeff(rational(*map(int, parts)))
+    return -number if text.startswith("-") else number
 
 
 def check_coeffs(poly):
@@ -122,150 +132,138 @@ def _size(poly):
         c.denominator.bit_length() for c in cs if c.denominator > 1)
 
 
-class _Parser:
-    def __init__(self, tokens, variables, end):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-        self.end = end
-        self.variables = list(variables)
-        self.nvars = len(self.variables)
+def _multiply(a, b):
+    """a * b, after checking the degree, the number of term products and
+    the coefficient sizes against the size limits; a product's own
+    coefficients are checked where they are used."""
+    _check_size("degree", MAX_DEGREE, a.degree() + b.degree())
+    _check_size("term products", MAX_TERMS, len(a.terms) * len(b.terms))
+    _check_size("coefficient bits", MAX_COEFF_BITS, _size(a) + _size(b))
+    return a * b
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def accept(self, ops):
-        """Consume the next token and return its op if it is in ops."""
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in ops:
-            self.i += 1
-            return tok[1]
-        return None
+def _power(base, k):
+    """base ** k by repeated squaring, each product checked."""
+    result = MultiPoly.constant(base.nvars, 1)
+    while k:
+        if k & 1:
+            result = _multiply(result, base)
+        k >>= 1
+        if k:
+            base = _multiply(base, base)
+    return result
 
-    def expect_op(self, op):
-        if not self.accept(op):
-            tok = self.peek()
-            raise ParseError(f"expected {op!r}", tok[2] if tok else self.end)
 
-    def parse_expr(self):
-        terms = {}
-        op = self.accept("-")
-        while True:
-            self.parse_term(terms, -1 if op == "-" else 1)
-            op = self.accept("+-")
-            if op is None:
-                return MultiPoly._of(self.nvars, {
-                    e: rational(c) for e, c in terms.items() if c})
-
-    def parse_term(self, terms, sign):
-        """Add sign times the next term into terms, {exponents:
-        coefficient}; only parenthesised factors run MultiPoly
-        arithmetic."""
-        exps = [0] * self.nvars
-        coeff = sign
-        poly = None
-        while True:
-            factor = self.parse_factor(exps)
-            if isinstance(factor, MultiPoly):
-                poly = factor if poly is None else self.multiply(poly, factor)
-            elif factor != 1:
-                coeff = check_coeff(coeff * factor)
-            if not self.accept("*"):
-                break
-        _check_size("degree", MAX_DEGREE, sum(exps))
-        if poly is None:
-            exps = tuple(exps)
-            terms[exps] = check_coeff(terms.get(exps, 0) + coeff)
-            return
-        poly = self.multiply(poly, MultiPoly(self.nvars, {tuple(exps): coeff}))
-        for e, c in poly.terms.items():
-            terms[e] = check_coeff(terms.get(e, 0) + c)
-
-    def parse_factor(self, exps):
-        """The next factor with its exponent: a number, a MultiPoly, or,
-        for a power of a variable, 1 once the power is added to exps."""
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end)
-        kind, value, pos = tok
-        if kind == "number":
-            self.i += 1
+def _expression(text, tokens, i, slots, n, depth):
+    """The expression that starts at token i, and the index of the token
+    after it.  tokens ends with "", which no rule accepts.  One loop reads
+    the factors: a term's numbers and powers of variables go straight
+    into its coefficient and exponents, and only a parenthesised factor
+    recurses and runs MultiPoly arithmetic.  slots maps each variable
+    name to its index among the n variables."""
+    terms = {}
+    exps, coeff, poly = [0] * n, 1, None
+    if tokens[i] == "-":
+        coeff = -1
+        i += 1
+    while True:
+        tok = tokens[i]
+        i += 1
+        slot = slots.get(tok)
+        if slot is not None:
+            pass  # a variable: its power goes into exps below
+        elif "0" <= tok[:1] <= "9":
             try:
-                number = parse_number(value)
+                base = parse_number(tok)
             except ZeroDivisionError as exc:
-                raise ParseError(f"bad number: {exc}", pos) from None
-            k = self.parse_exponent()
-            if k > 1:  # number ** k has at least k * (bits - 1) bits
+                raise ParseError(f"bad number: {exc}",
+                                 _position(text, i - 1)) from None
+        elif tok == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", _position(text, i - 1))
+            base, i = _expression(text, tokens, i, slots, n, depth + 1)
+            if tokens[i] != ")":
+                raise ParseError("expected ')'", _position(text, i))
+            i += 1
+        elif not tok:
+            raise ParseError("unexpected end of input", len(text))
+        elif tok.isidentifier():
+            raise ParseError(f"unknown variable {tok!r}",
+                             _position(text, i - 1))
+        else:
+            raise ParseError(f"unexpected token {tok!r}",
+                             _position(text, i - 1))
+        k = 1
+        if tokens[i] == "^":  # a nonnegative integer, at most MAX_DEGREE
+            digits = tokens[i + 1]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError("exponent must be a nonnegative integer",
+                                 _position(text, i + 1))
+            i += 2
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ResourceLimitExceeded("degree", MAX_DEGREE, digits)
+            k = int(digits)
+        if slot is not None:
+            exps[slot] += k
+        elif tok == "(":
+            if k != 1:
+                base = _power(base, k)
+            poly = base if poly is None else _multiply(poly, base)
+        else:
+            if k != 1:  # base ** k has at least k * (bits - 1) bits
                 _check_size("coefficient bits", MAX_COEFF_BITS,
-                            k * (_bits(number) - 1))
-            return number ** k
-        if kind == "name":
-            self.i += 1
-            try:
-                idx = self.variables.index(value)
-            except ValueError:
-                raise ParseError(f"unknown variable {value!r}", pos) from None
-            exps[idx] += self.parse_exponent()
-            return 1
-        if kind == "op" and value == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.i += 1
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.expect_op(")")
-            k = self.parse_exponent()
-            return inner if k == 1 else self.power(inner, k)
-        raise ParseError(f"unexpected token {value!r}", pos)
-
-    def parse_exponent(self):
-        """The exponent after '^', at most MAX_DEGREE; 1 without '^'."""
-        if not self.accept("^"):
-            return 1
-        exp = self.peek()
-        if exp is None or exp[0] != "number" or "/" in exp[1]:
-            raise ParseError(
-                "exponent must be a nonnegative integer",
-                exp[2] if exp else self.end,
-            )
-        self.i += 1
-        digits = exp[1].lstrip("0") or "0"
-        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-            raise ResourceLimitExceeded("degree", MAX_DEGREE, digits)
-        return int(digits)
-
-    def multiply(self, a, b):
-        """a * b, after checking the degree, the number of term products
-        and the coefficient sizes against the size limits; a product's
-        own coefficients are checked where they are used."""
-        _check_size("degree", MAX_DEGREE, a.degree() + b.degree())
-        _check_size("term products", MAX_TERMS, len(a.terms) * len(b.terms))
-        _check_size("coefficient bits", MAX_COEFF_BITS, _size(a) + _size(b))
-        return a * b
-
-    def power(self, base, k):
-        """base ** k by repeated squaring, each product checked."""
-        result = MultiPoly.constant(self.nvars, 1)
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            k >>= 1
-            if k:
-                base = self.multiply(base, base)
-        return result
+                            k * (_bits(base) - 1))
+                base = check_coeff(base ** k)
+            # base is checked, and so is coeff * base while coeff is +-1
+            coeff = (coeff * base if coeff == 1 or coeff == -1
+                     else check_coeff(coeff * base))
+        if tokens[i] == "*":
+            i += 1
+            continue
+        _check_size("degree", MAX_DEGREE, sum(exps))
+        if poly is None:  # coeff is checked already
+            exps = tuple(exps)
+            old = terms.get(exps)
+            terms[exps] = coeff if old is None else check_coeff(old + coeff)
+        else:
+            poly = _multiply(poly, MultiPoly(n, {tuple(exps): coeff}))
+            for e, c in poly.terms.items():
+                terms[e] = check_coeff(terms.get(e, 0) + c)
+        op = tokens[i]
+        if op != "+" and op != "-":
+            return MultiPoly._of(n, {
+                e: c if type(c) is int else rational(c)
+                for e, c in terms.items() if c}), i
+        i += 1
+        exps, coeff, poly = [0] * n, -1 if op == "-" else 1, None
 
 
 def parse_polynomial(text: str, variables) -> MultiPoly:
     """Parse an expression into an exact polynomial; variable order
-    fixes the coordinate indices (first named variable is x_1)."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, variables, len(text))
-    if parser.peek() is None:
+    fixes the coordinate indices (first named variable is x_1).  A
+    repeated variable name raises ConfigError."""
+    variables = list(variables)
+    if len(set(variables)) != len(variables):
+        raise ConfigError(f"variable names must be distinct, got {variables}")
+    # a name the grammar cannot spell, such as "3", matches no token
+    slots = {name: k for k, name in enumerate(variables)
+             if name.isascii() and name.isidentifier()}
+    tokens = _TOKEN.findall(text)
+    if not tokens:
         raise ParseError("empty expression", 0)
-    result = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"unexpected token {trailing[1]!r}", trailing[2])
-    return result
+    tokens.append("")
+    try:
+        result, i = _expression(text, tokens, 0, slots, len(variables), 0)
+        if tokens[i]:
+            raise ParseError(f"unexpected token {tokens[i]!r}",
+                             _position(text, i))
+        return result
+    except LiftcertError:
+        # a stray character is reported first, wherever it stands
+        for m in _TOKEN.finditer(text):
+            if _STRAY.match(m[0]):
+                raise ParseError(f"unexpected character {m[0]!r}",
+                                 m.start()) from None
+        raise

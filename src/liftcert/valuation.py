@@ -276,7 +276,7 @@ def pair_specs_to_json(specs, p) -> dict:
 
 # an optional sign, then "a" or "a/b" as in parse.py; the group is the
 # denominator
-_RATIONAL = re.compile(r"[-+]?\d+(/\d+)?")
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 def _json_number(value, name, integer=False):

@@ -116,6 +116,17 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "nested deeper" in err and "Traceback" not in err
 
+    def test_non_ascii_digit_exit_4(self, pairs_file, capsys):
+        # an Arabic-Indic three is a stray character, not the number 3
+        code = main([
+            "certify", "--vars", "x", "--pairs", pairs_file(EIS2),
+            "x^2 + \u0663",
+        ])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "unexpected character '\u0663' (at position 6)" in err
+        assert "Traceback" not in err
+
     def test_prime_mismatch_exit_4(self, pairs_file, capsys):
         code = main([
             "certify", "--prime", "5", "--vars", "x,y",
@@ -661,11 +672,12 @@ class TestFileContents:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("center", ["1e9999999", "1e999999", "0.5",
-                                        " 1/2", "1_000", "1/-2"])
+                                        " 1/2", "1_000", "1/-2", "\u0663"])
     def test_number_outside_the_grammar_exit_4(
             self, pairs_file, tmp_path, capsys, center):
         # Fraction() would read these; "1e9999999" took seconds to build
-        # and "1e999999" certified, then could not print its header
+        # and "1e999999" certified, then could not print its header; the
+        # digits are ASCII, so an Arabic-Indic three is no number
         doc = {"prime": 3, "pairs": [
             {"kind": "rational_center", "center": center, "delta": "0"}]}
         code = self.run(pairs_file, tmp_path, "pairs", json.dumps(doc))

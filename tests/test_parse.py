@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liftcert import MultiPoly, ParseError, parse_polynomial
-from liftcert.errors import ResourceLimitExceeded
+from liftcert.errors import ConfigError, ResourceLimitExceeded
 from liftcert.parse import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING
 
 from conftest import random_poly
@@ -85,6 +85,17 @@ def test_trailing_whitespace():
     assert exc.value.position == 2
 
 
+def test_repeated_variable_name():
+    with pytest.raises(ConfigError, match="distinct"):
+        parse_polynomial("x", ["x", "x"])
+
+
+def test_name_no_token_can_spell():
+    # "3" is always the number 3, even where a variable is named "3"
+    assert parse_polynomial("3*x", ["x", "3"]) == MultiPoly(
+        2, {(1, 0): Fraction(3)})
+
+
 def test_trailing_tokens():
     with pytest.raises(ParseError):
         parse_polynomial("x 1", ["x"])
@@ -98,6 +109,36 @@ def test_empty_input():
 def test_unbalanced_paren():
     with pytest.raises(ParseError):
         parse_polynomial("(x + 1", ["x"])
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x +", "unexpected end of input", 3),
+    ("x *", "unexpected end of input", 3),
+    ("x ^", "exponent must be a nonnegative integer", 3),
+    ("(x", "expected ')'", 2),
+    ("x + )", "unexpected token ')'", 4),
+    ("x)", "unexpected token ')'", 1),
+    ("x y", "unexpected token 'y'", 2),
+    ("x + z", "unknown variable 'z'", 4),
+    ("x + \t $", "unexpected character '$'", 6),
+    # a stray character wins over an earlier error, as over a size guard
+    ("x y $", "unexpected character '$'", 4),
+    ("3^100000000 $", "unexpected character '$'", 12),
+    ("x^y", "exponent must be a nonnegative integer", 2),
+    ("x^1/2", "exponent must be a nonnegative integer", 2),
+    ("x^-1", "exponent must be a nonnegative integer", 2),
+    ("x^\u0663", "unexpected character '\u0663'", 2),
+    ("3/0*x", "bad number: Fraction(3, 0)", 0),
+    ("", "empty expression", 0),
+    ("  \t ", "empty expression", 0),
+    ((MAX_NESTING + 1) * "(" + "x" + (MAX_NESTING + 1) * ")",
+     f"parentheses nested deeper than {MAX_NESTING}", MAX_NESTING),
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, ["x", "y"])
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
 
 
 def test_canonical_round_trip_random(rng):

@@ -73,7 +73,8 @@ def _build_parser():
                        "names, order fixes indices"),
         "--prime": dict(type=int, default=None),
         "--limit": dict(type=_limit, default=DEFAULT_CANDIDATE_LIMIT,
-                        help="resource guard for exhaustive searches"),
+                        help="work bound of every resource guard "
+                        "(default 10^6)"),
         "--json": dict(action="store_true", dest="as_json"),
         "--pairs": dict(required=True, help="pair-spec JSON file"),
         "expr": dict(help="polynomial expression"),

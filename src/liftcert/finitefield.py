@@ -21,8 +21,10 @@ computes no more Frobenius powers than Rabin's test, so the same count
 bounds it.  Run to the end, the same loop is the distinct-degree
 factorisation of a squarefree f, and Cantor-Zassenhaus splitting with a
 fixed seed, by the trace map when q is even, takes each part to its
-irreducible factors (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 14).
+irreducible factors.  Any monic f is factored with multiplicities by
+splitting its squarefree part f / gcd(f, f') and dividing the factors
+out; what is left has f' = 0 and is a p-th power (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 14).
 
 A residue polynomial T(Z_1..Z_n) of positive degree in two or more
 variables is decided by these routes, in this order:
@@ -32,50 +34,27 @@ variables is decided by these routes, in this order:
    coefficients c^(q/p)); and, for a T in two variables, a content of
    positive degree, the gcd over F_q[Z_j] of T's Z_i-coefficients.
    They run on every such T and cost a few gcds.
-2. The candidate divisors of an exhaustive search are counted, lead by
-   lead, until the count passes the limit.
-3. One specialisation route (`lifting_route`, with a budget of the
-   limit) takes a T in two variables at every size, and a T in three
-   or more at or below the limit.  If T is primitive in a main variable
-   Z_i and a point c for the other variables keeps T's Z_i-degree and
-   makes T(c) irreducible by Ben-Or's test, then T is irreducible,
-   because a factorisation of T would specialise to one of T(c) or put
-   a non-unit in T's content.  In two variables the route tests only
-   points where T(c) is squarefree; while a test costs no more than a
-   lifting, it looks for such a point among a few good points,
-   otherwise it Hensel-lifts the factors at the first good point, with
-   T's leading coefficient imposed, and tries the subsets of them as
-   factors of T.  The lifts of a factorisation's parts are unique, so
-   when no subset divides T, T is irreducible.  In three or more
-   variables it walks the points until its budget or the points run
-   out.  Its docstring gives the argument, the walk and what the
-   budget counts.
-4. What step 3 leaves undecided goes, at or below the limit, to the
-   exhaustive divisor search, which decides every T.  It tries only
-   candidates g that fit T's degrees, which leaves every answer as it
-   is:
-   - a g with lex-leading monomial L has only monomials e with e_i <=
-     deg_i T - H_i and |e| <= deg T - |H|, where H = lead(T) - L,
-     because the cofactor T/g leads with H and degrees add under
-     multiplication;
-   - the division of T by g stops at the first quotient monomial s
-     with s_i > deg_i T - deg_i g, |s| > deg T - deg g or s <lex
-     trail(T) - trail(g), because every quotient monomial is one of
-     the cofactor's, whose degrees and lex-trailing monomial are those
-     differences.
-   Above the limit, T raises ResourceLimitExceeded("multivariate
-   divisor candidates") with the count of step 2.
+2. One specialisation route (`lifting_route`, with a budget of the
+   limit) takes a T in two variables at every size, and a T in n >= 3
+   variables when its q^(n-1) points are within the limit.  T, if
+   primitive in a main variable X, is irreducible when T(c) is, for a
+   point c of the other variables that keeps T's X-degree; in two
+   variables the route otherwise Hensel-lifts the factors of T(c) and
+   tries their products as factors of T.  Its docstring gives the
+   argument, the walk and what the budget counts.
+3. What step 2 leaves undecided, Kronecker's substitution
+   (`kronecker_route`) decides: it factors T's univariate image once
+   and tries products of the factors, read back, as divisors of T.
+   Its docstring gives the argument and its two guards.
 No verdict comes from a truncated search.
 
 One field arithmetic, `_Arith`, serves every route: plain residues mod
 p for a prime field, ResidueElements for an extension field.  Points
-and candidate coefficients are drawn from its elements in the order of
-`ResidueField.elements()`, the base-p digits of an index; a prime
-field's are range(p).  Above the limit q itself is unbounded (x^2 + 1
-is inert at p = 10^9 + 7, so q is about 10^18), so there elements are
-only drawn lazily, and Cantor-Zassenhaus draws a random one by its
-index.  Below it q is at most the count, and the divisor search lists
-the elements it draws from.
+are drawn from its elements in the order of `ResidueField.elements()`,
+the base-p digits of an index; a prime field's are range(p).  q itself
+is unbounded (x^2 + 1 is inert at p = 10^9 + 7, so q is about 10^18),
+so elements are only drawn lazily, and Cantor-Zassenhaus draws a random
+one by its index.
 """
 
 from __future__ import annotations
@@ -103,10 +82,7 @@ class DegreesNotCoprime(ConfigError):
 
 
 def fp_normalize(coeffs, p):
-    coeffs = [c % p for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    return tuple(_trim([c % p for c in coeffs]))
 
 
 def is_irreducible_univariate(g, p, limit=DEFAULT_CANDIDATE_LIMIT):
@@ -128,12 +104,14 @@ class _Arith:
     """Field operations for every route: plain residues mod p for a
     prime field, ResidueElements for an extension field.  Zero is falsy
     in both.  `element` converts a ResidueElement to this
-    representation, `from_int` an integer; `elements` iterates lazily
-    over the q elements in the order of `ResidueField.elements()`, and
-    `random` draws one.
+    representation, `from_int` an integer; `root` is the p-th root c^(q/p),
+    the inverse of Frobenius c -> c^p, and the identity on a prime field;
+    `elements` iterates lazily over the q elements in the order of
+    `ResidueField.elements()`, and `random` draws one.
     """
 
     def __init__(self, p, field=None):
+        self.p = p
         if field is None or not field.generators:
             self.field = None
             self.q, self.zero, self.one = p, 0, 1
@@ -141,6 +119,7 @@ class _Arith:
             self.sub = lambda a, b: (a - b) % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
+            self.root = lambda a: a
             self.from_int = lambda k: k % p
             self.element = lambda a: a.coeffs.get((), 0)
         else:
@@ -148,6 +127,8 @@ class _Arith:
             self.q, self.zero, self.one = field.q, field.zero, field.one
             self.add, self.sub = operator.add, operator.sub
             self.mul, self.inv = operator.mul, ResidueElement.inverse
+            k = field.q // p
+            self.root = lambda a: a ** k
             self.from_int = field.from_int
             self.element = lambda a: a
 
@@ -254,6 +235,10 @@ def _inverse_mod(a, f, ar):
     return _rem([ar.mul(inv, c) for c in s1], f, ar)
 
 
+def _derivative(f, ar):
+    return _trim([ar.mul(ar.from_int(k), c) for k, c in enumerate(f)][1:])
+
+
 def _distinct_degree(f, ar):
     """Distinct-degree factorisation, Ben-Or's loop run to the end: for a
     monic f it yields pairs (k, g), k increasing, where g != 1 is the
@@ -316,16 +301,43 @@ def _factor_squarefree(parts, ar):
     return [h for k, g in parts for h in _equal_degree(g, k, ar, rng)]
 
 
-def _irreducible_univariate(f, ar, limit):
-    """Whether a monic f of degree d >= 1 over F_q is irreducible: Ben-Or's
-    test once d^3 * bitlen(q), the work of Rabin's test up to a constant
-    factor and a bound on Ben-Or's, is within limit."""
-    d = len(f) - 1
-    if d == 1:
-        return True
+def _factor(f, ar):
+    """The monic irreducible factors of a monic f over F_q, each with its
+    multiplicity: those of f / gcd(f, f') are split and divided out as
+    often as they go, and what is left, with f' = 0, is g^p for the g
+    of the p-th roots of f's coefficients at exponents divisible by p."""
+    factors, times = [], 1
+    while len(f) > 1:
+        slope = _derivative(f, ar)
+        if not slope:
+            f, times = [ar.root(c) for c in f[::ar.p]], times * ar.p
+            continue
+        part = _divmod(f, _gcd(f, slope, ar), ar)[0]
+        for h in _factor_squarefree(_distinct_degree(part, ar), ar):
+            k = 0
+            quo, rem = _divmod(f, h, ar)
+            while not rem:
+                f, k = quo, k + 1
+                quo, rem = _divmod(f, h, ar)
+            factors.append((h, k * times))
+    return factors
+
+
+def _rabin_work(d, ar, limit):
+    """Charge d^3 * bitlen(q), the field operations of Rabin's test up
+    to a constant factor, which bound Ben-Or's and the factoriser's."""
     needed = d ** 3 * ar.q.bit_length()
     if needed > limit:
         raise ResourceLimitExceeded("univariate Rabin work", limit, needed)
+
+
+def _irreducible_univariate(f, ar, limit):
+    """Whether a monic f of degree d >= 1 over F_q is irreducible: Ben-Or's
+    test behind `_rabin_work`."""
+    d = len(f) - 1
+    if d == 1:
+        return True
+    _rabin_work(d, ar, limit)
     return _ben_or(f, ar)
 
 
@@ -503,19 +515,20 @@ class ResidueElement:
                 raw[e] = (raw.get(e, 0) + c1 * c2) % p
         return ResidueElement(self.field, self.field._reduce(raw))
 
-    def inverse(self):
-        """Multiplicative inverse via a^(q-2) (the field is tiny)."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in residue field")
-        result = self.field.one
-        base = self
-        k = self.field.q - 2
+    def __pow__(self, k):
+        """self^k for k >= 0, by repeated squaring."""
+        result, base = self.field.one, self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
-            k >>= 1
+            base, k = base * base, k >> 1
         return result
+
+    def inverse(self):
+        """Multiplicative inverse, a^(q-2)."""
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero in residue field")
+        return self ** (self.field.q - 2)
 
     def to_str(self) -> str:
         """Polynomial in y_i with integer coefficients in 0..p-1."""
@@ -591,9 +604,6 @@ class ResiduePoly:
                 else:
                     out[e] = s
         return ResiduePoly(self.field, self.nvars, out)
-
-    def lex_leading(self):
-        return max(self.terms)
 
     def is_single_variable(self, i):
         """True iff the polynomial is exactly Z_i."""
@@ -751,15 +761,8 @@ def pth_power_factor(t: ResiduePoly):
     if any(a % p for e in t.terms for a in e):
         return None
     ar, terms, _ = _setup(t)
-    root = {}
-    for e, c in terms.items():
-        r, k = ar.one, ar.q // p
-        while k:
-            if k & 1:
-                r = ar.mul(r, c)
-            c, k = ar.mul(c, c), k >> 1
-        root[tuple(a // p for a in e)] = r
-    return _proper_factor(t, terms, root, ar)
+    return _proper_factor(t, terms, {
+        tuple(a // p for a in e): ar.root(c) for e, c in terms.items()}, ar)
 
 
 def content_factor(t: ResiduePoly):
@@ -858,6 +861,18 @@ def _hensel(rows, c, k, factors, ar):
     return lc, lifted
 
 
+def _walk(values, variables, ar):
+    """Yield values with each point for variables written in, lazily,
+    the first variable the most significant; module-level, since a
+    recursive closure would be a cycle holding the field."""
+    if not variables:
+        yield values
+        return
+    for c in ar.elements():
+        values[variables[0]] = c
+        yield from _walk(values, variables[1:], ar)
+
+
 # lifting_route's answer when it cannot decide T within its budget
 UNDECIDED = object()
 
@@ -920,12 +935,12 @@ def lifting_route(t: ResiduePoly, budget):
     leaves T undecided.
 
     `is_irreducible_multivariate` sends a T in n >= 3 variables here
-    only when the exhaustive search's count, and so q, is within the
-    limit, because only the budget bounds the walk, not what a unit of
-    it costs.  The content Z3 + 1 of (Z1*Z2 + 1)*(Z3 + 1) makes the
-    primitivity test draw every point of Z2: over F_(p^2) with p = 10^9
-    + 7 each took about 0.3 ms on a shared 2-core x86-64 host (12 us
-    over F_p), so a budget of 10^6 would run for minutes.
+    only when its q^(n-1) points are within the limit, because only the
+    budget bounds the walk, not what a unit of it costs.  The content
+    Z3 + 1 of (Z1*Z2 + 1)*(Z3 + 1) makes the primitivity test draw every
+    point of Z2: over F_(p^2) with p = 10^9 + 7 each took about 0.3 ms
+    on a shared 2-core x86-64 host (12 us over F_p), so a budget of 10^6
+    would run for minutes.
     """
     ar, terms, used = _setup(t)
     n = len(used)
@@ -938,17 +953,7 @@ def lifting_route(t: ResiduePoly, budget):
         # the points for variables, drawn lazily in the walk's order, as
         # values of all of T's variables (None elsewhere); each costs 1
         nonlocal left
-        values = [None] * t.nvars
-
-        def walk(k):
-            if k == len(variables):
-                yield values
-                return
-            for c in ar.elements():
-                values[variables[k]] = c
-                yield from walk(k + 1)
-
-        for point in walk(0):
+        for point in _walk([None] * t.nvars, variables, ar):
             if left <= 0:
                 return
             left -= 1
@@ -992,9 +997,8 @@ def lifting_route(t: ResiduePoly, budget):
         for values in points(rest):
             ev = _evaluate(terms, values, (x,), ar)
             f = [ev.get((a,), ar.zero) for a in range(d + 1)]
-            if not f[d] or n == 2 and len(_gcd(f, [
-                    ar.mul(ar.from_int(a), f[a])
-                    for a in range(1, d + 1)], ar)) > 1:
+            if not f[d] or n == 2 and len(
+                    _gcd(f, _derivative(f, ar), ar)) > 1:
                 bad += 1
             elif left < testing:
                 break
@@ -1044,98 +1048,72 @@ def lifting_route(t: ResiduePoly, budget):
     return UNDECIDED
 
 
+def kronecker_route(t: ResiduePoly, limit):
+    """Decide T by Kronecker's substitution into one univariate
+    factorisation: a checked factor of T, or None when T is irreducible;
+    a guard raises rather than leave T undecided.
+
+    Z_i -> Z^(w_i), w_i = prod_{j<i} (deg_j T + 1), maps the monomials
+    of T's degree box one-to-one, as mixed-radix digits, and products to
+    products.  Both parts of a factorisation T = A*B lie in the box, so
+    for T's image u one part's image has degree at most deg u / 2 and
+    is, up to a unit, the product of a sub-multiset of u's monic
+    irreducible factors.  Each such product is read back and tried as a
+    divisor of T.  Charged before the work: d^3 * bitlen(q) for d =
+    deg u to "univariate Rabin work", and the prod (m_i + 1)
+    sub-multisets of u's factors of multiplicities m_i to "multivariate
+    divisor candidates".  They are walked depth first, by an explicit
+    stack, and a product past deg u / 2 is not extended.
+    """
+    ar, terms, _ = _setup(t)
+    radix = [t.degree_in(i) + 1 for i in range(t.nvars)]
+    weights = [math.prod(radix[:i]) for i in range(t.nvars)]
+    image = {sum(map(operator.mul, e, weights)): c for e, c in terms.items()}
+    d = max(image)
+    _rabin_work(d, ar, limit)
+    factors = _factor(_monic([image.get(k, ar.zero) for k in range(d + 1)],
+                             ar), ar)
+    needed = math.prod(m + 1 for _, m in factors)
+    if needed > limit:
+        raise ResourceLimitExceeded(
+            "multivariate divisor candidates", limit, needed)
+    # the box's monomials in the order of their images' exponents
+    digits = [e[::-1] for e in itertools.islice(
+        itertools.product(*map(range, reversed(radix))), d // 2 + 1)]
+    stack = [(0, 0, [ar.one])]  # g: factors before i, j copies of i
+    while stack:
+        i, j, g = stack.pop()
+        if 2 * (len(g) - 1) > d:
+            continue
+        if i < len(factors):
+            stack.append((i + 1, 0, g))
+            if j < factors[i][1]:
+                stack.append((i, j + 1, _mul(g, factors[i][0], ar)))
+        elif len(g) > 1:
+            a = _proper_factor(t, terms, {
+                digits[k]: c for k, c in enumerate(g) if c}, ar)
+            if a is not None:
+                return a
+    return None
+
+
 def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
     """Whether T is irreducible over its residue field F_q, by the
     routes of the module docstring.  A T with positive degree in one
     variable is univariate: its factors cannot involve the others."""
     if t.is_zero or t.degree() < 1:
         raise ValueError("T must be nonzero of total degree >= 1")
-    field = t.field
     used = sum(t.degree_in(i) > 0 for i in range(t.nvars))
     if used == 1:
-        ar = _Arith(field.p, field)
+        ar = _Arith(t.field.p, t.field)
         f = [ar.zero] * (t.degree() + 1)
         for e, c in t.terms.items():
             f[sum(e)] = ar.element(c)
         return _irreducible_univariate(_monic(f, ar), ar, limit)
     if factor_witness(t) is not None:
         return False
-    slots, leads = _divisor_slots(t)
-    if not slots:
-        return True
-    total = 0  # the unpruned search's candidates, until they pass limit
-    for lead in leads:
-        below = sum(1 for e in slots if e < lead) + 1  # + constant slot
-        total += field.q ** below
-        if total > limit:
-            break
-    if used == 2 or total <= limit:
+    if used == 2 or t.field.q ** (used - 1) <= limit:
         factor = lifting_route(t, limit)
         if factor is not UNDECIDED:
             return factor is None
-    if total > limit:
-        raise ResourceLimitExceeded(
-            "multivariate divisor candidates", limit, total)
-    return _divisor_search(t)
-
-
-def _divisor_slots(t: ResiduePoly):
-    """The monomials a candidate divisor of T may have, in ascending lex
-    order, and those of them that may lead it: non-constant, within T's
-    degree box, of total degree at most deg(T)/2, and, for a lead,
-    dividing T's lex-leading monomial."""
-    box = [t.degree_in(i) for i in range(t.nvars)]
-    half = t.degree() // 2
-    slots = sorted(
-        e
-        for e in itertools.product(*(range(b + 1) for b in box))
-        if 0 < sum(e) <= half
-    )
-    t_lead = t.lex_leading()
-    leads = [e for e in slots if all(a <= b for a, b in zip(e, t_lead))]
-    return slots, leads
-
-
-def _divisor_search(t: ResiduePoly):
-    """Whether T is irreducible, by an unguarded exhaustive search for a
-    divisor g on _divisor_slots plus the constant, with lex-leading
-    coefficient 1 (removing unit ambiguity).  Both the lex-leading and
-    the lex-trailing monomial of g must divide those of T.
-
-    Only candidates that fit T's degrees are tried.  Lex-leading
-    monomials and degrees add under multiplication, so for g with
-    lex-leading monomial L the cofactor h = T/g leads with H = lead(T)
-    - L, and:
-    - every monomial e of g has e_i <= deg_i T - H_i and |e| <= deg T -
-      |H|, since deg_i g = deg_i T - deg_i h and deg_i h >= H_i, and
-      likewise for the total degree; each lead's candidates use only
-      the slots within both bounds;
-    - every quotient monomial of the lex division is a monomial of h,
-      and `_exact_quotient` stops at the first that does not fit h's
-      degrees or lex-trailing monomial.
-    """
-    slots, leads = _divisor_slots(t)
-    box = [t.degree_in(i) for i in range(t.nvars)]
-    deg = t.degree()
-    t_lead, t_trail = t.lex_leading(), min(t.terms)
-    ar = _Arith(t.field.p, t.field)
-    tt = {e: ar.element(c) for e, c in t.terms.items()}
-    elements = tuple(ar.elements())
-    zero_exp = (0,) * t.nvars
-    for lead in leads:
-        h_lead = [a - b for a, b in zip(t_lead, lead)]
-        fits = [b - a for a, b in zip(h_lead, box)]
-        top = deg - sum(h_lead)
-        lower = [zero_exp] + [
-            e for e in slots
-            if e < lead and sum(e) <= top
-            and all(a <= b for a, b in zip(e, fits))
-        ]
-        for combo in itertools.product(elements, repeat=len(lower)):
-            g = {lead: ar.one}
-            g.update((e, c) for e, c in zip(lower, combo) if c)
-            if any(a > b for a, b in zip(min(g), t_trail)):
-                continue
-            if _exact_quotient(tt, g, ar) is not None:
-                return False
-    return True
+    return kronecker_route(t, limit) is None

@@ -9,7 +9,8 @@ Grammar (whitespace insignificant):
 
 Rationals are decimal-free: "a" or "a/b", in the ASCII digits 0-9
 only.  Variable names and their order are supplied by the caller; the
-order fixes coordinate indices, and a repeated name raises ConfigError.
+order fixes coordinate indices.  A repeated name raises ConfigError, and
+so does a name outside [A-Za-z_][A-Za-z_0-9]*, which no token spells.
 
 One regular-expression pass splits the text into plain token strings.
 One loop per expression then reads them, with the index, the tokens and
@@ -243,13 +244,16 @@ def _expression(text, tokens, i, slots, n, depth):
 def parse_polynomial(text: str, variables) -> MultiPoly:
     """Parse an expression into an exact polynomial; variable order
     fixes the coordinate indices (first named variable is x_1).  A
-    repeated variable name raises ConfigError."""
+    repeated variable name, or one that no token spells, such as "3",
+    raises ConfigError."""
     variables = list(variables)
     if len(set(variables)) != len(variables):
         raise ConfigError(f"variable names must be distinct, got {variables}")
-    # a name the grammar cannot spell, such as "3", matches no token
-    slots = {name: k for k, name in enumerate(variables)
-             if name.isascii() and name.isidentifier()}
+    for name in variables:
+        if not (name.isascii() and name.isidentifier()):
+            raise ConfigError(f"variable name {name!r} is not of the form "
+                              "[A-Za-z_][A-Za-z_0-9]*")
+    slots = {name: k for k, name in enumerate(variables)}
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty expression", 0)

@@ -110,7 +110,7 @@ class PairConfig:
 
     def __init__(self, specs, p, limit=DEFAULT_CANDIDATE_LIMIT):
         self.p = p
-        self.limit = limit  # the guard of every residue search
+        self.limit = limit  # the bound of every work guard
         self.specs = list(specs)
         pairs = []
         inert_gens = []

@@ -127,6 +127,18 @@ class TestCertify:
         assert "unexpected character '\u0663' (at position 6)" in err
         assert "Traceback" not in err
 
+    def test_variable_no_token_can_spell_exit_4(self, pairs_file, capsys):
+        # with "3" as the second variable, "3" in the text would read as
+        # the number and the variable could not be reached
+        code = main([
+            "certify", "--vars", "x,3", "--pairs", pairs_file(GAUSS2),
+            "x^2*3^2 + x + 1",
+        ])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "variable name '3' is not of the form" in err
+        assert "Traceback" not in err
+
     def test_prime_mismatch_exit_4(self, pairs_file, capsys):
         code = main([
             "certify", "--prime", "5", "--vars", "x,y",
@@ -206,13 +218,15 @@ class TestCertify:
     @pytest.mark.parametrize("nvars,expr,expected", [
         (2, "(x^2+1)*y + {p}", EXIT_OK),  # T = Z1*Z2 + 1
         (2, "(x^2+1)^2*y^2 + {p}^2", EXIT_RESIDUE_EXCLUDED),  # Z1^2*Z2^2 + 1
-        (3, "(x^2+1)*y*z + {p}", EXIT_GUARD),  # Z1*Z2*Z3 + 1
+        (3, "(x^2+1)*y*z + {p}", EXIT_OK),  # Z1*Z2*Z3 + 1
     ], ids=["irreducible", "reducible", "three-variables"])
     def test_inert_residue_field_above_the_guard(
             self, pairs_file, capsys, prime, nvars, expr, expected):
         # x^2 + 1 is inert at both primes, so the residue field F_(p^2)
         # has about 10^8 or 10^18 elements; its points are drawn lazily
-        # and never listed, so each answer comes at once
+        # and never listed, and Kronecker's substitution decides the
+        # three-variable T from one image of degree 7, so each answer
+        # comes at once
         pairs = pairs_file({"prime": prime, "pairs": [
             {"kind": "inert", "phi": [1, 0, 1], "delta": "1"}] + [
             {"kind": "rational_center", "center": "0", "delta": "0"}]

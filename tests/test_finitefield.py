@@ -1,7 +1,8 @@
 """Residue fields: univariate irreducibility and factorisation, the
 composite field, and the routes that decide residue polynomials: the
-reducibility witnesses, the specialisation and lifting route and the
-exhaustive divisor search."""
+reducibility witnesses, the specialisation and lifting route and
+Kronecker's substitution, each checked against an unpruned enumeration
+of candidate divisors."""
 
 import collections
 import gc
@@ -291,13 +292,12 @@ class TestMultivariateIrreducibility:
 
     def test_one_variable_never_reaches_the_search(self, monkeypatch):
         # Ben-Or's test decides a T with positive degree in one variable:
-        # no candidate count, specialisation route or divisor search runs,
-        # so Z^30 + Z + 2 over F_3, whose count is 3 + ... + 3^15, is
-        # decided too
+        # neither the specialisation route nor Kronecker's substitution
+        # runs, for Z^30 + Z + 2 over F_3 as for the quadratics
         def refuse(*args):
             raise AssertionError("the multivariate decision ran")
 
-        for name in ("_divisor_slots", "_divisor_search", "lifting_route"):
+        for name in ("kronecker_route", "lifting_route"):
             monkeypatch.setattr(finitefield, name, refuse)
         f3 = ResidueField(3, [])
         two = f3.from_int(2)
@@ -325,15 +325,15 @@ class TestMultivariateIrreducibility:
 
     def test_mid_size_extension_search_stays_small(self):
         # F_961 = F_31[y]/(y^2 - 3), 3 not a square mod 31.  Z^4 - 9 =
-        # (Z - y)(Z + y)(Z^2 + 3) has no witness, and its search, whose
-        # guard count is q + q^2, peaks far below the 14 MB that add and
-        # mul tables of q^2 entries each would take
+        # (Z - y)(Z + y)(Z^2 + 3) has no witness, and Kronecker's route
+        # factors it with a peak far below the 14 MB that add and mul
+        # tables of q^2 entries each would take
         f = ResidueField(31, [(-3, 0, 1)])
         assert f.q == 961
         t = ResiduePoly(f, 1, {(4,): f.one, (0,): f.from_int(-9)})
         tracemalloc.start()
         try:
-            assert not finitefield._divisor_search(t)
+            assert not _fallback(t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -366,13 +366,16 @@ class TestMultivariateIrreducibility:
     def test_guard(self):
         # Z1^2 Z2^2 Z3^2 + Z1 Z2 Z3 + 1 over F_2 has no monomial factor
         # and is no square, the content witness takes two variables only,
-        # and the specialisation route a T in three only within the
-        # limit, so no route decides it above the limit
+        # a budget of 10 pays no Ben-Or test of the specialisation route,
+        # and Kronecker's image has degree 2 + 2*3 + 2*9 = 26, so no route
+        # decides it within the limit
         f2 = ResidueField(2, [])
         one = f2.one
         t = ResiduePoly(f2, 3, {(2, 2, 2): one, (1, 1, 1): one, (0, 0, 0): one})
-        with pytest.raises(ResourceLimitExceeded):
+        with pytest.raises(ResourceLimitExceeded) as exc:
             is_irreducible_multivariate(t, limit=10)
+        assert exc.value.bound_name == "univariate Rabin work"
+        assert exc.value.needed == 26 ** 3 * 2
 
     def test_rejects_constant(self):
         f3 = ResidueField(3, [])
@@ -442,9 +445,19 @@ def _undecided(t, budget):
     return finitefield.UNDECIDED
 
 
+def _fallback(t):
+    """Kronecker's route's answer: False for a factor, checked here by
+    multiplication, True for irreducible."""
+    a = finitefield.kronecker_route(t, 10 ** 6)
+    if a is not None:
+        _assert_proper_factor(t, a)
+    return a is None
+
+
 def _route_answers(t):
     """{route: answer} for each route that decides T: False for a factor,
-    checked here by multiplication, True for irreducible."""
+    checked here by multiplication, True for irreducible.  Kronecker's
+    route decides every T."""
     answers = {}
     for name in ("monomial_factor", "pth_power_factor", "content_factor"):
         a = getattr(finitefield, name)(t)
@@ -456,17 +469,20 @@ def _route_answers(t):
         if a is not None:
             _assert_proper_factor(t, a)
         answers["lifting_route"] = a is None
+    answers["kronecker_route"] = _fallback(t)
     return answers
 
 
 def _reference_irreducible(t):
     """Whether T is irreducible, by the unpruned enumeration: every g on
-    `_divisor_slots` plus the constant, with lex-leading coefficient 1,
-    is tested for division.  A reducible T has a factor of total degree
-    at most deg(T)/2 inside its degree box, and those are the slots."""
+    the monomials of T's degree box of total degree at most deg(T)/2,
+    with lex-leading coefficient 1 on a non-constant one, is tested for
+    division.  A reducible T has a factor of total degree at most
+    deg(T)/2 inside its degree box."""
     field = t.field
-    slots, _ = finitefield._divisor_slots(t)
-    monos = [(0,) * t.nvars] + slots  # ascending lex
+    box = [t.degree_in(i) for i in range(t.nvars)]
+    monos = sorted(e for e in itertools.product(*(range(b + 1) for b in box))
+                   if sum(e) <= t.degree() // 2)  # ascending lex
     elems = list(field.elements())
     for k in range(1, len(monos)):
         for combo in itertools.product(elems, repeat=k):
@@ -540,13 +556,14 @@ class TestSpecialisationWitness:
         fast = [is_irreducible_multivariate(t) for t in polys]
         reference = _exhaustive(polys)
         assert fast == reference
-        # every route that decides a T agrees with the searches
+        # every route that decides a T agrees with the enumeration, and
+        # Kronecker's route decides them all
         routes = collections.Counter()
         for t, answer in zip(polys, reference):
             answers = _route_answers(t)
             assert set(answers.values()) <= {answer}, (answers, t)
-            assert not answers or finitefield._divisor_search(t) == answer
             routes.update(answers.keys())
+        assert routes["kronecker_route"] == len(polys)
         assert routes["monomial_factor"]
         assert len(box) != 2 or routes["content_factor"]
         assert len(box) == 1 or routes["lifting_route"]
@@ -561,14 +578,14 @@ class TestSpecialisationWitness:
         # on the two-variable boxes above, every irreducible T with a
         # single-factor point, a point for one variable that keeps T's
         # degree in the other and leaves T irreducible, is decided
-        # without the search
+        # without Kronecker's route
         field = ResidueField(p, gens)
         pointed = [t for t in _corner_family(field, box)
                    if _has_single_factor_point(t)]
         witnessed = [t for t, irreducible in zip(pointed, _exhaustive(pointed))
                      if irreducible]
         assert witnessed
-        monkeypatch.setattr(finitefield, "_divisor_search", _refuse)
+        monkeypatch.setattr(finitefield, "kronecker_route", _refuse)
         assert all(is_irreducible_multivariate(t) for t in witnessed)
 
     def test_no_witness_for_a_content_factor(self):
@@ -610,12 +627,22 @@ class TestSpecialisationWitness:
         gc.disable()
         try:
             f5 = ResidueField(5, [])
-            # Z^4 + 1 = (Z^2 + 2)(Z^2 + 3) over F_5, found by the search
+            # Z^4 + 1 = (Z^2 + 2)(Z^2 + 3) over F_5, found by Kronecker's
+            # route
             t = ResiduePoly(f5, 1, {(4,): f5.one, (0,): f5.one})
-            assert not finitefield._divisor_search(t)
+            assert not _fallback(t)
             ref = weakref.ref(f5)
             del f5, t
             assert ref() is None
+            # nor after the lifting route's walk and Kronecker's route on
+            # Z1 Z2 + 1 and Z1 Z2 Z3 + 1 over F_9
+            for n in (2, 3):
+                f9 = ResidueField(3, [(1, 0, 1)])
+                t = ResiduePoly(f9, n, {(1,) * n: f9.one, (0,) * n: f9.one})
+                assert is_irreducible_multivariate(t) and _fallback(t)
+                ref = weakref.ref(f9)
+                del f9, t
+                assert ref() is None
         finally:
             gc.enable()
 
@@ -643,9 +670,10 @@ def _random_poly(field, rng, box, top):
 
 
 class TestDivisorSearch:
-    # each factor on box with total degree at most top, so that the
-    # reference's unpruned enumeration stays near a thousand candidates
-    # or fewer
+    # Kronecker's route, the fallback that decides whatever the lifting
+    # route leaves, against the unpruned enumeration.  Each factor on
+    # box with total degree at most top, so that the reference stays
+    # near a thousand candidates or fewer
     @pytest.mark.parametrize("name,box,top", [
         ("F_2", (2, 1), 3), ("F_3", (1, 1), 2), ("F_5", (1, 1), 1),
         ("F_4", (1, 1), 2), ("F_9", (1, 1), 1),
@@ -664,22 +692,23 @@ class TestDivisorSearch:
              if sum(t.degree_in(i) > 0 for i in range(t.nvars)) > 1]
             for polys in (products, draws))
         assert products and draws
-        pruned = [finitefield._divisor_search(t) for t in products + draws]
+        answers = [_route_answers(t) for t in products + draws]
         reference = _exhaustive(products + draws)
-        assert pruned == reference
-        assert not any(pruned[:len(products)])
+        fallback = [a["kronecker_route"] for a in answers]
+        assert fallback == reference
+        assert not any(fallback[:len(products)])
         # and every route that decides a T agrees with the reference
-        for t, answer in zip(products + draws, reference):
-            assert set(_route_answers(t).values()) <= {answer}, t
+        for a, answer in zip(answers, reference):
+            assert set(a.values()) <= {answer}, a
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_factors_on_the_bounds(self, name):
-        # in (Z1^2 + Z2)(Z2 + 1) the cofactor of g = Z2 + 1 leads with
-        # Z1^2, so g may use only slots with e_1 <= 0 and |e| <= 1, and
-        # the quotient's Z1^2 meets its bounds s_1 <= 2 and |s| <= 2;
-        # Z1^2 + Z2 and Z1 - Z2^2 carry T's full degree in one variable,
-        # and in (Z1 + Z2*Z3)(Z3 - 1) the quotient's Z2*Z3 meets the
-        # lex floor, the total and the Z2 and Z3 bounds at once
+        # factors that meet the bounds at which the exact division stops:
+        # in (Z1^2 + Z2)(Z2 + 1) divided by Z2 + 1 the quotient's Z1^2
+        # meets s_1 <= 2 and |s| <= 2; Z1^2 + Z2 and Z1 - Z2^2 carry T's
+        # full degree in one variable, and in (Z1 + Z2*Z3)(Z3 - 1) the
+        # quotient's Z2*Z3 meets the lex floor, the total and the Z2 and
+        # Z3 bounds at once
         field = ResidueField(*FIELDS[name])
         one, minus = field.one, field.from_int(-1)
         factors = [
@@ -691,20 +720,20 @@ class TestDivisorSearch:
         for a, b in factors:
             n = len(next(iter(a)))
             t = ResiduePoly(field, n, a) * ResiduePoly(field, n, b)
-            assert not finitefield._divisor_search(t)
+            assert not _fallback(t)
             assert not _reference_irreducible(t)
             # the same T with 1 added to its constant term
             terms = dict(t.terms)
             terms[(0,) * n] = t.coeff((0,) * n) + one
             t = ResiduePoly(field, n, terms)
-            assert finitefield._divisor_search(t) == _reference_irreducible(t)
+            assert _fallback(t) == _reference_irreducible(t)
 
-    def test_guard_counts_the_unpruned_candidates(self, monkeypatch):
+    def test_ceiling_probes_decided_by_the_fallback_alone(self, monkeypatch):
         # the ceiling probes: (Z1^2 Z2^2 + 1)^3 over F_3, and the Gauss
-        # probe's T at p = 10^9 + 7, are above the guard on the same
-        # counts as an unpruned search would try.  The p-th power witness
-        # and the lifting route decide them reducible; with both patched
-        # off they trip the guard
+        # probe's T at p = 10^9 + 7.  The p-th power witness and the
+        # lifting route decide them reducible; with both patched off,
+        # Kronecker's route factors them: images of degree 6 + 6*7 = 48
+        # and 2 + 2*3 = 8, within the limit
         f3 = ResidueField(3, [])
         base = _poly(f3, {(2, 2): 1, (0, 0): 1})
         big = ResidueField(10 ** 9 + 7, [])
@@ -721,20 +750,38 @@ class TestDivisorSearch:
             assert not is_irreducible_multivariate(t)
         monkeypatch.setattr(finitefield, "factor_witness", lambda t: None)
         monkeypatch.setattr(finitefield, "lifting_route", _undecided)
-        for t, needed in ((cube, 2_391_483), (probe, 1_000_000_007)):
-            with pytest.raises(ResourceLimitExceeded) as exc:
-                is_irreducible_multivariate(t)
-            assert exc.value.bound_name == "multivariate divisor candidates"
-            assert exc.value.needed == needed
-            assert str(exc.value) == (
-                "multivariate divisor candidates limit exceeded: "
-                f"need {needed}, limit is 1000000")
+        for t in (cube, probe):
+            assert not _fallback(t)
+            assert not is_irreducible_multivariate(t)
+        # one unit of limit short of the cube's image's Rabin work
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            is_irreducible_multivariate(cube, 48 ** 3 * 2 - 1)
+        assert str(exc.value) == (
+            "univariate Rabin work limit exceeded: "
+            f"need {48 ** 3 * 2}, limit is {48 ** 3 * 2 - 1}")
 
-    def test_undecided_above_the_limit_raises_as_before(self):
+    def test_small_limits_trip_each_guard(self):
+        # Z1^3 Z2^3 - 1 over F_31 has the image Z^(3 + 3*4) - 1 = Z^15 - 1,
+        # whose 15 roots are distinct and in F_31, since 15 divides 30:
+        # the factorisation is charged 15^3 * bitlen(31) = 16,875, and
+        # the 15 linear factors have 2^15 sub-multisets
+        f31 = ResidueField(31, [])
+        t = _poly(f31, {(3, 3): 1, (0, 0): -1})
+        for limit, name, needed in (
+                (16_874, "univariate Rabin work", 16_875),
+                (32_767, "multivariate divisor candidates", 32_768)):
+            with pytest.raises(ResourceLimitExceeded) as exc:
+                finitefield.kronecker_route(t, limit)
+            assert exc.value.bound_name == name
+            assert exc.value.needed == needed
+        a = finitefield.kronecker_route(t, 32_768)
+        _assert_proper_factor(t, a)
+
+    def test_three_variable_residue_decided_by_either_route(self, monkeypatch):
         # Z1^2 Z2^2 Z3^2 + Z1 + Z2 + Z3 + 1 over F_3: three variables, no
-        # monomial factor, not a cube.  The route, called directly,
-        # decides it; above the limit it is not called, so the guard
-        # raises with the count and message it always had
+        # monomial factor, not a cube.  Its 9 points are within the limit,
+        # so the route decides it irreducible; with the route patched
+        # off, Kronecker's route does, from an image of degree 26
         f3 = ResidueField(3, [])
         one = f3.one
         t = ResiduePoly(f3, 3, {(2, 2, 2): one, (1, 0, 0): one,
@@ -742,16 +789,43 @@ class TestDivisorSearch:
                                 (0, 0, 0): one})
         assert finitefield.factor_witness(t) is None
         assert finitefield.lifting_route(t, 10 ** 6) is None
-        with pytest.raises(ResourceLimitExceeded) as exc:
-            is_irreducible_multivariate(t)
-        assert str(exc.value) == (
-            "multivariate divisor candidates limit exceeded: "
-            f"need {exc.value.needed}, limit is 1000000")
-        assert exc.value.needed > 10 ** 6
+        assert is_irreducible_multivariate(t)
+        assert _fallback(t)
+        monkeypatch.setattr(finitefield, "lifting_route", _undecided)
+        assert is_irreducible_multivariate(t)
+
+    def test_repeated_factor_above_the_guard(self):
+        # (Z1 Z2 + Z1 + 1)^2 (Z1 + Z2) over F_(10^9 + 7) has no point
+        # where T(X, c) is squarefree, so the lifting route gives up in
+        # both variables; Kronecker's image, of degree 3 + 3*4 = 15,
+        # shows the square
+        big = ResidueField(10 ** 9 + 7, [])
+        a = _poly(big, {(1, 1): 1, (1, 0): 1, (0, 0): 1})
+        t = a * a * _poly(big, {(1, 0): 1, (0, 1): 1})
+        assert finitefield.lifting_route(t, 10 ** 6) is finitefield.UNDECIDED
+        start = time.process_time()
+        assert not is_irreducible_multivariate(t)
+        assert time.process_time() - start < 1.0
+        assert not _fallback(t)
+
+    def test_three_variable_product_over_f9(self):
+        # (Z1 + Z2 + y Z3)(Z1 + y Z2 + 1) over F_9 = F_3[y]/(y^2 + 1):
+        # both factors have positive degree in Z1 and Z2, so no witness
+        # finds them, and every point of the route's walk gives a
+        # reducible T(c)
+        f9 = ResidueField(3, [(1, 0, 1)])
+        y, one = f9.element({(1,): 1}), f9.one
+        a = ResiduePoly(f9, 3, {(1, 0, 0): one, (0, 1, 0): one, (0, 0, 1): y})
+        b = ResiduePoly(f9, 3, {(1, 0, 0): one, (0, 1, 0): y, (0, 0, 0): one})
+        t = a * b
+        assert finitefield.factor_witness(t) is None
+        assert not is_irreducible_multivariate(t)
+        assert not _fallback(t)
+        assert not _reference_irreducible(t)
 
     def test_witnessless_pool_residues_decide_quickly(self, monkeypatch):
         # the benchmark's gauss3-33 and inert9-ramified residues, decided
-        # by the search alone: about 4 s unpruned, about 0.05 s pruned
+        # by Kronecker's route alone
         monkeypatch.setattr(finitefield, "lifting_route", _undecided)
         f3 = ResidueField(3, [])
         gauss = _poly(f3, {
@@ -778,8 +852,8 @@ class TestReducibilityRoutes:
     ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
     def test_products_and_products_plus_one(self, name, box, top):
         # every route that decides a random product, or the product with
-        # 1 added to its constant term, agrees with the pruned search and
-        # with the unpruned enumeration
+        # 1 added to its constant term, Kronecker's route among them,
+        # agrees with the unpruned enumeration
         field = ResidueField(*FIELDS[name])
         rng = random.Random(f"routes-{name}")
         polys = []
@@ -793,7 +867,6 @@ class TestReducibilityRoutes:
         decided = 0
         for t in polys:
             answer = _reference_irreducible(t)
-            assert finitefield._divisor_search(t) == answer
             for verdict in _route_answers(t).values():
                 assert verdict == answer
                 decided += 1
@@ -856,17 +929,18 @@ class TestReducibilityRoutes:
         # the residues Z1^2 Z2^2 + a Z1 Z2 + b Z1 + c Z2 + d of the
         # criterion-4 family over F_3: the lifting route decides all but
         # six, the four with no squarefree point in F_3 in either
-        # variable and the squares (Z1 Z2 -+ 1)^2, and every answer
-        # agrees with the unpruned enumeration
+        # variable and the squares (Z1 Z2 -+ 1)^2, which Kronecker's
+        # route decides, and every answer agrees with the unpruned
+        # enumeration
         f3 = ResidueField(3, [])
-        search = finitefield._divisor_search
+        fallback = finitefield.kronecker_route
         seen = []
 
-        def spy(t):
+        def spy(t, limit):
             seen.append(t)
-            return search(t)
+            return fallback(t, limit)
 
-        monkeypatch.setattr(finitefield, "_divisor_search", spy)
+        monkeypatch.setattr(finitefield, "kronecker_route", spy)
         polys = {}
         for a, b, c, d in itertools.product(range(3), repeat=4):
             polys[a, b, c, d] = _poly(f3, {(2, 2): 1, (1, 1): a, (1, 0): b,
@@ -879,9 +953,9 @@ class TestReducibilityRoutes:
 
     def test_factors_with_positive_degree_everywhere_below_the_guard(
             self, monkeypatch):
-        # (Z1 + Z2 + 1)(Z1 + 2 Z2 + 3) over F_997: the unpruned count,
-        # 997^2 = 994,009, is below the guard, and the route lifts two
-        # linear factors at its first good point; the search does not run
+        # (Z1 + Z2 + 1)(Z1 + 2 Z2 + 3) over F_997: the route lifts two
+        # linear factors at its first good point, and Kronecker's route
+        # does not run; called alone, it factors T too
         f = ResidueField(997, [])
         a = _poly(f, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
         b = _poly(f, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
@@ -889,16 +963,11 @@ class TestReducibilityRoutes:
         factor = finitefield.lifting_route(t, 10 ** 6)
         assert factor in (a, b)
         _assert_proper_factor(t, factor)
-        monkeypatch.setattr(finitefield, "_divisor_search", _refuse)
+        assert not _fallback(t)
+        monkeypatch.setattr(finitefield, "kronecker_route", _refuse)
         start = time.process_time()
         assert not is_irreducible_multivariate(t)
         assert time.process_time() - start < 0.25
-        # the count is the guard's: one below it, with the route patched
-        # off, the guard trips on it
-        monkeypatch.setattr(finitefield, "lifting_route", _undecided)
-        with pytest.raises(ResourceLimitExceeded) as exc:
-            is_irreducible_multivariate(t, 994_008)
-        assert exc.value.needed == 994_009
 
     @pytest.mark.parametrize("name", ["F_2", "F_3", "F_4", "F_9", "F_997"])
     def test_factoriser_multiplies_back(self, name):

@@ -8,7 +8,8 @@ backticked Python name in a docstring or comment that names nothing the
 package defines, such as a deleted function.  The re-exports of
 __init__.py are exempt from the first.  A cache without a bound fails
 too: every functools.lru_cache names an int maxsize, and functools.cache
-is not used.
+is not used.  The README's table of resource guards names every guard
+the package raises, and no other.
 """
 
 import ast
@@ -170,3 +171,24 @@ def test_readme_lists_every_verdict_and_exit_code():
     codes = re.search(r"Exit codes: ([^;]*);", text)[1]
     assert sorted(int(c) for c in re.findall(r"`(\d+)`", codes)) == (
         _constants(cli, "EXIT_"))
+
+
+def _guard_names(modules):
+    """The bound names of the package's guards: the string first
+    argument of every ResourceLimitExceeded(...) and _check_size(...)
+    call."""
+    return {node.args[0].value
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("ResourceLimitExceeded", "_check_size")
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)}
+
+
+def test_readme_lists_every_guard():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = set(re.findall(r'^\| "([^"]+)" \|', text, re.MULTILINE))
+    names = _guard_names(_modules())
+    assert "univariate Rabin work" in names  # the scan finds the guards
+    assert listed == names

@@ -91,9 +91,12 @@ def test_repeated_variable_name():
 
 
 def test_name_no_token_can_spell():
-    # "3" is always the number 3, even where a variable is named "3"
-    assert parse_polynomial("3*x", ["x", "3"]) == MultiPoly(
-        2, {(1, 0): Fraction(3)})
+    # "3" is always the number 3, so a variable named "3", or any name
+    # outside [A-Za-z_][A-Za-z_0-9]*, is refused rather than left
+    # unreachable
+    for name in ("3", "y z", "x-1", "\u00e9", ""):
+        with pytest.raises(ConfigError, match="is not of the form"):
+            parse_polynomial("3*x", ["x", name])
 
 
 def test_trailing_tokens():

@@ -35,13 +35,12 @@ variables is decided by these routes, in this order:
    positive degree, the gcd over F_q[Z_j] of T's Z_i-coefficients.
    They run on every such T and cost a few gcds.
 2. One specialisation route (`lifting_route`, with a budget of the
-   limit) takes a T in two variables at every size, and a T in n >= 3
-   variables when its q^(n-1) points are within the limit.  T, if
-   primitive in a main variable X, is irreducible when T(c) is, for a
-   point c of the other variables that keeps T's X-degree; in two
-   variables the route otherwise Hensel-lifts the factors of T(c) and
-   tries their products as factors of T.  Its docstring gives the
-   argument, the walk and what the budget counts.
+   limit) maps, for a main variable X, the other variables to one Y by
+   Kronecker's substitution, the identity in two variables.  T, if that
+   image is primitive in X, is irreducible when the image at a point Y
+   = c keeps its X-degree and is irreducible; otherwise the route
+   Hensel-lifts the factors there and tries their products, read back,
+   as factors of T.  Its docstring gives the argument and the budget.
 3. What step 2 leaves undecided, Kronecker's substitution
    (`kronecker_route`) decides: it factors T's univariate image once
    and tries products of the factors, read back, as divisors of T.
@@ -639,21 +638,6 @@ def residue_text(nvars, texts):
     return " + ".join(parts) if parts else "0"
 
 
-def _evaluate(terms, values, keep, ar):
-    """Substitute values[j] for Z_j in every variable j not in keep: the
-    result maps the exponents of the kept variables, in keep's order, to
-    coefficients (some possibly zero)."""
-    out = {}
-    for e, c in terms.items():
-        for j, x in enumerate(values):
-            if j not in keep:
-                for _ in range(e[j]):
-                    c = ar.mul(c, x)
-        key = tuple(e[j] for j in keep)
-        out[key] = ar.add(out[key], c) if key in out else c
-    return out
-
-
 # ---------------------------------------------------------------------
 # reducibility witnesses and the specialisation and lifting route
 
@@ -717,14 +701,38 @@ def _exps(n, x, a, y, b):
     return tuple(a if j == x else b if j == y else 0 for j in range(n))
 
 
-def _rows(terms, x, y, ar):
-    """T as a polynomial in Z_x over F_q[Z_y], for a T in Z_x and Z_y
-    only: rows[a] is the coefficient list, in Z_y, of Z_x^a."""
+def _substitution(t, variables):
+    """Kronecker's substitution of one variable Y for the given variables
+    of T: Z_j -> Y^(w_j), w_j the product of deg_i T + 1 over the
+    variables i before j, maps the monomials of T's degree box in them
+    one-to-one, as mixed-radix digits, and products to products.
+    Returns image(e), an exponent vector's power of Y, and read(k, e),
+    which writes the digits of Y^k into e, the last one unbounded."""
+    weights = dict(zip(variables, itertools.accumulate(
+        [t.degree_in(j) + 1 for j in variables[:-1]], operator.mul,
+        initial=1)))
+
+    def image(e):
+        return sum(e[j] * w for j, w in weights.items())
+
+    def read(k, e):
+        e = list(e)
+        for j, w in reversed(weights.items()):
+            e[j], k = divmod(k, w)
+        return tuple(e)
+
+    return image, read
+
+
+def _rows(terms, x, image, ar):
+    """T as a polynomial in Z_x over F_q[Y], where image gives each
+    exponent vector's power of Y, one-to-one on the terms that share a
+    power of Z_x: rows[a] is the coefficient list, in Y, of Z_x^a."""
     rows = [[] for _ in range(max(e[x] for e in terms) + 1)]
     for e, c in terms.items():
-        row = rows[e[x]]
-        row.extend([ar.zero] * (e[y] + 1 - len(row)))
-        row[e[y]] = c
+        row, k = rows[e[x]], image(e)
+        row.extend([ar.zero] * (k + 1 - len(row)))
+        row[k] = c
     return rows
 
 
@@ -773,7 +781,7 @@ def content_factor(t: ResiduePoly):
     if len(pair) != 2:
         return None
     for x, y in (pair, pair[::-1]):
-        g = _content(_rows(terms, x, y, ar), ar)
+        g = _content(_rows(terms, x, operator.itemgetter(y), ar), ar)
         if len(g) > 1:
             return _proper_factor(t, terms, {
                 _exps(t.nvars, x, 0, y, k): c for k, c in enumerate(g) if c},
@@ -789,6 +797,14 @@ def factor_witness(t: ResiduePoly):
         if a is not None:
             return a
     return None
+
+
+def _value(a, c, ar):
+    """a(c), by Horner's rule."""
+    v = ar.zero
+    for coef in reversed(a):
+        v = ar.add(ar.mul(v, c), coef)
+    return v
 
 
 def _taylor(a, c, ar):
@@ -861,18 +877,6 @@ def _hensel(rows, c, k, factors, ar):
     return lc, lifted
 
 
-def _walk(values, variables, ar):
-    """Yield values with each point for variables written in, lazily,
-    the first variable the most significant; module-level, since a
-    recursive closure would be a cycle holding the field."""
-    if not variables:
-        yield values
-        return
-    for c in ar.elements():
-        values[variables[0]] = c
-        yield from _walk(values, variables[1:], ar)
-
-
 # lifting_route's answer when it cannot decide T within its budget
 UNDECIDED = object()
 
@@ -882,123 +886,84 @@ def lifting_route(t: ResiduePoly, budget):
     checked factor of T, None when T is irreducible, or UNDECIDED when
     budget runs out first or T is in fewer than two variables.
 
-    Let T be primitive in a main variable X, and let c be a point for
-    the other variables where T's X-leading coefficient lc(c) != 0.  A
-    factorisation T = A*B has both parts of positive X-degree, so
-    A(c)*B(c) would factor T(c), whose X-degree is d = deg_X T; so a
-    T(c) with one factor proves T irreducible.  For each X in turn:
-    - primitivity.  For n = 2 it is the content of T in X.  For n >= 3,
-      for each other variable Y, T's content C in X has Y-degree 0 if
-      some X-coefficient a_k has Y-degree 0, or if at some point b for
-      the remaining n - 2 variables the a_s of least Y-degree keeps its
-      Y-degree and the a_k(b) have gcd 1 over F_q[Y]: C(b) divides that
-      gcd, and keeps C's Y-degree since C's Y-leading coefficient
-      divides a_s's.  X is passed over when the test fails;
-    - the points c of F_q^(n-1) are drawn lazily, each variable's values
-      in the order of `ResidueField.elements()`, the first variable's
-      the most significant.  A point is good when lc(c) != 0 and, for
-      n = 2, T(X, c) is squarefree.  Ben-Or's test, the first step of
-      `_distinct_degree`, runs at each good point, and a T(X, c) with
-      one factor ends the route.
-
-    For n >= 3 the walk goes on until the budget or the points run out.
-    For n = 2, with e = deg_Y T for the other variable Y:
+    For each main variable X in turn, Kronecker's substitution sigma of
+    one variable Y for the others (`_substitution`; the identity for n
+    = 2) gives T' = sigma(T) in X and Y, and the route works on T'.
+    This is sound:
+    - sigma is a ring map, fixing X, that is one-to-one on the monomials
+      of T's degree box, so T = A*B gives T' = sigma(A)*sigma(B), and
+      sigma(A) keeps A's X-degree, as A lies in the box;
+    - T' primitive in X implies T primitive in X: a factor C of T of
+      X-degree 0 and positive degree gives the factor sigma(C) of T' of
+      X-degree 0 and positive Y-degree;
+    - the read-back inverts sigma on the box, so a lifted subset whose
+      product is sigma(A) reads back to A exactly.
+    Every candidate is read back and checked against T by
+    `_proper_factor`.  With d = deg_X T and e = deg_Y T', X is passed
+    over when T' is not primitive in X; otherwise:
+    - the points c in F_q are drawn lazily, in the order of
+      `ResidueField.elements()`.  A point is good when T''s X-leading
+      coefficient lc has lc(c) != 0 and T'(X, c) is squarefree.  If T =
+      A*B, both parts have positive X-degree, and sigma(A)(X, c) *
+      sigma(B)(X, c) factors T'(X, c) at a good point; so a T'(X, c)
+      with one factor, by Ben-Or's test, the first step of
+      `_distinct_degree`, proves T irreducible;
     - the points that are not good are roots of lc or of the resultant
-      of T and dT/dX, at most 2*d*e of them unless that resultant is 0,
-      so the walk stops after 2*d*e + 1 of them.  It tests up to d + 1
-      good points when a test is charged no more than the lifting it
+      of T' and dT'/dX, at most 2*d*e of them unless that resultant is
+      0, so the walk stops after 2*d*e + 1 of them.  It tests up to d +
+      1 good points when a test is charged no more than the lifting it
       may save, as over a small field, and only the first otherwise;
     - when none has one factor, the distinct-degree factorisation at
       the first good point runs on from its first step and is split,
       and the factors are lifted (Y - c)-adically to precision k = e +
-      1, with T's leading coefficient imposed (P. S. Wang, Math. Comp.
-      32, 1978);
+      1, with lc imposed (P. S. Wang, Math. Comp. 32, 1978);
     - for each subset S of the lifted factors, of size at most half
       their number r, the primitive part in X of lc * prod_S G_i, with
-      Y's powers below k, is tried as a divisor of T; a subset of size
-      r/2 only if it holds the first factor, as its complement gives
-      the same split.  If T = A*B, A(X, c) is the product of a subset
-      of T(X, c)'s factors, whose lifts are unique, and lc * prod_S G_i
-      = lc(B) * A mod (Y - c)^k; lc(B) * A has Y-degree at most e, so
-      it is the truncated product, with primitive part A.  One of A and
-      B has at most half the factors, so when no subset divides T, T is
-      irreducible.
+      Y's powers below k, is read back and tried as a divisor of T; a
+      subset of size r/2 only if it holds the first factor, as its
+      complement gives the same split.  If T = A*B, sigma(A)(X, c) is
+      the product of a subset of T'(X, c)'s factors, whose lifts are
+      unique, and lc * prod_S G_i = lc(sigma(B)) * sigma(A) mod (Y -
+      c)^k; that has Y-degree at most e, so it is the truncated
+      product, whose primitive part is sigma(A), a factor of the
+      primitive T'.  One of A and B has at most half the factors, so
+      when no subset divides T, T is irreducible.
 
-    The budget counts, each when it runs: one per point drawn, by the
-    walk or the primitivity test; d^3 * bitlen(q) per good point, the
-    field operations of Rabin's test up to a constant factor, which
-    bound Ben-Or's test and the factorisation; and d^2 * (e + 1)^2 for
-    the lifting and for each subset, their field operations up to a
-    constant factor.  A test the budget cannot pay ends the walk in X;
-    a lifting it cannot pay, or a walk with no good point, moves on to
-    the next X, whose charges may be lower; a subset it cannot pay
-    leaves T undecided.
-
-    `is_irreducible_multivariate` sends a T in n >= 3 variables here
-    only when its q^(n-1) points are within the limit, because only the
-    budget bounds the walk, not what a unit of it costs.  The content
-    Z3 + 1 of (Z1*Z2 + 1)*(Z3 + 1) makes the primitivity test draw every
-    point of Z2: over F_(p^2) with p = 10^9 + 7 each took about 0.3 ms
-    on a shared 2-core x86-64 host (12 us over F_p), so a budget of 10^6
-    would run for minutes.
+    The budget counts, each when it runs: for n >= 3, d * (e + 1)^2 for
+    T''s dense rows and content, as e can near the product of the other
+    degrees + 1 (for n = 2 they are T's own, uncharged); one per point
+    drawn; d^3 * bitlen(q) per good point, the field operations of
+    Rabin's test up to a constant factor, which bound Ben-Or's test and
+    the factorisation; and d^2 * (e + 1)^2 for the lifting and for each
+    subset, their field operations up to a constant factor.  A test the
+    budget cannot pay ends the walk in X; rows or a lifting it cannot
+    pay, or a walk with no good point, move on to the next X, whose
+    charges may be lower; a subset it cannot pay leaves T undecided.
     """
     ar, terms, used = _setup(t)
-    n = len(used)
-    if n < 2:
+    if len(used) < 2:
         return UNDECIDED
-    left = budget
-    bits = ar.q.bit_length()
-
-    def points(variables):
-        # the points for variables, drawn lazily in the walk's order, as
-        # values of all of T's variables (None elsewhere); each costs 1
-        nonlocal left
-        for point in _walk([None] * t.nvars, variables, ar):
-            if left <= 0:
-                return
-            left -= 1
-            yield point
-
-    def primitive(x, rest):
-        for y in rest:
-            degs = {}  # k -> Y-degree of a_k
-            for e in terms:
-                degs[e[x]] = max(degs.get(e[x], 0), e[y])
-            s = min(degs, key=degs.get)
-            if degs[s] == 0:
-                continue
-            for values in points([j for j in rest if j != y]):
-                ev = {k: c for k, c in _evaluate(terms, values, (x, y),
-                                                 ar).items() if c}
-                if ((s, degs[s]) in ev
-                        and len(_content(_rows(ev, 0, 1, ar), ar)) == 1):
-                    break
-            else:
-                return False
-        return True
-
+    left, bits = budget, ar.q.bit_length()
     for x in used:
-        rest = [j for j in used if j != x]
-        if n == 2:
-            y, = rest
-            rows = _rows(terms, x, y, ar)
-            if len(_content(rows, ar)) > 1:
-                continue
-            d, e = len(rows) - 1, max(map(len, rows)) - 1
-            testing, lift = d ** 3 * bits, d * d * (e + 1) ** 2
-            most_bad, scan = 2 * d * e, d + 1 if testing <= lift else 1
-        elif primitive(x, rest):
-            d = t.degree_in(x)
-            testing, most_bad, scan = d ** 3 * bits, math.inf, math.inf
-        else:
+        image, read = _substitution(t, [j for j in used if j != x])
+        d, e = max(k[x] for k in terms), max(map(image, terms))
+        dense = d * (e + 1) ** 2 if len(used) > 2 else 0
+        if left < dense:
             continue
+        left -= dense
+        rows = _rows(terms, x, image, ar)
+        if len(_content(rows, ar)) > 1:
+            continue
+        testing, lift = d ** 3 * bits, d * d * (e + 1) ** 2
+        most_bad, scan = 2 * d * e, d + 1 if testing <= lift else 1
         first = None
         bad = good = 0
-        for values in points(rest):
-            ev = _evaluate(terms, values, (x,), ar)
-            f = [ev.get((a,), ar.zero) for a in range(d + 1)]
-            if not f[d] or n == 2 and len(
-                    _gcd(f, _derivative(f, ar), ar)) > 1:
+        for c in ar.elements():
+            if left <= 0:
+                break
+            left -= 1
+            f = [_value(row, c, ar) for row in rows]
+            if not f[d] or len(_gcd(f, _derivative(f, ar), ar)) > 1:
                 bad += 1
             elif left < testing:
                 break
@@ -1009,11 +974,11 @@ def lifting_route(t: ResiduePoly, budget):
                 k, g = next(parts)
                 if k == d:
                     return None
-                if n == 2 and first is None:
-                    first = itertools.chain([(k, g)], parts), values[y]
+                if first is None:
+                    first = itertools.chain([(k, g)], parts), c
             if bad > most_bad or good == scan:
                 break
-        if n > 2 or first is None or left < lift:
+        if first is None or left < lift:
             continue
         left -= lift
         parts, c = first
@@ -1038,7 +1003,7 @@ def lifting_route(t: ResiduePoly, budget):
                         for a in range(max(map(len, prod)))]
                 g = _content(cols, ar)
                 a = _proper_factor(t, terms, {
-                    _exps(t.nvars, x, i, y, j): v
+                    read(j, _exps(t.nvars, x, i, x, i)): v
                     for i, col in enumerate(cols)
                     for j, v in enumerate(_divmod(col, g, ar)[0]) if v},
                     ar)
@@ -1053,9 +1018,8 @@ def kronecker_route(t: ResiduePoly, limit):
     factorisation: a checked factor of T, or None when T is irreducible;
     a guard raises rather than leave T undecided.
 
-    Z_i -> Z^(w_i), w_i = prod_{j<i} (deg_j T + 1), maps the monomials
-    of T's degree box one-to-one, as mixed-radix digits, and products to
-    products.  Both parts of a factorisation T = A*B lie in the box, so
+    `_substitution` of Z for all of T's variables is a ring map, one-to-one
+    on T's degree box.  Both parts of a factorisation T = A*B lie in it, so
     for T's image u one part's image has degree at most deg u / 2 and
     is, up to a unit, the product of a sub-multiset of u's monic
     irreducible factors.  Each such product is read back and tried as a
@@ -1065,21 +1029,18 @@ def kronecker_route(t: ResiduePoly, limit):
     divisor candidates".  They are walked depth first, by an explicit
     stack, and a product past deg u / 2 is not extended.
     """
-    ar, terms, _ = _setup(t)
-    radix = [t.degree_in(i) + 1 for i in range(t.nvars)]
-    weights = [math.prod(radix[:i]) for i in range(t.nvars)]
-    image = {sum(map(operator.mul, e, weights)): c for e, c in terms.items()}
-    d = max(image)
+    ar, terms, used = _setup(t)
+    image, read = _substitution(t, used)
+    u = {image(e): c for e, c in terms.items()}
+    d = max(u)
     _rabin_work(d, ar, limit)
-    factors = _factor(_monic([image.get(k, ar.zero) for k in range(d + 1)],
-                             ar), ar)
+    factors = _factor(_monic([u.get(k, ar.zero) for k in range(d + 1)], ar),
+                      ar)
     needed = math.prod(m + 1 for _, m in factors)
     if needed > limit:
         raise ResourceLimitExceeded(
             "multivariate divisor candidates", limit, needed)
-    # the box's monomials in the order of their images' exponents
-    digits = [e[::-1] for e in itertools.islice(
-        itertools.product(*map(range, reversed(radix))), d // 2 + 1)]
+    zero = (0,) * t.nvars
     stack = [(0, 0, [ar.one])]  # g: factors before i, j copies of i
     while stack:
         i, j, g = stack.pop()
@@ -1091,7 +1052,7 @@ def kronecker_route(t: ResiduePoly, limit):
                 stack.append((i, j + 1, _mul(g, factors[i][0], ar)))
         elif len(g) > 1:
             a = _proper_factor(t, terms, {
-                digits[k]: c for k, c in enumerate(g) if c}, ar)
+                read(k, zero): c for k, c in enumerate(g) if c}, ar)
             if a is not None:
                 return a
     return None
@@ -1112,8 +1073,7 @@ def is_irreducible_multivariate(t: ResiduePoly, limit=DEFAULT_CANDIDATE_LIMIT):
         return _irreducible_univariate(_monic(f, ar), ar, limit)
     if factor_witness(t) is not None:
         return False
-    if used == 2 or t.field.q ** (used - 1) <= limit:
-        factor = lifting_route(t, limit)
-        if factor is not UNDECIDED:
-            return factor is None
+    factor = lifting_route(t, limit)
+    if factor is not UNDECIDED:
+        return factor is None
     return kronecker_route(t, limit) is None

@@ -445,19 +445,19 @@ def _undecided(t, budget):
     return finitefield.UNDECIDED
 
 
-def _fallback(t):
+def _fallback(t, limit=10 ** 6):
     """Kronecker's route's answer: False for a factor, checked here by
     multiplication, True for irreducible."""
-    a = finitefield.kronecker_route(t, 10 ** 6)
+    a = finitefield.kronecker_route(t, limit)
     if a is not None:
         _assert_proper_factor(t, a)
     return a is None
 
 
-def _route_answers(t):
+def _route_answers(t, limit=10 ** 6):
     """{route: answer} for each route that decides T: False for a factor,
     checked here by multiplication, True for irreducible.  Kronecker's
-    route decides every T."""
+    route, with the given limit, decides every T."""
     answers = {}
     for name in ("monomial_factor", "pth_power_factor", "content_factor"):
         a = getattr(finitefield, name)(t)
@@ -469,7 +469,7 @@ def _route_answers(t):
         if a is not None:
             _assert_proper_factor(t, a)
         answers["lifting_route"] = a is None
-    answers["kronecker_route"] = _fallback(t)
+    answers["kronecker_route"] = _fallback(t, limit)
     return answers
 
 
@@ -544,12 +544,13 @@ class TestSpecialisationWitness:
         (2, [], (2, 2)),
         (3, [], (2, 1)),
         (2, [], (1, 1, 1)),
+        (3, [], (1, 1, 1)),
         (2, [(1, 1, 1)], (1, 1)),
         (2, [], (3, 1)),
         (3, [], (4,)),
         (2, [(1, 1, 1)], (3,)),
-    ], ids=["F_2-2x2", "F_3-2x1", "F_2-1x1x1", "F_4-1x1", "F_2-3x1",
-            "F_3-4", "F_4-3"])
+    ], ids=["F_2-2x2", "F_3-2x1", "F_2-1x1x1", "F_3-1x1x1", "F_4-1x1",
+            "F_2-3x1", "F_3-4", "F_4-3"])
     def test_agrees_with_exhaustive_search(self, p, gens, box):
         field = ResidueField(p, gens)
         polys = list(_corner_family(field, box))
@@ -599,22 +600,20 @@ class TestSpecialisationWitness:
             assert finitefield.lifting_route(t, 10 ** 6) is not None
             assert not is_irreducible_multivariate(t)
 
-    def test_budget_counts_three_variable_points_and_tests(self):
-        # Z1^2 Z2 Z3 + Z2 + Z3 over F_3.  In Z1, the primitivity test
-        # draws Z3 = 0, where the Z1^2-coefficient Z2 Z3 loses its
-        # Z2-degree, and Z3 = 1, and likewise two values of Z2: 4.  The
-        # walk's points (0, 0), (0, 1), (0, 2) and (1, 0) are roots of
-        # the leading coefficient Z2 Z3, and at (1, 1) a Ben-Or test,
-        # 2^3 * bitlen(3) = 16, cannot be paid: 5.  In Z2 the test draws
-        # Z1 = 0 and 1, and the point (0, 0) gives the linear T(0, Z2,
-        # 0) = Z2, whose test costs 1 * 2: 2 + 1 + 2.  One unit less
-        # leaves the last test unpaid, and Z3's primitivity test then
-        # runs out of budget
+    def test_budget_counts_the_collapsed_three_variable_route(self):
+        # Z1^2 Z2 Z3 + Z2 + Z3 over F_3.  In Z1, the substitution Z2 -> Y,
+        # Z3 -> Y^2 gives Y^3 X^2 + Y^2 + Y: its rows cost d (e + 1)^2 =
+        # 2 * 4^2 = 32, and its content Y passes Z1 over.  In Z2, Z1 -> Y,
+        # Z3 -> Y^3 gives (Y^5 + 1) X + Y^3, whose rows cost 1 * 6^2 = 36,
+        # and the point Y = 0 gives the linear X: one point and a test of
+        # 1^3 * bitlen(3) = 2.  One unit less leaves that test unpaid, and
+        # Z3's rows, 36 again, cannot be paid
         f3 = ResidueField(3, [])
         t = _poly(f3, {(2, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1})
         assert finitefield.factor_witness(t) is None
-        assert finitefield.lifting_route(t, 4 + 5 + 5) is None
-        assert finitefield.lifting_route(t, 4 + 5 + 4) is finitefield.UNDECIDED
+        assert finitefield.lifting_route(t, 32 + 36 + 1 + 2) is None
+        assert (finitefield.lifting_route(t, 32 + 36 + 1 + 1)
+                is finitefield.UNDECIDED)
         assert _reference_irreducible(t)
 
     def test_large_prime_field_without_tables(self):
@@ -779,9 +778,10 @@ class TestDivisorSearch:
 
     def test_three_variable_residue_decided_by_either_route(self, monkeypatch):
         # Z1^2 Z2^2 Z3^2 + Z1 + Z2 + Z3 + 1 over F_3: three variables, no
-        # monomial factor, not a cube.  Its 9 points are within the limit,
-        # so the route decides it irreducible; with the route patched
-        # off, Kronecker's route does, from an image of degree 26
+        # monomial factor, not a cube.  In Z1, Z2 -> Y and Z3 -> Y^3 give
+        # Y^8 X^2 + X + Y^3 + Y + 1, irreducible at Y = 2, so the route
+        # decides it irreducible; with the route patched off, Kronecker's
+        # route does, from an image of degree 26
         f3 = ResidueField(3, [])
         one = f3.one
         t = ResiduePoly(f3, 3, {(2, 2, 2): one, (1, 0, 0): one,
@@ -844,30 +844,36 @@ class TestDivisorSearch:
 
 
 class TestReducibilityRoutes:
-    # two-variable factors as in TestDivisorSearch, so the reference's
-    # enumeration stays small
+    # factors as in TestDivisorSearch, so the reference's enumeration
+    # stays small
     @pytest.mark.parametrize("name,box,top", [
         ("F_2", (2, 1), 3), ("F_3", (1, 1), 2), ("F_5", (1, 1), 1),
         ("F_4", (1, 1), 2), ("F_9", (1, 1), 1),
+        ("F_2", (1, 1, 1), 2), ("F_3", (1, 1, 1), 1), ("F_4", (1, 1, 1), 1),
+        ("F_2", (1, 1, 1, 1), 1), ("F_3", (1, 1, 1, 1), 1),
     ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
     def test_products_and_products_plus_one(self, name, box, top):
         # every route that decides a random product, or the product with
         # 1 added to its constant term, Kronecker's route among them,
-        # agrees with the unpruned enumeration
+        # agrees with the unpruned enumeration; four variables give
+        # Kronecker images of degree up to 80, so it runs with a limit of
+        # 10^7
         field = ResidueField(*FIELDS[name])
         rng = random.Random(f"routes-{name}")
+        n = len(box)
         polys = []
         for _ in range(6):
             t = (_random_poly(field, rng, box, top)
                  * _random_poly(field, rng, box, top))
             terms = dict(t.terms)
-            terms[(0, 0)] = t.coeff((0, 0)) + field.one
-            polys += [t, ResiduePoly(field, 2, terms)]
-        polys = [t for t in polys if t.degree_in(0) and t.degree_in(1)]
+            terms[(0,) * n] = t.coeff((0,) * n) + field.one
+            polys += [t, ResiduePoly(field, n, terms)]
+        polys = [t for t in polys
+                 if sum(t.degree_in(i) > 0 for i in range(n)) > 1]
         decided = 0
         for t in polys:
             answer = _reference_irreducible(t)
-            for verdict in _route_answers(t).values():
+            for verdict in _route_answers(t, 10 ** 7).values():
                 assert verdict == answer
                 decided += 1
         assert decided
@@ -955,18 +961,74 @@ class TestReducibilityRoutes:
             self, monkeypatch):
         # (Z1 + Z2 + 1)(Z1 + 2 Z2 + 3) over F_997: the route lifts two
         # linear factors at its first good point, and Kronecker's route
-        # does not run; called alone, it factors T too
+        # does not run; called alone, it factors T too.  So for (Z1 + Z2
+        # + Z3 + 1)(Z1 + 2 Z2 + 3 Z3 + 5) over F_997 and (Z1 + Z2 + y
+        # Z3)(Z1 + y Z2 + 1) over F_9 = F_3[y]/(y^2 + 1), whose images in
+        # Z1 and Y, under Z2 -> Y and Z3 -> Y^3, lift the same way
         f = ResidueField(997, [])
-        a = _poly(f, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
-        b = _poly(f, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
-        t = a * b
-        factor = finitefield.lifting_route(t, 10 ** 6)
-        assert factor in (a, b)
-        _assert_proper_factor(t, factor)
-        assert not _fallback(t)
+        f9 = ResidueField(3, [(1, 0, 1)])
+        y, one = f9.element({(1,): 1}), f9.one
+        pairs = [
+            (_poly(f, {(1, 0): 1, (0, 1): 1, (0, 0): 1}),
+             _poly(f, {(1, 0): 1, (0, 1): 2, (0, 0): 3})),
+            (_poly(f, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+                       (0, 0, 0): 1}),
+             _poly(f, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3,
+                       (0, 0, 0): 5})),
+            (ResiduePoly(f9, 3, {(1, 0, 0): one, (0, 1, 0): one,
+                                 (0, 0, 1): y}),
+             ResiduePoly(f9, 3, {(1, 0, 0): one, (0, 1, 0): y,
+                                 (0, 0, 0): one})),
+        ]
+        for a, b in pairs:
+            t = a * b
+            factor = finitefield.lifting_route(t, 10 ** 6)
+            assert factor in (a, b)
+            _assert_proper_factor(t, factor)
+            assert not _fallback(t)
+        monkeypatch.setattr(finitefield, "kronecker_route", _refuse)
+        for a, b in pairs:
+            t = a * b
+            start = time.process_time()
+            assert not is_irreducible_multivariate(t)
+            assert time.process_time() - start < 0.25
+
+    def test_three_variables_over_a_large_field(self, monkeypatch):
+        # over F_(10^9 + 7) no walk could draw the q^2 points of two
+        # variables: (Z1 Z2 + Z3 + 1)(Z1 Z3 + 2 Z2 + 3) is factored, and
+        # Z1^3 Z2^2 Z3^2 + Z1 + Z2 + Z3 + 5, whose Kronecker image of
+        # degree 3 + 2*4 + 2*12 = 35 is beyond the guard, is decided
+        # irreducible, both by the lifting route alone
+        big = ResidueField(10 ** 9 + 7, [])
+        a = _poly(big, {(1, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
+        b = _poly(big, {(1, 0, 1): 1, (0, 1, 0): 2, (0, 0, 0): 3})
+        irreducible = _poly(big, {(3, 2, 2): 1, (1, 0, 0): 1, (0, 1, 0): 1,
+                                  (0, 0, 1): 1, (0, 0, 0): 5})
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            finitefield.kronecker_route(irreducible, 10 ** 6)
+        assert exc.value.needed == 35 ** 3 * 30
         monkeypatch.setattr(finitefield, "kronecker_route", _refuse)
         start = time.process_time()
-        assert not is_irreducible_multivariate(t)
+        assert finitefield.lifting_route(a * b, 10 ** 6) in (a, b)
+        assert not is_irreducible_multivariate(a * b)
+        assert is_irreducible_multivariate(irreducible)
+        assert time.process_time() - start < 0.25
+
+    @pytest.mark.parametrize("k", [1000, 50000])
+    def test_collapsed_rows_beyond_the_budget_are_not_built(self, k):
+        # Z1 (Z2^k Z3^k + Z2) + Z3^k + 1 over F_(10^9 + 7): the collapsed
+        # rows of every main variable have Y-degree about k^2 or 2k with
+        # X-degree 1 or k, so d (e + 1)^2 is beyond the limit and none is
+        # built (for k = 50000, Z1's would be two of about 2.5 * 10^9).
+        # The route leaves T undecided, and Kronecker's guard refuses it
+        big = ResidueField(10 ** 9 + 7, [])
+        t = _poly(big, {(1, k, k): 1, (1, 1, 0): 1, (0, 0, k): 1,
+                        (0, 0, 0): 1})
+        start = time.process_time()
+        assert finitefield.lifting_route(t, 10 ** 6) is finitefield.UNDECIDED
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            is_irreducible_multivariate(t)
+        assert exc.value.bound_name == "univariate Rabin work"
         assert time.process_time() - start < 0.25
 
     @pytest.mark.parametrize("name", ["F_2", "F_3", "F_4", "F_9", "F_997"])

@@ -1,13 +1,18 @@
 """Independent ground-truth factorization over the rationals.
 
-Kronecker's method, end to end: a bivariate input f is mapped to a
-univariate integer polynomial by the substitution y -> x^D with
-D = 1 + deg_x f, which every factor g of f survives, since
-deg_x g < D; the univariate polynomial is factored by the classical
-evaluation / divisor-tuple / interpolation search; products of its
-factors are mapped back through the substitution and verified by exact
-division, and what is left when no proper product divides is
-irreducible.
+A bivariate input f is first specialised: with v the variable of lower
+degree, then the other one, as the main variable, f's content in v over
+Z[other variable] is taken by a primitive polynomial remainder
+sequence, and when it is 1, f(v, t) is factored at the first
+SPECIALISATION_POINTS points t = 0, 1, -1, 2, ... where lc_v(f)(t) is
+not 0.  A single irreducible f(v, t) proves f irreducible.  Otherwise
+Kronecker's method decides, end to end: f is mapped to a univariate
+integer polynomial by the substitution y -> x^D with D = 1 + deg_x f,
+which every factor g of f survives, since deg_x g < D; the univariate
+polynomial is factored by the classical evaluation / divisor-tuple /
+interpolation search; products of its factors are mapped back through
+the substitution and verified by exact division, and what is left when
+no proper product divides is irreducible.
 
 The univariate search uses the standard Kronecker heuristics.  Rational
 roots a/b are found first, by the integer test b^d * u(a/b) = 0.  A
@@ -42,6 +47,7 @@ from .exactnum import rational
 from .multipoly import MultiPoly, grlex_key
 
 WINDOW_EXTRA = 6  # points evaluated beyond the r+1 a degree-r search needs
+SPECIALISATION_POINTS = 3  # points t tried per main variable
 MAX_VARS = 2
 MAX_TOTAL_DEGREE = 8
 
@@ -166,7 +172,46 @@ def _kron_from_univariate(coeffs, d_base: int, nvars: int) -> MultiPoly:
 
 def _factor_primitive(f: MultiPoly, guard: int):
     """Irreducible primitive factors (with repetition) of a primitive
-    polynomial with positive graded-lex leading coefficient.
+    polynomial with positive graded-lex leading coefficient."""
+    if f.nvars == 2 and _irreducible_by_specialisation(f, guard):
+        return [f]
+    return _factor_by_image(f, guard)
+
+
+def _irreducible_by_specialisation(f: MultiPoly, guard: int) -> bool:
+    """True when some f(v, t) proves the primitive bivariate f
+    irreducible; False leaves f to the image.
+
+    Sound: let v be the main variable and w the other, and let f's
+    content in v over Z[w] be 1.  If f = g*h with neither factor a unit,
+    neither is an integer (f is primitive) and neither lies in Z[w] (it
+    would divide that content), so both have positive v-degree.  At a t
+    with lc_v(f)(t) != 0, lc_v(g)(t) and lc_v(h)(t) are not 0 either, so
+    both keep their v-degree and f(v, t) = g(v, t)*h(v, t) splits.  The
+    univariate factoriser lists factors with repetition, so one factor
+    means f(v, t) is irreducible, and so is f."""
+    for v in sorted((0, 1), key=f.degree_in):
+        rows = [[0] * (1 + f.degree_in(1 - v))
+                for _ in range(1 + f.degree_in(v))]
+        for exps, c in f.terms.items():
+            rows[exps[v]][exps[1 - v]] = c
+        content = []
+        for row in rows:
+            content = _int_gcd(content, row)
+            if len(content) == 1:
+                break
+        if len(content) > 1:
+            return False
+        points = (t for t in _eval_points() if _int_eval(rows[-1], t))
+        for t in itertools.islice(points, SPECIALISATION_POINTS):
+            at_t = [_int_eval(row, t) for row in rows]
+            if len(_factor_univariate_int(at_t, guard)) == 1:
+                return True
+    return False
+
+
+def _factor_by_image(f: MultiPoly, guard: int):
+    """_factor_primitive by Kronecker's substitution alone.
 
     The image of what is left of f is, up to sign, the product of the
     univariate factors left in the pool.  A factor g of f has
@@ -281,6 +326,22 @@ def _int_exact_divide(a, b):
     if r:
         return None
     return _int_normalize(q)
+
+
+def _int_gcd(a, b):
+    """A primitive gcd of two integer polynomials, by the primitive
+    polynomial remainder sequence; [] is the zero polynomial."""
+    a, b = _int_primitive(a), _int_primitive(b)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            shift, lead = len(r) - len(b), r[-1]
+            r = [c * b[-1] for c in r]
+            for i, cb in enumerate(b):
+                r[i + shift] -= lead * cb
+            r = _int_normalize(r)
+        a, b = b, _int_primitive(r)
+    return a
 
 
 def _divisors(n, guard, memo):

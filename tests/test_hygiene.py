@@ -9,7 +9,8 @@ package defines, such as a deleted function.  The re-exports of
 __init__.py are exempt from the first.  A cache without a bound fails
 too: every functools.lru_cache names an int maxsize, and functools.cache
 is not used.  The README's table of resource guards names every guard
-the package raises, and no other.
+the package raises, and no other.  The oracle reaches none of the
+certificate path's modules.
 """
 
 import ast
@@ -192,3 +193,23 @@ def test_readme_lists_every_guard():
     names = _guard_names(_modules())
     assert "univariate Rabin work" in names  # the scan finds the guards
     assert listed == names
+
+
+def test_oracle_reaches_no_certificate_module():
+    # the oracle checks the certificates, so it must not share their
+    # deciders: nothing from finitefield, valuation or lifting, directly
+    # or through the package modules it imports
+    modules = _modules()
+    reached, todo = set(), ["oracle"]
+    while todo:
+        tree = modules[f"{todo.pop()}.py"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
+                for name in names:
+                    if f"{name}.py" in modules and name not in reached:
+                        reached.add(name)
+                        todo.append(name)
+    assert "multipoly" in reached  # the scan follows the imports
+    assert reached.isdisjoint({"finitefield", "valuation", "lifting"})

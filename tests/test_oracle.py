@@ -7,14 +7,29 @@ from fractions import Fraction
 import pytest
 
 from liftcert import MultiPoly, brute_factor
-from liftcert.errors import ResourceLimitExceeded
-from liftcert.oracle import exact_divide
+from liftcert.errors import DEFAULT_CANDIDATE_LIMIT, ResourceLimitExceeded
+from liftcert.oracle import (
+    _factor_by_image,
+    _factor_key,
+    _irreducible_by_specialisation,
+    _primitive_part,
+    exact_divide,
+)
 
 from conftest import P
 
 
 def _factor_strs(result, names=("x", "y")):
     return sorted(g.to_str(list(names)) for g, _ in result.factors)
+
+
+def _image_factors(f):
+    """The factors, with repetition, that Kronecker's image alone finds
+    for f's primitive part: the path specialisation skips when it
+    proves f irreducible."""
+    primitive, _ = _primitive_part(f)
+    return sorted(_factor_by_image(primitive, DEFAULT_CANDIDATE_LIMIT),
+                  key=_factor_key)
 
 
 class TestExamples:
@@ -101,10 +116,13 @@ class TestExamples:
     def test_base_follows_the_x_degree(self, text, factors):
         # D = 1 + deg_x f keeps the image's values small enough to list
         # their divisors; with D = 1 + max(deg_x, deg_y) these trip the
-        # "divisor trials" guard
+        # "divisor trials" guard.  Specialisation decides the three
+        # irreducible ones before the image, so the image is called too
         result = brute_factor(P(text))
         assert result.scalar == 1
         assert _factor_strs(result) == sorted(factors)
+        assert sorted(g.to_str(["x", "y"]) for g in _image_factors(P(text))
+                      ) == sorted(factors)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -168,17 +186,114 @@ class TestGuards:
     def test_point_choice_decides_within_default_guard(self):
         # interpolating at 0, 1, -1, ... takes more than 10^6 divisor
         # tuples here; the points whose values have the fewest divisors
-        # decide it quickly
+        # decide it quickly (on the image: specialisation decides it
+        # before the image is built)
+        f = P("x^2*y^2 - 2*x^2*y + x^2 + 43*y^2 + 7*x - 86*y + 78")
         start = time.perf_counter()
-        result = brute_factor(P(
-            "x^2*y^2 - 2*x^2*y + x^2 + 43*y^2 + 7*x - 86*y + 78"))
+        assert _image_factors(f) == [f]
         assert time.perf_counter() - start < 2
-        assert result.irreducible
+        assert brute_factor(f).irreducible
 
     def test_point_choice_skips_values_past_the_guard(self):
         # some window values need more than 10^6 divisor trials; ranking
         # them would trip the guard on an input it otherwise decides
-        assert brute_factor(P(
-            "x^3*y^3 + 2*x^3*y^2 - 2*x^2*y^3 - 6*x^2*y^2 + 4*x*y^3"
-            " + 12*x^2*y + 7*x*y^2 - 2*y^3 + 2*x^2 - 4*x*y + 4*x + 2*y - 1"
-        )).irreducible
+        f = P("x^3*y^3 + 2*x^3*y^2 - 2*x^2*y^3 - 6*x^2*y^2 + 4*x*y^3"
+              " + 12*x^2*y + 7*x*y^2 - 2*y^3 + 2*x^2 - 4*x*y + 4*x + 2*y - 1")
+        assert _image_factors(f) == [f]
+        assert brute_factor(f).irreducible
+
+
+def _swap(f):
+    return MultiPoly(2, {(j, i): c for (i, j), c in f.terms.items()})
+
+
+def _random_bivariate(rng, degree, coeff=5):
+    """Each monomial of total degree <= degree kept with probability
+    0.6, with a nonzero coefficient in [-coeff, coeff]."""
+    while True:
+        f = MultiPoly(2, {
+            (i, j): rng.choice([-1, 1]) * rng.randint(1, coeff)
+            for i in range(degree + 1) for j in range(degree + 1 - i)
+            if rng.random() < 0.6})
+        if f.degree() >= 1:
+            return f
+
+
+def _in_one_variable(rng, var, degree):
+    """A random polynomial of the given degree in x (var 0) or y (var 1)."""
+    coeffs = [rng.randint(-5, 5) for _ in range(degree)]
+    return MultiPoly.from_univariate(
+        2, var, coeffs + [rng.choice([-1, 1]) * rng.randint(1, 5)])
+
+
+class TestSpecialisation:
+    def test_never_proves_a_reducible_input_irreducible(self, rng):
+        # a reducible f has no irreducible specialisation f(v, t) at a
+        # point where lc_v(f)(t) != 0, once the content in v is 1; the
+        # canaries need the content test ((x^2+1)(y^2+2)) and the lc
+        # test ((x*y+1)(x+y) at y = 0 gives x)
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        cases = [P("(x^2 + 1)*(y^2 + 2)"), P("(x*y + 1)*(x + y)"),
+                 P("(x*y + 1)^2"), P("x*(x*y + 1)")]
+        for _ in range(40):
+            g = _random_bivariate(rng, rng.randint(1, 3))
+            h = _random_bivariate(rng, rng.randint(1, 3))
+            cases += [
+                g * h,
+                _in_one_variable(rng, 1, rng.randint(1, 3)) * g,
+                _in_one_variable(rng, 0, rng.randint(1, 3)) * g,
+                _in_one_variable(rng, 0, rng.randint(1, 3))
+                * _in_one_variable(rng, 1, rng.randint(1, 3)),
+                rng.choice([x, y]) * g,
+                g * g,
+            ]
+        start = time.process_time()
+        for case in cases:
+            for f in (case, _swap(case)):
+                primitive, _ = _primitive_part(f)
+                assert not _irreducible_by_specialisation(
+                    primitive, DEFAULT_CANDIDATE_LIMIT), f
+        assert time.process_time() - start < 1
+
+    def test_agrees_with_the_image(self, rng):
+        # desk scale, wherever the image decides: brute_factor's factors,
+        # with repetition, are the image path's; irreducible draws are
+        # decided by specialisation, products by the image
+        compared = decided_early = 0
+        for k in range(120):
+            f = _random_bivariate(rng, rng.randint(1, 3 - k % 2), coeff=3)
+            if k % 2:
+                f = f * _random_bivariate(rng, rng.randint(1, 2), coeff=3)
+            try:
+                image = _image_factors(f)
+            except ResourceLimitExceeded:
+                continue
+            result = brute_factor(f)
+            assert [g for g, m in result.factors for _ in range(m)] == image
+            primitive, _ = _primitive_part(f)
+            compared += 1
+            decided_early += _irreducible_by_specialisation(
+                primitive, DEFAULT_CANDIDATE_LIMIT)
+        assert compared >= 100 and decided_early >= 30, (
+            compared, decided_early)
+
+    @pytest.mark.parametrize("text", [
+        "9*x^5 - 7*x^4*y + 9*x^3*y^2 - 7*y^5 + 6*x^4 - 4*x*y^3 - 6*x*y^2",
+        "9*x^6 + 5*x^2*y^4 + 5*x^4*y + 4*x^3*y^2 + 4*y^5 - 6*x^4 + 5*x^3*y"
+        " - 4*x^3 + 2*x^2 - 6*y",
+        "7*x^6*y^2 - 5*x^3*y^5 - 5*x*y^7 + 4*y^8 + 4*x^7 + 8*x^4*y^3"
+        " - 5*x^2*y^5 + y^7 + x^6 + 5*x^5*y + 3*x^2*y^4 + 3*y^6"
+        " - 8*x^3*y^2 + 7*x*y^4 - 8*x^4 + 8*x^2*y^2 + 6*x*y^3 - 5*y^4"
+        " - 4*y^3 + x + 3",
+    ])
+    def test_decides_draws_beyond_the_image(self, text):
+        # irreducible draws of total degree 5-8 (coefficients in [-9, 9],
+        # each monomial kept with probability 0.6, seed 2) whose image
+        # trips the "divisor trials" guard; one specialisation decides
+        # each
+        f = P(text)
+        with pytest.raises(ResourceLimitExceeded, match="divisor trials"):
+            _image_factors(f)
+        start = time.process_time()
+        assert brute_factor(f).irreducible
+        assert time.process_time() - start < 0.1

@@ -1,34 +1,16 @@
 """Independent ground-truth factorization over the rationals.
 
-A bivariate input f is first specialised: with v the variable of lower
-degree, then the other one, as the main variable, f's content in v over
-Z[other variable] is taken by a primitive polynomial remainder
-sequence, and when it is 1, f(v, t) is factored at the first
-SPECIALISATION_POINTS points t = 0, 1, -1, 2, ... where lc_v(f)(t) is
-not 0.  A single irreducible f(v, t) proves f irreducible.  Otherwise
-Kronecker's method decides, end to end: f is mapped to a univariate
-integer polynomial by the substitution y -> x^D with D = 1 + deg_x f,
-which every factor g of f survives, since deg_x g < D; the univariate
-polynomial is factored by the classical evaluation / divisor-tuple /
-interpolation search; products of its factors are mapped back through
-the substitution and verified by exact division, and what is left when
-no proper product divides is irreducible.
-
-The univariate search uses the standard Kronecker heuristics.  Rational
-roots a/b are found first, by the integer test b^d * u(a/b) = 0.  A
-degree-r factor is then sought on the r+1 points, out of a window of
-r+1+WINDOW_EXTRA, whose values have the fewest divisors, which keeps the
-divisor tuples few.  At the last point the search runs over the shorter
-of two lists: the divisors of the value there, or the divisors of
-lc(u), which the top Newton divided difference lc(g) must divide, each
-solved backwards to the value it implies.  Each interpolant is screened
-on the window points the search did not choose before it is expanded
-and divided into u.  Each factorization lists the divisors of a value
-once, in a dict that lives for that call only.  Every candidate is
-checked by exact division, and two guards bound the work: divisor
-trials per value, and divisor-tuple candidates per factorization, which
-counts every divisor tried at every level, the last level's lead list
-included.
+A polynomial in one variable is factored by Kronecker's search: rational
+roots first, then factors of degree r = 2, 3, ... interpolated through
+divisors of its values (_has_degree_factor).  A bivariate f is
+specialised to f(v, t) at a few integers t, and one irreducible f(v, t)
+proves f irreducible; otherwise the factors of a squarefree f(v, t) are
+lifted (w - t)-adically modulo a prime power above twice Mignotte's
+bound and recombined (P. S. Wang, Math. Comp. 32, 1978; von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 15-16).  Every factor is
+checked by exact division, and three guards bound the work: divisor
+trials per value, divisor-tuple candidates per univariate
+factorization, and recombination subsets per lift.
 
 Exponential but exact, and deliberately independent of every
 valuation-theoretic code path in this package: this is the oracle the
@@ -147,111 +129,314 @@ def exact_divide(f: MultiPoly, g: MultiPoly):
 
 
 # ---------------------------------------------------------------------
-# Kronecker substitution
-
-
-def _kron_to_univariate(f: MultiPoly, d_base: int):
-    coeffs = {}
-    for exps, c in f.terms.items():
-        k = exps[0] if f.nvars >= 1 else 0
-        if f.nvars == 2:
-            k = exps[0] + d_base * exps[1]
-        assert c.denominator == 1
-        coeffs[k] = c.numerator
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return out
-
-
-def _kron_from_univariate(coeffs, d_base: int, nvars: int) -> MultiPoly:
-    return MultiPoly(nvars, {
-        (k,) if nvars == 1 else (k % d_base, k // d_base): c
-        for k, c in enumerate(coeffs)})
+# bivariate factorization: specialise, lift modulo p^k, recombine
 
 
 def _factor_primitive(f: MultiPoly, guard: int):
     """Irreducible primitive factors (with repetition) of a primitive
     polynomial with positive graded-lex leading coefficient."""
-    if f.nvars == 2 and _irreducible_by_specialisation(f, guard):
-        return [f]
-    return _factor_by_image(f, guard)
+    used = [v for v in range(f.nvars) if f.degree_in(v) > 0]
+    if len(used) == 2:
+        return _factor_bivariate(f, guard)
+    coeffs = [0] * (1 + f.degree())
+    for exps, c in f.terms.items():
+        coeffs[exps[used[0]]] = int(c)
+    return [MultiPoly.from_univariate(f.nvars, used[0], g)
+            for g in _factor_univariate_int(coeffs, guard)]
 
 
-def _irreducible_by_specialisation(f: MultiPoly, guard: int) -> bool:
-    """True when some f(v, t) proves the primitive bivariate f
-    irreducible; False leaves f to the image.
+def _rows(f: MultiPoly, v: int):
+    """rows[i][j] is f's coefficient of v^i w^j, w the other variable."""
+    rows = [[0] * (1 + f.degree_in(1 - v))
+            for _ in range(1 + f.degree_in(v))]
+    for exps, c in f.terms.items():
+        rows[exps[v]][exps[1 - v]] = int(c)
+    return rows
 
-    Sound: let v be the main variable and w the other, and let f's
-    content in v over Z[w] be 1.  If f = g*h with neither factor a unit,
-    neither is an integer (f is primitive) and neither lies in Z[w] (it
-    would divide that content), so both have positive v-degree.  At a t
-    with lc_v(f)(t) != 0, lc_v(g)(t) and lc_v(h)(t) are not 0 either, so
-    both keep their v-degree and f(v, t) = g(v, t)*h(v, t) splits.  The
-    univariate factoriser lists factors with repetition, so one factor
-    means f(v, t) is irreducible, and so is f."""
+
+def _from_rows(rows, v: int) -> MultiPoly:
+    """The primitive polynomial with positive graded-lex lead that rows
+    is a multiple of over Z[w]."""
+    f, _ = _primitive_part(MultiPoly(2, {
+        (i, j) if v == 0 else (j, i): c
+        for i, row in enumerate(_primitive_rows(rows))
+        for j, c in enumerate(row)}))
+    return f
+
+
+def _factor_bivariate(f: MultiPoly, guard: int):
+    """_factor_primitive for f with positive degree in both variables.
+
+    For each main variable v, the one of lower degree first: f's content
+    in v over Z[w], w the other variable, is split off when it is not
+    1, and f(v, t) is factored at the first SPECIALISATION_POINTS points
+    t with lc_v(f)(t) != 0.  With no squarefree f(v, t) in either
+    variable, a repeated factor shows in gcd(f, df/dv); when that is 1,
+    the walk goes on to a squarefree f(v, t).  The squarefree f(v, t)
+    with the fewest factors goes to _lift_and_recombine.
+
+    Sound: with content 1 in v, both factors of a split f = g*h have
+    positive v-degree (neither is an integer, as f is primitive, nor in
+    Z[w]), and at a t with lc_v(f)(t) != 0 both keep it, so f(v, t)
+    splits too: one factor of f(v, t) proves f irreducible.  Once
+    gcd(f, df/dv) = 1, lc_v(f) has at most m = deg_w f roots and the
+    discriminant of f in v, of w-degree at most (2n - 1)*m with
+    n = deg_v f, has no more, so the walk needs at most 2*n*m + 1
+    points."""
+    best = None  # (v, t, factors of f(v, t)): squarefree, fewest factors
     for v in sorted((0, 1), key=f.degree_in):
-        rows = [[0] * (1 + f.degree_in(1 - v))
-                for _ in range(1 + f.degree_in(v))]
-        for exps, c in f.terms.items():
-            rows[exps[v]][exps[1 - v]] = c
+        rows = _rows(f, v)
         content = []
         for row in rows:
             content = _int_gcd(content, row)
             if len(content) == 1:
                 break
         if len(content) > 1:
-            return False
+            split = MultiPoly.from_univariate(2, 1 - v, content)
+            return ([MultiPoly.from_univariate(2, 1 - v, g)
+                     for g in _factor_univariate_int(content, guard)]
+                    + _factor_primitive(exact_divide(f, split), guard))
         points = (t for t in _eval_points() if _int_eval(rows[-1], t))
         for t in itertools.islice(points, SPECIALISATION_POINTS):
+            factors = _factor_univariate_int(
+                [_int_eval(row, t) for row in rows], guard)
+            if len(factors) == 1:
+                return [f]
+            if (len(set(map(tuple, factors))) == len(factors)
+                    and (best is None or len(factors) < len(best[2]))):
+                best = v, t, factors
+    if best is None:
+        square = _prs_gcd(rows, [[i * c for c in row]
+                                 for i, row in enumerate(rows)][1:])
+        if len(square) > 1:
+            g = _from_rows(square, v)
+            return (_factor_primitive(g, guard)
+                    + _factor_primitive(exact_divide(f, g), guard))
+        n, m = len(rows) - 1, len(rows[0]) - 1
+        for t in itertools.islice(points, 2 * n * m + 1):
             at_t = [_int_eval(row, t) for row in rows]
-            if len(_factor_univariate_int(at_t, guard)) == 1:
-                return True
-    return False
-
-
-def _factor_by_image(f: MultiPoly, guard: int):
-    """_factor_primitive by Kronecker's substitution alone.
-
-    The image of what is left of f is, up to sign, the product of the
-    univariate factors left in the pool.  A factor g of f has
-    deg_x g < D, so its image maps back to g itself: a split of what is
-    left shows up as a proper subset of the pool whose product divides
-    it.  When no proper subset does, which a lone factor decides at once,
-    what is left is irreducible and is appended as it stands."""
-    n = f.nvars
-    d_base = 1 + f.degree_in(0)
-    uni = _kron_to_univariate(f, d_base)
-    uni_factors = _factor_univariate_int(uni, guard)
-    if n == 1:
-        return [MultiPoly.from_univariate(1, 0, g) for g in uni_factors]
-
-    factors = []
-    remaining = f
-    pool = list(uni_factors)
-    found = True
-    while found and len(pool) > 1:
-        found = False
-        for size in range(1, len(pool)):
-            for subset in itertools.combinations(range(len(pool)), size):
-                prod = [1]
-                for idx in subset:
-                    prod = _int_mul(prod, pool[idx])
-                candidate = _kron_from_univariate(prod, d_base, n)
-                candidate, _ = _primitive_part(candidate)
-                if candidate.degree() < 1:
-                    continue
-                quotient = exact_divide(remaining, candidate)
-                if quotient is not None:
-                    factors.append(candidate)
-                    remaining = quotient
-                    pool = [g for i, g in enumerate(pool) if i not in subset]
-                    found = True
-                    break
-            if found:
+            if len(_int_gcd(at_t, _int_derivative(at_t))) == 1:
+                best = v, t, _factor_univariate_int(at_t, guard)
                 break
-    factors.append(remaining)
-    return factors
+        else:
+            raise AssertionError("a squarefree f has a squarefree point")
+        if len(best[2]) == 1:
+            return [f]
+    return _lift_and_recombine(f, *best, guard)
+
+
+def _lift_and_recombine(f: MultiPoly, v: int, t: int, factors, guard: int):
+    """The irreducible factors of a squarefree f of content 1 in v, from
+    the factors g_i over Z of a squarefree f(v, t) with l(t) != 0,
+    l = lc_v(f).
+
+    With w = z + t, the g_i are made monic modulo p^k and lifted
+    z-adically to monic G_i with f/l = prod G_i modulo (z^prec, p^k),
+    prec = deg_w f + deg l + 1.  p is the first prime with p not
+    dividing l(t) and f(v, t) squarefree modulo p, and p^k > 2B with
+    B = 2^N * ||l*f||_2, N the degree of l*f's image under v -> x,
+    w -> x^(1 + deg_v f).  Subsets S of the G_i are tried by size: the
+    candidate l * prod_S G_i, shifted back to w, read in the symmetric
+    range and stripped of its content over Z[w], is kept when
+    exact_divide finds that it divides the rest.  When no subset of at
+    most half the rest divides, the rest is irreducible.
+
+    Sound: let G be a true factor of f.  G(v, t) = c * prod_S g_i for
+    some S, and G keeps its v-degree because l(t) != 0.  The g_i are
+    pairwise coprime modulo p, so the lift is unique and prod_S G_i =
+    G/lc_v(G).  So the candidate is l/lc_v(G) * G = lc_v(f/G) * G up to
+    its content, which has w-degree below prec and divides l*f: by
+    Mignotte's bound, read through the substitution (one-to-one on
+    v-degrees up to deg_v f), its coefficients are below B < p^k/2.
+    Conversely a candidate that divides is a factor whose lift is
+    prod_S G_i, so its subset is S; its proper factors have smaller
+    subsets, tried first, so it is irreducible."""
+    rows = _rows(f, v)
+    lf = [_int_mul(rows[-1], row) for row in rows]
+    bound = 2 ** max(i + len(rows) * j for i, row in enumerate(lf)
+                     for j, c in enumerate(row) if c)
+    bound *= math.isqrt(sum(c * c for row in lf for c in row)) + 1
+    at_t = [_int_eval(row, t) for row in rows]
+    p = next(p for p in itertools.count(2)
+             if all(p % d for d in range(2, math.isqrt(p) + 1))
+             and at_t[-1] % p
+             and len(_mod_gcdex(at_t, _int_derivative(at_t), p)[0]) == 1)
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= p
+
+    shifted = [_int_shift(row, t) for row in rows]
+    lead = [c % modulus for c in _int_normalize(shifted[-1])]
+    unit = pow(lead[0], -1, modulus)
+    target = []  # z^j coefficients of f/l, by division of series
+    for j in range(len(rows[0]) + len(lead) - 1):
+        terms = [_column(shifted, j)] + [
+            [-lead[b] * c for c in target[j - b]]
+            for b in range(1, min(j + 1, len(lead)))]
+        target.append([c * unit % modulus for c in _mod_sum(terms, modulus)])
+    prec = len(target)
+
+    local = [[c * pow(g[-1], -1, modulus) % modulus for c in g]
+             for g in factors]
+    cofactors = _cofactors(local, p, modulus)
+    lifted = [[a] for a in local]  # lifted[i][j]: z^j coefficient of G_i
+    partial = [lifted[0]]  # partial[k][j]: z^j coefficient of G_0...G_k
+    for a in local[1:-1]:
+        partial.append([_mod_mul(partial[-1][0], a, modulus)])
+
+    def coefficient(j):
+        """The z^j coefficient of prod G_i, after setting partial[k][j]."""
+        for k in range(1, len(local)):
+            c = _mod_sum([_mod_mul(partial[k - 1][j - b], lifted[k][b],
+                                   modulus) for b in range(j + 1)], modulus)
+            if k < len(partial):
+                partial[k][j:] = [c]
+        return c
+
+    for j in range(1, prec):
+        for g in lifted:
+            g.append([])
+        error = _mod_sum([target[j], [-c for c in coefficient(j)]], modulus)
+        for g, s, a in zip(lifted, cofactors, local):
+            g[j] = _mod_divmod(_mod_mul(s, error, modulus), a, modulus)[1]
+        if len(partial) > 1:
+            coefficient(j)
+
+    found, rest, pool = [], f, list(range(len(local)))
+    size, tried = 1, 0
+    while 2 * size <= len(pool):
+        for subset in itertools.combinations(pool, size):
+            tried += 1
+            if tried > guard:
+                raise ResourceLimitExceeded(
+                    "recombination subsets", guard, tried)
+            product = [[c] for c in lead]
+            for i in subset:
+                product = [_mod_sum([_mod_mul(product[b], lifted[i][j - b],
+                                              modulus)
+                                     for b in range(min(j + 1, len(product)))],
+                                    modulus) for j in range(prec)]
+            candidate = []
+            for i in range(len(product[0])):
+                row = [c % modulus for c in _int_shift(_column(product, i),
+                                                       -t)]
+                candidate.append([c - modulus if 2 * c > modulus else c
+                                  for c in row])
+            candidate = _from_rows(candidate, v)
+            quotient = exact_divide(rest, candidate)
+            if quotient is not None:
+                found.append(candidate)
+                rest = quotient
+                pool = [i for i in pool if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [rest]
+
+
+def _column(polys, i):
+    """The coefficients of v^i in a list of polynomials in v."""
+    return [a[i] if i < len(a) else 0 for a in polys]
+
+
+def _cofactors(local, p: int, modulus: int):
+    """s_i with sum_i s_i * prod_(j != i) a_j = 1 and deg s_i < deg a_i,
+    modulo the modulus, for monic a_i pairwise coprime modulo p.  Modulo
+    p, s_i is the inverse of prod_(j != i) a_j modulo a_i; an error e of
+    the sum divisible by p^c becomes one divisible by p^(2c) under
+    s_i <- s_i*(1 + e) mod a_i."""
+    others = []
+    for i in range(len(local)):
+        product = [1]
+        for a in local[:i] + local[i + 1:]:
+            product = _mod_mul(product, a, modulus)
+        others.append(product)
+    cofactors = []
+    for a, b in zip(local, others):
+        unit, s = _mod_gcdex(a, b, p)
+        cofactors.append([c * pow(unit[0], -1, p) % p for c in s])
+    while True:
+        error = _mod_sum([[1]] + [[-c for c in _mod_mul(s, b, modulus)]
+                                  for s, b in zip(cofactors, others)],
+                         modulus)
+        if not error:
+            return cofactors
+        error[0] += 1
+        cofactors = [_mod_divmod(_mod_mul(s, error, modulus), a, modulus)[1]
+                     for s, a in zip(cofactors, local)]
+
+
+# ---------------------------------------------------------------------
+# polynomials over Z[w] and over Z/M
+
+
+def _prs_gcd(a, b):
+    """A gcd of two polynomials over Z[w], lists of rows, by the
+    primitive polynomial remainder sequence."""
+    a, b = _primitive_rows(a), _primitive_rows(b)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            shift, lead = len(r) - len(b), r[-1]
+            r = [_int_mul(row, b[-1]) for row in r]
+            for i, row in enumerate(b):
+                r[i + shift] = _int_normalize([
+                    x - y for x, y in itertools.zip_longest(
+                        r[i + shift], _int_mul(lead, row), fillvalue=0)])
+            r = _int_normalize(r)
+        a, b = b, _primitive_rows(r)
+    return a
+
+
+def _primitive_rows(rows):
+    """rows over their content in Z[w], up to sign."""
+    rows = _int_normalize([_int_normalize(row) for row in rows])
+    content = []
+    for row in rows:
+        content = _int_gcd(content, row)
+    rows = [_int_exact_divide(row, content) for row in rows]
+    c = math.gcd(*(c for row in rows for c in row)) or 1
+    return [[x // c for x in row] for row in rows]
+
+
+def _mod_sum(polys, modulus: int):
+    out = []
+    for a in polys:
+        out += [0] * (len(a) - len(out))
+        for i, c in enumerate(a):
+            out[i] += c
+    return _int_normalize([c % modulus for c in out])
+
+
+def _mod_mul(a, b, modulus: int):
+    return _int_normalize([c % modulus for c in _int_mul(a, b)])
+
+
+def _mod_divmod(a, b, modulus: int):
+    """Quotient and remainder of a by b, whose leading coefficient is a
+    unit modulo the modulus."""
+    a = [c % modulus for c in a]
+    inverse = pow(b[-1], -1, modulus)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a.pop() * inverse % modulus
+        d = len(a) - len(b) + 1
+        q[d] = c
+        for i in range(len(b) - 1):
+            a[i + d] = (a[i + d] - c * b[i]) % modulus
+    return q, _int_normalize(a)
+
+
+def _mod_gcdex(a, b, p: int):
+    """(g, s) with g a gcd of a and b modulo the prime p and s*b = g
+    modulo a and p; p does not divide a's leading coefficient."""
+    r0, r1 = _int_normalize([c % p for c in a]), _mod_divmod(b, a, p)[1]
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod_sum([s0, [-c for c in _mod_mul(q, s1, p)]], p)
+    return r0, s0
 
 
 # ---------------------------------------------------------------------
@@ -260,7 +445,7 @@ def _factor_by_image(f: MultiPoly, guard: int):
 
 def _int_normalize(a):
     a = list(a)
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -274,6 +459,19 @@ def _int_mul(a, b):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
+
+
+def _int_derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _int_shift(a, t):
+    """a(z + t), by Horner's scheme repeated."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += t * a[j + 1]
+    return a
 
 
 def _int_eval(a, x):
@@ -293,13 +491,9 @@ def _int_eval_homogeneous(a, num, den):
     return v
 
 
-def _int_content(a):
-    return math.gcd(*a) or 1
-
-
 def _int_primitive(a):
     a = _int_normalize(a)
-    c = _int_content(a)
+    c = math.gcd(*a) or 1
     a = [k // c for k in a]
     if a and a[-1] < 0:
         a = [-k for k in a]
@@ -413,20 +607,19 @@ def _factor_univariate_int(u, guard: int):
         assert u == [] or u == [1]
         return factors
 
-    # Kronecker search for factors of degree 2 .. deg/2; a quotient has
-    # no rational roots either, so the search simply continues
+    # Kronecker search for factors of degree 2 .. deg/2.  A quotient's
+    # factors are u's, so it has no rational roots and no factor of a
+    # degree already searched: the search resumes at the degree r of the
+    # factor just found and stops once the quotient's degree is below 2r
     nodes = [0]
-    while len(u) - 1 >= 4:
-        d = len(u) - 1
-        found = None
-        for r in range(2, d // 2 + 1):
-            found = _has_degree_factor(u, r, guard, nodes, memo)
-            if found:
-                break
-        if not found:
-            break
-        factors.append(found)
-        u = _int_exact_divide(u, found)
+    r = 2
+    while 2 * r <= len(u) - 1:
+        found = _has_degree_factor(u, r, guard, nodes, memo)
+        if found:
+            factors.append(found)
+            u = _int_exact_divide(u, found)
+        else:
+            r += 1
     if len(u) > 1:
         factors.append(_int_primitive(u))
     return factors

@@ -796,6 +796,17 @@ class TestFactorOracle:
             EXIT_OK)
         assert capsys.readouterr().out == "-1 * (x - 1) * (x + 1)\n"
 
+    def test_reducible_bivariate_beyond_the_image(self, capsys):
+        # Kronecker's image y -> x^6 of this product needs 2,568,481
+        # divisor trials; the lift modulo p^k factors it
+        code = main([
+            "factor-oracle", "--vars", "x,y", "--",
+            "-42*x^5*y^3 - 78*x^3*y^4 + 14*x^5 + 26*x^3*y - 42*x^2*y^2"
+            " + 147*x^3 - 78*y^3 + 273*x*y",
+        ])
+        assert code == EXIT_OK
+        assert "(7*x^2 + 13*y)" in capsys.readouterr().out
+
 
 class TestSuggest:
     def test_suggestions_include_slope(self, capsys):

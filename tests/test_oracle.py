@@ -1,17 +1,17 @@
 """The brute-force factorization oracle over the rationals."""
 
-import random
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
 
-from liftcert import MultiPoly, brute_factor
+from liftcert import MultiPoly, brute_factor, oracle
 from liftcert.errors import DEFAULT_CANDIDATE_LIMIT, ResourceLimitExceeded
 from liftcert.oracle import (
-    _factor_by_image,
     _factor_key,
-    _irreducible_by_specialisation,
+    _factor_univariate_int,
+    _int_mul,
     _primitive_part,
     exact_divide,
 )
@@ -23,12 +23,52 @@ def _factor_strs(result, names=("x", "y")):
     return sorted(g.to_str(list(names)) for g, _ in result.factors)
 
 
+def _kronecker_image(f, guard):
+    """The reference factorization of a primitive f in one or two
+    variables by Kronecker's substitution alone.
+
+    y -> x^D with D = 1 + deg_x f maps f to a univariate integer
+    polynomial, which the oracle's univariate search factors.  A factor
+    g of f has deg_x g < D, so its image maps back to g itself: a split
+    of what is left of f shows up as a proper subset of the image's
+    factors whose product, mapped back, divides it.  When no proper
+    subset does, what is left is irreducible."""
+    d_base = 1 + f.degree_in(0)
+    image = {exps[0] + d_base * sum(exps[1:]): int(c)
+             for exps, c in f.terms.items()}
+    pool = _factor_univariate_int(
+        [image.get(k, 0) for k in range(1 + max(image))], guard)
+    if f.nvars == 1:
+        return [MultiPoly.from_univariate(1, 0, g) for g in pool]
+    factors, remaining, found = [], f, True
+    while found and len(pool) > 1:
+        found = False
+        for size in range(1, len(pool)):
+            for subset in itertools.combinations(range(len(pool)), size):
+                product = [1]
+                for i in subset:
+                    product = _int_mul(product, pool[i])
+                candidate, _ = _primitive_part(MultiPoly(2, {
+                    (k % d_base, k // d_base): c
+                    for k, c in enumerate(product)}))
+                quotient = (exact_divide(remaining, candidate)
+                            if candidate.degree() >= 1 else None)
+                if quotient is not None:
+                    factors.append(candidate)
+                    remaining = quotient
+                    pool = [g for i, g in enumerate(pool) if i not in subset]
+                    found = True
+                    break
+            if found:
+                break
+    return factors + [remaining]
+
+
 def _image_factors(f):
-    """The factors, with repetition, that Kronecker's image alone finds
-    for f's primitive part: the path specialisation skips when it
-    proves f irreducible."""
+    """The factors, with repetition, that Kronecker's image finds for
+    f's primitive part, in brute_factor's order."""
     primitive, _ = _primitive_part(f)
-    return sorted(_factor_by_image(primitive, DEFAULT_CANDIDATE_LIMIT),
+    return sorted(_kronecker_image(primitive, DEFAULT_CANDIDATE_LIMIT),
                   key=_factor_key)
 
 
@@ -114,10 +154,10 @@ class TestExamples:
         ("(x*y^5 + 3)*(y^2 - x)", ["x*y^5 + 3", "y^2 - x"]),
     ])
     def test_base_follows_the_x_degree(self, text, factors):
-        # D = 1 + deg_x f keeps the image's values small enough to list
-        # their divisors; with D = 1 + max(deg_x, deg_y) these trip the
-        # "divisor trials" guard.  Specialisation decides the three
-        # irreducible ones before the image, so the image is called too
+        # the reference image's D = 1 + deg_x f keeps its values small
+        # enough to list their divisors; with D = 1 + max(deg_x, deg_y)
+        # these trip the "divisor trials" guard.  brute_factor builds no
+        # image, so the reference is called too
         result = brute_factor(P(text))
         assert result.scalar == 1
         assert _factor_strs(result) == sorted(factors)
@@ -186,8 +226,8 @@ class TestGuards:
     def test_point_choice_decides_within_default_guard(self):
         # interpolating at 0, 1, -1, ... takes more than 10^6 divisor
         # tuples here; the points whose values have the fewest divisors
-        # decide it quickly (on the image: specialisation decides it
-        # before the image is built)
+        # decide it quickly (on the reference image: brute_factor
+        # decides it by specialisation)
         f = P("x^2*y^2 - 2*x^2*y + x^2 + 43*y^2 + 7*x - 86*y + 78")
         start = time.perf_counter()
         assert _image_factors(f) == [f]
@@ -226,6 +266,24 @@ def _in_one_variable(rng, var, degree):
         2, var, coeffs + [rng.choice([-1, 1]) * rng.randint(1, 5)])
 
 
+def _products(rng, count, coeff=9, degree=8):
+    """Seeded reducible bivariates of total degree at most degree, in
+    turn g*h, g^2*h and c(y)*g, c(x)*g with c in one variable."""
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 3
+        g = _random_bivariate(rng, rng.randint(1, 3 if kind else 4), coeff)
+        if kind == 0:
+            f = g * _random_bivariate(rng, rng.randint(1, 4), coeff)
+        elif kind == 1:
+            f = g * g * _random_bivariate(rng, rng.randint(1, 2), coeff)
+        else:
+            f = _in_one_variable(rng, len(cases) % 2, rng.randint(1, 3)) * g
+        if f.degree() <= degree:
+            cases.append(f)
+    return cases
+
+
 class TestSpecialisation:
     def test_never_proves_a_reducible_input_irreducible(self, rng):
         # a reducible f has no irreducible specialisation f(v, t) at a
@@ -250,32 +308,31 @@ class TestSpecialisation:
         start = time.process_time()
         for case in cases:
             for f in (case, _swap(case)):
-                primitive, _ = _primitive_part(f)
-                assert not _irreducible_by_specialisation(
-                    primitive, DEFAULT_CANDIDATE_LIMIT), f
-        assert time.process_time() - start < 1
+                assert not brute_factor(f).irreducible, f
+        assert time.process_time() - start < 4
 
     def test_agrees_with_the_image(self, rng):
-        # desk scale, wherever the image decides: brute_factor's factors,
-        # with repetition, are the image path's; irreducible draws are
-        # decided by specialisation, products by the image
-        compared = decided_early = 0
+        # desk scale, wherever the reference image decides: brute_factor's
+        # factors, with repetition, are the image's, on random draws and
+        # products and on products, squares and content cases
+        compared = irreducible = 0
+        cases = []
         for k in range(120):
             f = _random_bivariate(rng, rng.randint(1, 3 - k % 2), coeff=3)
             if k % 2:
                 f = f * _random_bivariate(rng, rng.randint(1, 2), coeff=3)
+            cases.append(f)
+        cases += _products(rng, 60, coeff=3, degree=4)
+        for f in cases:
             try:
                 image = _image_factors(f)
             except ResourceLimitExceeded:
                 continue
             result = brute_factor(f)
             assert [g for g, m in result.factors for _ in range(m)] == image
-            primitive, _ = _primitive_part(f)
             compared += 1
-            decided_early += _irreducible_by_specialisation(
-                primitive, DEFAULT_CANDIDATE_LIMIT)
-        assert compared >= 100 and decided_early >= 30, (
-            compared, decided_early)
+            irreducible += result.irreducible
+        assert compared >= 150 and irreducible >= 30, (compared, irreducible)
 
     @pytest.mark.parametrize("text", [
         "9*x^5 - 7*x^4*y + 9*x^3*y^2 - 7*y^5 + 6*x^4 - 4*x*y^3 - 6*x*y^2",
@@ -297,3 +354,74 @@ class TestSpecialisation:
         start = time.process_time()
         assert brute_factor(f).irreducible
         assert time.process_time() - start < 0.1
+
+
+class TestLift:
+    def test_decides_a_product_beyond_the_image(self):
+        # the image y -> x^6 needs 2,568,481 divisor trials here
+        f = P("-42*x^5*y^3 - 78*x^3*y^4 + 14*x^5 + 26*x^3*y - 42*x^2*y^2"
+              " + 147*x^3 - 78*y^3 + 273*x*y")
+        with pytest.raises(ResourceLimitExceeded, match="divisor trials"):
+            _image_factors(f)
+        start = time.process_time()
+        result = brute_factor(f)
+        assert time.process_time() - start < 0.1
+        assert result.scalar == -1
+        assert _factor_strs(result) == [
+            "6*x^3*y^3 - 2*x^3 + 6*y^2 - 21*x", "7*x^2 + 13*y"]
+
+    def test_seeded_products_decide(self, rng):
+        # products, squares and content cases of total degree <= 8 decide
+        # under the default guard; each factor is irreducible
+        start = time.process_time()
+        results = [brute_factor(f) for f in _products(rng, 100)]
+        assert time.process_time() - start < 2
+        for result in results:
+            assert not result.irreducible
+            for g, _ in result.factors:
+                assert brute_factor(g).factors == [(g, 1)]
+
+    @pytest.mark.parametrize("text, factors", [
+        ("(x^2 + 1)*(y^2 + 2)", [("x^2 + 1", 1), ("y^2 + 2", 1)]),
+        ("(x*y + 1)^2*(x + y)", [("x + y", 1), ("x*y + 1", 2)]),
+        ("x*(x*y + 1)", [("x", 1), ("x*y + 1", 1)]),
+        ("(y + 1)*(x^2 + 2)", [("y + 1", 1), ("x^2 + 2", 1)]),
+        ("(2*x*y + 3)*(5*x*y^2 - 7*y + 1)",
+         [("2*x*y + 3", 1), ("5*x*y^2 - 7*y + 1", 1)]),
+        ("x^4 - 60*x^2*y^2 + 16*y^4", [("x^4 - 60*x^2*y^2 + 16*y^4", 1)]),
+        ("x^4 + y^4", [("x^4 + y^4", 1)]),
+    ])
+    def test_canaries(self, text, factors):
+        result = brute_factor(P(text))
+        assert result.scalar == 1
+        assert sorted((g.to_str(["x", "y"]), m)
+                      for g, m in result.factors) == sorted(factors)
+
+    def test_recombination_guard(self):
+        # every subset tried counts: the first divides, and the second
+        # is one too many; the specialisations find only rational roots,
+        # whose divisor lists stay within the guard
+        f = P("(x*y - 1)*(x*y - 2)*(x + y)")
+        with pytest.raises(ResourceLimitExceeded,
+                           match="recombination subsets limit exceeded: "
+                                 "need 2, limit is 1"):
+            brute_factor(f, guard=1)
+        assert len(brute_factor(f, guard=2).factors) == 3
+
+
+class TestUnivariateSearch:
+    def test_resumes_at_the_degree_found(self, monkeypatch):
+        # (x^4 + x + 1)*(x^4 + 2*x^3 + 2): the quartic quotient has no
+        # quadratic factor, since u has none, so it is not searched again
+        calls = []
+        search = oracle._has_degree_factor
+
+        def spy(u, r, *args):
+            calls.append((len(u) - 1, r))
+            return search(u, r, *args)
+
+        monkeypatch.setattr(oracle, "_has_degree_factor", spy)
+        result = brute_factor(P("(x^4 + x + 1)*(x^4 + 2*x^3 + 2)", ("x",)))
+        assert _factor_strs(result, ("x",)) == [
+            "x^4 + 2*x^3 + 2", "x^4 + x + 1"]
+        assert calls == [(8, 2), (8, 3), (8, 4)]
